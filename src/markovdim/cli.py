@@ -96,6 +96,19 @@ def _json_out(meta: dict, result: dict) -> str:
     return json.dumps({**meta, "result": result}, sort_keys=True) + "\n"
 
 
+def _not_converged(per_level, tol: float) -> int:
+    """Say on stderr why the command exits 3; the stdout body is untouched."""
+    if len(per_level) < 2:
+        n, v = per_level[-1]
+        sys.stderr.write(f"not converged: only level N={n} ({v!r}) is available, "
+                         f"tol {tol!r}\n")
+    else:
+        (n1, v1), (n2, v2) = per_level[-2:]
+        sys.stderr.write(f"not converged: levels N={n1} and N={n2} give {v1!r} and "
+                         f"{v2!r}, gap {abs(v2 - v1)!r} >= tol {tol!r}\n")
+    return EXIT_NOT_CONVERGED
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -112,17 +125,24 @@ def _cmd_pressure(args) -> int:
         body.append(f"# value,{res.value!r}")
         body.append(f"# converged,{res.converged}")
         _emit(args, "\n".join([f"# {l}" for l in lines] + body) + "\n")
-    return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if res.converged else _not_converged(res.per_level, args.tol)
+
+
+#: default truncation of ``dimension``: the Bowen root needs N = 4096 for the
+#: README's tol 1e-5, while each variational call runs ~600 roots per level
+_DIMENSION_NMAX = {"hyperbolic": 4096, "variational": 512}
 
 
 def _cmd_dimension(args) -> int:
+    if args.nmax is None:
+        args.nmax = _DIMENSION_NMAX[args.kind]
     if args.kind == "hyperbolic":
         model = build_sv_map(args.lam) if args.map is None else _parse_map(args.map)[0]
         rep = bowen_dimension(model, args.nmax, args.tol)
         meta = _meta(args, {"command": "dimension hyperbolic",
                             "map": args.map or f"sv:{args.lam}"})
         _emit(args, _json_out(meta, rep.to_dict()))
-        return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
+        return EXIT_OK if rep.converged else _not_converged(rep.per_level, args.tol)
     # variational
     model, m1 = _parse_map(args.map or f"sv:{args.lam}")
     phi, m2 = _parse_potential(args.phi, model)
@@ -292,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", default="logT")
     sp.add_argument("--psi", default="const:1")
     sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--nmax", type=int, default=512)
+    sp.add_argument("--nmax", type=int, default=None,
+                    help="truncation level (default 4096 hyperbolic, 512 variational)")
     sp.add_argument("--tol", type=float, default=1e-5)
     common(sp)
     sp.set_defaults(fn=_cmd_dimension)

@@ -552,7 +552,7 @@ def is_primitive(sub: TruncatedSubsystem) -> bool:
     """
     if sub.row_start is not None:
         starts = sub.row_start
-        if starts[0] == 1 and all(starts[i] <= i for i in range(1, sub.size)):
+        if starts[0] == 1 and bool((starts[1:] <= np.arange(1, sub.size)).all()):
             return True  # row 1 full + descent i -> i-1 available from every row
         m = sub.matrix
     else:

@@ -10,9 +10,10 @@ these finite values along any increasing exhaustion.  Three routes coexist:
 
 * ``perron_pressure``: Perron root of the weighted matrix.  Suffix-row
   (staircase) subsystems use an exact characteristic-function bisection
-  that costs O(N) per trial value and is immune to spectral-gap collapse;
-  general subsystems use power iteration with residual stopping and a
-  dense-eigensolver fallback.
+  that is immune to spectral-gap collapse and costs O(K) per trial value,
+  K being the index of the last weight that differs from the constant
+  tail (the tail rows are closed in one step); general subsystems use
+  power iteration with residual stopping and a dense-eigensolver fallback.
 * ``orbit_sum_pressure``: (1/n) log of the weighted count of period-n
   orbits through a base cylinder, an independent finite-n oracle.
 * ``closed_form_pressure_sv``: the exact formula for the built-in family.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -72,31 +74,75 @@ class PressureResult:
 # ---------------------------------------------------------------------------
 # Perron roots
 # ---------------------------------------------------------------------------
+def _staircase_tail(w_tail: float, rho: float, m: int) -> float:
+    """Ratio after m back-substitution rows of constant weight ``w_tail``.
+
+    Starting from r = 0, each row applies the same Moebius map
+    r <- c / (1 - r) with c = w_tail / rho, so r_j = c p_{j-1} / p_j for the
+    recurrence p_j = p_{j-1} - c p_{j-2} (p_{-1} = 0, p_0 = 1).  Since
+    1 - r_j = p_{j+1} / p_j, all m rows keep r < 1 exactly when
+    p_2, ..., p_{m+1} > 0.  Solving the recurrence gives the closed forms
+    below; ``inf`` marks a tail in which some row leaves r < 1.  The quantity
+    4c - 1 is formed as (4 w_tail - rho) / rho, whose numerator is exact
+    near c = 1/4, so the angle and the decay rate keep full relative
+    precision where the two regimes meet.
+    """
+    c = w_tail / rho
+    if m == 0 or c == 0.0:   # a ratio that underflows to 0 keeps r at 0, as row by row
+        return 0.0
+    d = 4.0 * w_tail - rho
+    if d < 0.0:       # c < 1/4: real roots mu_1 > mu_2 of mu^2 - mu + c, every row feasible
+        mu1 = 0.5 * (1.0 + math.sqrt(-d / rho))
+        mu2 = c / mu1
+        ell = math.log(mu2 / mu1)
+        return mu2 * math.expm1(m * ell) / math.expm1((m + 1) * ell)
+    if d == 0.0:      # c = 1/4: double root 1/2
+        return m / (2.0 * (m + 1))
+    # c > 1/4: p_j = c^(j/2) sin((j+1) theta) / sin(theta) with tan(theta) = sqrt(4c - 1)
+    theta = math.atan(math.sqrt(d / rho))
+    if not ((m + 2) * theta < math.pi):
+        return math.inf
+    return math.sqrt(c) * math.sin(m * theta) / math.sin((m + 1) * theta)
+
+
 def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
     """Log Perron root of A[i,j] = w_i [j >= max(i-1, 1)] by bisection.
 
-    The matrix is upper Hessenberg, so back-substituting all rows but the
-    first against a trial rho costs O(N); the first-row residual changes
-    sign exactly at the Perron root, and the sequence of partial sums of a
-    candidate eigenvector must stay positive above it.  The predicate
-    "trial >= Perron root" is therefore monotone and bisection is exact up
-    to the requested relative tolerance, independent of the spectral gap.
+    The matrix is upper Hessenberg, so a trial rho is tested by
+    back-substituting all rows but the first; the first-row residual changes
+    sign exactly at the Perron root, and the ratios r_k of consecutive
+    partial sums of a candidate eigenvector must stay below 1 above it.  The
+    predicate "trial >= Perron root" is therefore monotone and bisection is
+    exact up to the requested relative tolerance, independent of the
+    spectral gap.  Depth-1 potentials are finitely many overrides plus a
+    constant default, so the rows past the last override share one weight
+    and are closed in one step (:func:`_staircase_tail`); only the K head
+    rows are substituted one by one, and a trial costs O(K).
     """
     shift = float(np.max(log_weights))
-    w = np.exp(log_weights - shift).tolist()
+    w = np.exp(log_weights - shift)
     n = len(w)
-    # row i >= 2 covers columns i-1..n: that is n-i+2 entries; row 1 covers all
-    counts = [n] + [n - i + 2 for i in range(2, n + 1)]
-    hi = max(c * wi for c, wi in zip(counts, w)) * (1.0 + 1e-12)
-    lo = max(w) * 0.25
+    # row 1 covers all n columns; row k >= 2 (1-based) covers n-k+2 of them
+    counts = np.arange(n + 1, 1, -1)
+    counts[0] = n
+    hi = float(np.max(counts * w)) * (1.0 + 1e-12)
+    lo = float(np.max(w)) * 0.25
+    differs = np.flatnonzero(w != w[-1])
+    head = max(int(differs[-1]) + 1 if differs.size else 0, 1)
+    w_tail = float(w[-1])
+    m = n - head
+    head_w = w[head - 1:0:-1].tolist()     # rows head-1 .. 1, in substitution order
+    w0 = float(w[0])
 
     def at_or_above(rho: float) -> bool:
-        r = 0.0
-        for k in range(n - 1, 0, -1):
-            r = w[k] / (rho * (1.0 - r))
+        r = _staircase_tail(w_tail, rho, m)
+        if not (r < 1.0):
+            return False
+        for wk in head_w:
+            r = wk / (rho * (1.0 - r))
             if not (r < 1.0):
                 return False
-        return rho * (1.0 - r) - w[0] >= 0.0
+        return rho * (1.0 - r) - w0 >= 0.0
 
     while at_or_above(lo):
         lo *= 0.5
@@ -159,14 +205,28 @@ def perron_pressure(sub: TruncatedSubsystem, p: Potential, tol: float) -> float:
             f"potential depth {p.depth} exceeds subsystem depth {sub.depth}; recode first")
     if not is_primitive(sub):
         raise MixingError("subsystem is not primitive")
-    logw = p.values_vector(sub.size)
+    return _log_rho_solver(sub)(p.values_vector(sub.size), tol)
+
+
+def _rank_one_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
+    """Log Perron root of the rank-one matrix w 1^T: the plain weight sum."""
+    shift = float(np.max(log_weights))
+    return math.log(float(np.sum(np.exp(log_weights - shift)))) + shift
+
+
+def _log_rho_solver(sub: TruncatedSubsystem):
+    """Perron-root routine for the shape of ``sub``: (log_weights, rel_tol) -> log rho.
+
+    Staircase subsystems take the characteristic bisection, full ones the
+    rank-one sum, everything else power iteration on the materialized
+    matrix.  Callers that evaluate many potentials on one subsystem keep the
+    returned routine, so the shape is inspected once.
+    """
     if sub.is_sv_staircase and sub.size >= 2:
-        return _staircase_log_rho(logw, rel_tol=tol)
+        return _staircase_log_rho
     if sub.is_full:
-        # rank-one matrix w 1^T: Perron root is the plain weight sum
-        shift = float(np.max(logw))
-        return math.log(float(np.sum(np.exp(logw - shift)))) + shift
-    return _power_log_rho(sub.matrix, logw, rel_tol=tol)
+        return _rank_one_log_rho
+    return partial(_power_log_rho, sub.matrix)
 
 
 # ---------------------------------------------------------------------------

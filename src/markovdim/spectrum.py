@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DegenerateError, DomainError, MixingError, UnboundedError
 from .markov import MarkovMapModel, TruncatedSubsystem, build_sv_map, truncate
 from .potentials import Potential, builtin_log_derivative, constant_potential
-from .pressure import (_levels, _power_log_rho, _staircase_log_rho,
-                       closed_form_pressure_sv, sv_critical_exponent)
+from .pressure import (_levels, _log_rho_solver, closed_form_pressure_sv,
+                       sv_critical_exponent)
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _Q_LIMIT = 1e6
@@ -284,18 +284,11 @@ class _PressureEvaluator:
         self.psi_v = psi.values_vector(N)
         self.logt_v = builtin_log_derivative(model).values_vector(N)
         self.eig_tol = eig_tol
-        self._staircase = self.sub.is_sv_staircase
-        self._full = self.sub.is_full
-        self._dense = None if (self._staircase or self._full) else self.sub.matrix
+        self._log_rho = _log_rho_solver(self.sub)
 
     def pressure(self, q: float, alpha: float, delta: float) -> float:
         logw = q * (self.phi_v - alpha * self.psi_v) - delta * self.logt_v
-        if self._staircase:
-            return _staircase_log_rho(logw, rel_tol=self.eig_tol)
-        if self._full:
-            shift = float(np.max(logw))
-            return math.log(float(np.sum(np.exp(logw - shift)))) + shift
-        return _power_log_rho(self._dense, logw, rel_tol=self.eig_tol)
+        return self._log_rho(logw, self.eig_tol)
 
 
 def _minimize_over_q(h, tol: float) -> tuple[float, float]:
@@ -397,7 +390,9 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> BowenRepor
     P_N is strictly decreasing in s, positive at s = 0 (else the smallest
     level is degenerate), and nonpositive at s = 1 for branches inside a
     bounded interval, so bisection on [0, 1] is safe.  The roots increase
-    with N toward the supremum over compact invariant subsets.
+    with N toward the supremum over compact invariant subsets.  Levels whose
+    truncation is not primitive are skipped, as in ``gurevich_pressure``;
+    MixingError is raised only when no level is primitive.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
@@ -409,18 +404,15 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> BowenRepor
         N_max = min(N_max, model.alphabet_size)
     per_level: list[tuple[int, float]] = []
     for n in _levels(N_max):
-        sub = truncate(model, n)
+        try:
+            sub = truncate(model, n)
+        except MixingError:
+            continue  # leading truncations of explicit maps may not be primitive yet
         logt_v = logt.values_vector(n)
-        staircase = sub.is_sv_staircase
+        log_rho = _log_rho_solver(sub)
 
         def pressure_at(s: float) -> float:
-            logw = -s * logt_v
-            if staircase:
-                return _staircase_log_rho(logw, rel_tol=eig_tol)
-            if sub.is_full:
-                shift = float(np.max(logw))
-                return math.log(float(np.sum(np.exp(logw - shift)))) + shift
-            return _power_log_rho(sub.matrix, logw, rel_tol=eig_tol)
+            return log_rho(-s * logt_v, eig_tol)
 
         if pressure_at(0.0) <= 0.0:
             if not per_level:
@@ -437,6 +429,8 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> BowenRepor
             else:
                 hi = mid
         per_level.append((n, 0.5 * (lo + hi)))
+    if not per_level:
+        raise MixingError("no primitive truncation level available")
     converged = len(per_level) >= 2 and abs(per_level[-1][1] - per_level[-2][1]) < tol
     if model.alphabet_size is not None and per_level[-1][0] == model.alphabet_size:
         converged = True

@@ -35,6 +35,23 @@ class TestPressureCommand:
         vals = [p for _, p in levels]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
+    def test_nonconvergent_reason_on_stderr(self, capsys, tmp_path):
+        argv = ["pressure", "--map", "sv:0.9", "--potential", "zero", "--nmax", "64"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_NOT_CONVERGED
+        assert err.count("\n") == 1
+        assert "N=32" in err and "N=64" in err and "tol 1e-08" in err
+        # the body is the same one --out writes, untouched by the message
+        f = tmp_path / "p.json"
+        assert main(argv + ["--out", str(f)]) == EXIT_NOT_CONVERGED
+        assert out == f.read_text()
+
+    def test_single_level_reason_on_stderr(self, capsys):
+        code, _, err = run(capsys, "pressure", "--map", "sv:0.9",
+                           "--potential", "zero", "--nmax", "2")
+        assert code == EXIT_NOT_CONVERGED
+        assert err.startswith("not converged: only level N=2 ")
+
     def test_domain_error_exit(self, capsys):
         code, _, err = run(capsys, "pressure", "--map", "sv:0.3", "--potential", "zero")
         assert code == EXIT_DOMAIN
@@ -56,6 +73,23 @@ class TestDimensionCommand:
         payload = json.loads(out)
         assert payload["result"]["value"] == pytest.approx(0.8281444907572746, abs=1e-4)
 
+    def test_readme_hyperbolic_example(self, capsys):
+        code, out, err = run(capsys, "dimension", "hyperbolic", "--lambda", "0.75",
+                             "--tol", "1e-5")
+        assert code == EXIT_OK, err
+        closed_form = -math.log(4.0) / math.log(0.75 * 0.25)
+        payload = json.loads(out)
+        assert payload["result"]["value"] == pytest.approx(closed_form, abs=1e-5)
+        assert payload["config"]["nmax"] == 4096
+
+    def test_hyperbolic_nonconvergent_reason_on_stderr(self, capsys):
+        code, out, err = run(capsys, "dimension", "hyperbolic", "--lambda", "0.75",
+                             "--tol", "1e-9", "--nmax", "64")
+        assert code == EXIT_NOT_CONVERGED
+        assert json.loads(out)["result"]["converged"] is False
+        assert err.count("\n") == 1
+        assert "N=32" in err and "N=64" in err and "tol 1e-09" in err
+
     def test_variational(self, capsys):
         code, out, _ = run(capsys, "dimension", "variational", "--lambda", "0.9",
                            "--alpha", "2.3991795", "--nmax", "256", "--tol", "1e-3")
@@ -63,6 +97,14 @@ class TestDimensionCommand:
         payload = json.loads(out)
         assert payload["result"]["dimension"] == pytest.approx(0.553, abs=5e-3)
         assert payload["result"]["hypothesis_unverified"] is False
+
+    def test_variational_default_nmax_is_512(self, capsys):
+        argv = ["dimension", "variational", "--lambda", "0.9", "--alpha", "2.3992",
+                "--tol", "1e-4"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["nmax"] == 512
+        assert run(capsys, *argv, "--nmax", "512") == (code, out, "")
 
     def test_variational_needs_alpha(self, capsys):
         with pytest.raises(SystemExit) as exc:

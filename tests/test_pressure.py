@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import markovdim as md
 from markovdim.errors import DomainError, MixingError, WorkLimitError
+from markovdim.pressure import _staircase_log_rho, _staircase_tail
 
 LOG2 = 0.6931471805599453
 LOG_019 = -1.6607312068216509          # log(0.1 + 0.09)
@@ -28,6 +30,49 @@ def dense_log_rho(mat: np.ndarray, logw: np.ndarray) -> float:
     """Independent oracle: dense eigensolver on the weighted matrix."""
     a = mat.astype(float) * np.exp(logw)[:, None]
     return math.log(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def reference_staircase_log_rho(log_weights, rel_tol):
+    """O(N) oracle for the staircase root: the same bisection, but every row
+    of the back-substitution is applied one at a time."""
+    shift = float(np.max(log_weights))
+    w = np.exp(log_weights - shift).tolist()
+    n = len(w)
+    counts = [n] + [n - i + 2 for i in range(2, n + 1)]
+    hi = max(c * wi for c, wi in zip(counts, w)) * (1.0 + 1e-12)
+    lo = max(w) * 0.25
+
+    def at_or_above(rho):
+        r = 0.0
+        for k in range(n - 1, 0, -1):
+            r = w[k] / (rho * (1.0 - r))
+            if not (r < 1.0):
+                return False
+        return rho * (1.0 - r) - w[0] >= 0.0
+
+    while at_or_above(lo):
+        lo *= 0.5
+    while not at_or_above(hi):
+        hi *= 2.0
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if at_or_above(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rel_tol * hi:
+            break
+    return math.log(0.5 * (lo + hi)) + shift
+
+
+def tail_by_loop(w_tail, rho, m):
+    """Oracle for _staircase_tail: m rows of r <- w / (rho (1 - r)) from r = 0."""
+    r = 0.0
+    for _ in range(m):
+        r = w_tail / (rho * (1.0 - r))
+        if not (r < 1.0):
+            return math.inf
+    return r
 
 
 def seeded_primitive(rng, n):
@@ -123,6 +168,78 @@ class TestPerron:
         shifted = md.TablePotential({(1,): p.value(1) + 5.0}, default=p.value(2) + 5.0)
         assert md.perron_pressure(sub, shifted, 1e-12) == \
             pytest.approx(md.perron_pressure(sub, p, 1e-12) + 5.0, abs=1e-9)
+
+
+class TestStaircaseRoot:
+    """The O(K) staircase root against the O(N) loop and dense eigenvalues."""
+
+    @pytest.mark.parametrize("lam", [0.6, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 64, 512, 1024, 8192])
+    def test_matches_reference_loop(self, lam, n):
+        m = md.build_sv_map(lam)
+        logt = md.builtin_log_derivative(m).values_vector(n)
+        tail = md.builtin_tail_potential(2.0)
+        cases = [-t * logt for t in (0.0, 1.0, 7.0)]
+        cases += [q * (logt - 2.3) - 0.5 * logt for q in (-3.0, 1.0)]
+        cases.append(0.4 * tail.values_vector(n) - logt)
+        # tail weight underflows to 0, or stays a subnormal whose ratio to
+        # the trial rho underflows
+        cases += [np.where(np.arange(n) < 2, 0.0, v) for v in (-800.0, -744.5, -740.0)]
+        rel_tol = 1e-12
+        for logw in cases:
+            # both brackets have relative width <= rel_tol around the same root
+            assert abs(_staircase_log_rho(logw, rel_tol)
+                       - reference_staircase_log_rho(logw, rel_tol)) <= 2 * rel_tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 256), default=st.floats(-3.0, 3.0),
+           overrides=st.lists(st.tuples(st.integers(0, 255), st.floats(-4.0, 4.0)),
+                              max_size=5))
+    def test_eventually_constant_against_eigvals(self, n, default, overrides):
+        values = {(pos % n + 1,): v for pos, v in overrides}
+        p = md.TablePotential(values, default=default)
+        sub = md.truncate(md.build_sv_map(0.8), n)
+        got = md.perron_pressure(sub, p, 1e-13)
+        # The Perron vector of a staircase decays like 2^-k and its left
+        # vector grows like 2^k, so the root's condition number is about 2^N
+        # and eigvals on the raw matrix is off by up to 1e-2 at N = 256.  The
+        # similarity diag(2^k) A diag(2^-k) keeps the spectrum, is exact in
+        # floating point, and flattens both vectors.
+        k = np.arange(n)
+        similar = sub.matrix * np.ldexp(1.0, k[:, None] - k[None, :])
+        assert got == pytest.approx(dense_log_rho(similar, p.values_vector(n)), abs=1e-10)
+
+    @pytest.mark.parametrize("w_tail", [1.0, 0.37])
+    def test_tail_closed_form_across_quarter(self, w_tail):
+        # rho = 4 w_tail separates the real-root, double-root and rotation
+        # cases; in the rotation case the m-th row is the first to leave
+        # r < 1 once rho drops below 4 w_tail cos^2(pi / (m + 2))
+        grid = 4.0 * w_tail * np.concatenate([np.linspace(0.5, 1.5, 41), [1.0]])
+        for m in list(range(120)) + [255, 256, 1000]:
+            edge = 4.0 * w_tail * math.cos(math.pi / (m + 2)) ** 2
+            for rho in list(grid) + [edge * (1 + 1e-9), edge * (1 - 1e-9)]:
+                got, want = _staircase_tail(w_tail, rho, m), tail_by_loop(w_tail, rho, m)
+                if math.isinf(want):
+                    assert not (got < 1.0), (m, rho)
+                else:
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-15), (m, rho)
+            if m >= 1:
+                assert tail_by_loop(w_tail, edge * (1 + 1e-9), m) < 1.0
+                assert math.isinf(tail_by_loop(w_tail, edge * (1 - 1e-9), m))
+
+    @pytest.mark.parametrize("log_w", [-744.5, -740.0])
+    def test_tail_with_subnormal_weight(self, log_w):
+        # w_tail / rho underflows to 0 for rho >= 2 (-744.5) or rho >= 512
+        # (-740); the row-by-row ratio then stays at 0
+        w_tail = math.exp(log_w)
+        assert w_tail > 0.0
+        for m in (0, 1, 2, 7, 511, 8191):
+            for rho in (0.3, 1.0, 1.5, 2.0, 8.0, 511.0, 512.0, 4096.0):
+                got = _staircase_tail(w_tail, rho, m)
+                assert got == pytest.approx(tail_by_loop(w_tail, rho, m), abs=1e-320)
+        sub = md.truncate(md.build_sv_map(0.9), 8)
+        p = md.TablePotential({(1,): 0.0}, default=log_w)
+        assert md.perron_pressure(sub, p, 1e-12) == pytest.approx(0.0, abs=1e-11)
 
 
 def brute_orbit_sum(mat, logw, n, base):

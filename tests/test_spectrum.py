@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import markovdim as md
-from markovdim.errors import DomainError, UnboundedError
+from markovdim.errors import DomainError, MixingError, UnboundedError
 from markovdim.spectrum import _karp_min_cycle_mean
 
 ALPHA_M_09 = 2.302585092994046          # -log(1 - 0.9)
@@ -205,6 +205,28 @@ class TestBowen:
         cm = md.build_custom_map(branches, np.ones((2, 2), dtype=bool))
         rep = md.bowen_dimension(cm, 16, 1e-9)
         assert rep.value == pytest.approx(1.0, abs=1e-8)
+
+    @staticmethod
+    def _two_block_map(rows):
+        # four slope-2 branches of length 0.2 in two blocks around the hole
+        # (0.4, 0.6); each row maps onto one block, so N = 2 sees no transition
+        edges = [(0.0, 0.2), (0.2, 0.4), (0.6, 0.8), (0.8, 1.0)]
+        branches = [md.make_branch(i + 1, a, b, 2.0) for i, (a, b) in enumerate(edges)]
+        return md.build_custom_map(branches, np.array(rows, dtype=bool))
+
+    def test_skips_leading_levels_that_are_not_primitive(self):
+        rows = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
+        rep = md.bowen_dimension(self._two_block_map(rows), 64, 1e-9)
+        # every slope is 2, so P(-s log|T'|) = log rho - s log 2 vanishes at log2 rho
+        rho = float(np.max(np.abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
+        assert [n for n, _ in rep.per_level] == [4]
+        assert rep.converged
+        assert rep.value == pytest.approx(math.log2(rho), abs=1e-9)
+
+    def test_no_primitive_level(self):
+        rows = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]  # period 2
+        with pytest.raises(MixingError):
+            md.bowen_dimension(self._two_block_map(rows), 64, 1e-6)
 
     def test_validation(self):
         with pytest.raises(DomainError):
