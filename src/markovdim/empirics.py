@@ -199,16 +199,24 @@ def _sv_step(model: MarkovMapModel, x: np.ndarray, active: np.ndarray,
     return new_x, idx, aborted
 
 
-def _finite_step(model: MarkovMapModel, x: np.ndarray, active: np.ndarray):
-    """Vectorized step for finite custom models via edge bisection."""
+def _finite_tables(model: MarkovMapModel):
+    """Branch tables for ``_finite_step``, built once per batch: lefts,
+    slopes, image left ends, and the branch order by left endpoint with
+    the sorted lefts and rights."""
     branches = model._explicit_branches
     lefts = np.array([b.left for b in branches])
     rights = np.array([b.right for b in branches])
     slopes = np.array([b.slope for b in branches])
+    img_lo = np.array([model.image_interval(b.index)[0] for b in branches])
     order = np.argsort(lefts)
-    lefts_s, rights_s = lefts[order], rights[order]
+    return lefts, slopes, img_lo, order, lefts[order], rights[order]
+
+
+def _finite_step(model: MarkovMapModel, x: np.ndarray, active: np.ndarray, tables):
+    """Vectorized step for finite custom models via edge bisection."""
+    lefts, slopes, img_lo, order, lefts_s, rights_s = tables
     pos = np.searchsorted(lefts_s, x, side="right") - 1
-    pos = np.clip(pos, 0, len(branches) - 1)
+    pos = np.clip(pos, 0, len(order) - 1)
     inside = (x > lefts_s[pos]) & (x < rights_s[pos])
     scale = np.maximum(np.abs(x), 1e-300)
     near_edge = (np.abs(x - lefts_s[pos]) <= ENDPOINT_TOL * scale) | \
@@ -216,7 +224,6 @@ def _finite_step(model: MarkovMapModel, x: np.ndarray, active: np.ndarray):
     aborted = active & (~inside | near_edge)
     stepping = active & ~aborted
     branch_ids = order[pos] + 1
-    img_lo = np.array([model.image_interval(i)[0] for i in range(1, len(branches) + 1)])
     y = img_lo[branch_ids - 1] + (x - lefts[branch_ids - 1]) * slopes[branch_ids - 1]
     new_x = np.where(stepping, y, x)
     idx = np.where(stepping, branch_ids, 0)
@@ -282,10 +289,9 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     its = np.zeros((m, n), dtype=np.int32) if collect_itineraries else None
     is_sv = model.family == "SV"
     if is_sv:
-        powers = _sv_power_table(model.lam)
-        step_fn = lambda mdl, xx, aa: _sv_step(mdl, xx, aa, powers)
+        step_fn, step_tables = _sv_step, _sv_power_table(model.lam)
     else:
-        step_fn = _finite_step
+        step_fn, step_tables = _finite_step, _finite_tables(model)
     starts = x.copy()
     deep_supported = is_sv
     logt_deep = -math.log(model.lam * (1.0 - model.lam)) if is_sv else 0.0
@@ -303,7 +309,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
 
     for k in range(n):
         stepping_lanes = active & ~deep
-        x, idx, newly_aborted = step_fn(model, x, stepping_lanes)
+        x, idx, newly_aborted = step_fn(model, x, stepping_lanes, step_tables)
         aborted |= newly_aborted
         moved = stepping_lanes & ~newly_aborted
         # lanes in the deep state advance analytically

@@ -504,15 +504,12 @@ class TruncatedSubsystem:
             return bool((self.row_start == 1).all())
         return bool(self.dense.all())
 
-    def to_csr(self) -> csr_matrix:
+    @property
+    def self_loops(self) -> np.ndarray:
+        """Boolean mask of the symbols whose row covers their own column."""
         if self.dense is not None:
-            return csr_matrix(self.dense)
-        indptr = np.zeros(self.size + 1, dtype=np.int64)
-        counts = self.size - (self.row_start - 1)
-        indptr[1:] = np.cumsum(counts)
-        indices = np.concatenate([np.arange(s - 1, self.size) for s in self.row_start])
-        return csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
-                          shape=(self.size, self.size))
+            return np.diagonal(self.dense).astype(bool)
+        return self.row_start <= np.arange(1, self.size + 1)
 
 
 def truncate(model: MarkovMapModel, N: int) -> TruncatedSubsystem:

@@ -153,33 +153,16 @@ def derivative_identity_check(lam: float, t: float, h: float) -> tuple[float, fl
 def _karp_min_cycle_mean(sub: TruncatedSubsystem, cost: np.ndarray) -> float:
     """Minimum cycle mean of source-node costs over the subsystem digraph.
 
-    Karp's formula on shortest k-edge walk weights from node 1.  The suffix
-    encoding vectorizes the relaxation as a prefix minimum; dense matrices
-    use a masked minimum (only small alphabets take that path).
+    Karp's formula on shortest k-edge walk weights from node 1, relaxed
+    over the dense transition matrix (suffix-row subsystems are densified).
+    ``alpha_bounds`` needs it only when an extreme node has no self-loop,
+    which never happens on rule-based truncations.
     """
-    n = sub.size
-    inf = math.inf
-    table = np.empty((n + 1, n))
-    table[0] = inf
-    table[0, 0] = 0.0
-    if sub.row_start is not None:
-        # pred(j) = {i : i <= j+1} in 1-based terms for start_i = max(i-1, 1)
-        if not sub.is_sv_staircase:
-            return _karp_dense(sub.matrix, cost)
-        for k in range(1, n + 1):
-            t = table[k - 1] + cost
-            acc = np.minimum.accumulate(t)
-            prev = np.empty(n)
-            prev[: n - 1] = acc[1:]     # column j (0-based) sees rows i <= j+1
-            prev[n - 1] = acc[n - 1]
-            table[k] = prev
-        dn = table[n]
-    else:
-        return _karp_dense(sub.dense, cost)
-    return _karp_finish(table, dn, n)
+    return _karp_finish(_karp_table(sub.matrix, cost))
 
 
-def _karp_dense(m: np.ndarray, cost: np.ndarray) -> float:
+def _karp_table(m: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Row k holds the least cost of a k-edge walk from node 1 to each node."""
     n = m.shape[0]
     inf = math.inf
     table = np.full((n + 1, n), inf)
@@ -189,33 +172,37 @@ def _karp_dense(m: np.ndarray, cost: np.ndarray) -> float:
         t = table[k - 1] + cost
         cand = np.where(mask, t[:, None], inf)
         table[k] = cand.min(axis=0)
-    return _karp_finish(table, table[n], n)
+    return table
 
 
-def _karp_finish(table: np.ndarray, dn: np.ndarray, n: int) -> float:
-    best = math.inf
-    for j in range(n):
-        if not math.isfinite(dn[j]):
-            continue
-        worst = -math.inf
-        for k in range(n):
-            if math.isfinite(table[k, j]):
-                worst = max(worst, (dn[j] - table[k, j]) / (n - k))
-        if worst > -math.inf:
-            best = min(best, worst)
-    if not math.isfinite(best):
+def _karp_finish(table: np.ndarray) -> float:
+    """min over j of max over k of (D_n(j) - D_k(j)) / (n - k), finite entries only."""
+    n = table.shape[1]
+    head, dn = table[:n], table[n]
+    with np.errstate(invalid="ignore"):
+        quot = (dn - head) / (n - np.arange(n))[:, None]
+    worst = np.where(np.isfinite(head), quot, -math.inf).max(axis=0)
+    worst = worst[np.isfinite(dn) & (worst > -math.inf)]
+    if worst.size == 0 or not math.isfinite(worst.min()):
         raise MixingError("no cycle reachable from the base symbol")
-    return best
+    return float(worst.min())
 
 
 def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray,
                          maximize: bool) -> float:
-    """Extreme of (sum phi / sum psi) over cycles, by parametric bisection:
+    """Extreme of (sum phi / sum psi) over cycles.
+
+    A cycle's quotient is a psi-weighted average of the node ratios
+    phi_i/psi_i, so it lies between their min and max; a self-loop at an
+    extreme node attains that end exactly.  Otherwise parametric bisection:
     the min cycle mean of phi - alpha psi crosses zero at the minimal ratio."""
     ratios = phi_v / psi_v
     lo, hi = float(ratios.min()), float(ratios.max())
     if hi - lo <= 1e-15:
         return lo
+    end = hi if maximize else lo
+    if sub.self_loops[ratios == end].any():
+        return end
     sign = -1.0 if maximize else 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -250,9 +237,13 @@ def alpha_bounds(model: MarkovMapModel, phi: Potential, psi: Potential,
     """Estimates of the extreme Birkhoff quotients (alpha_m, alpha_M).
 
     Computed as the min/max of cycle quotients sum(phi)/sum(psi) over the
-    N-truncation (attained on simple cycles); these are inner estimates
-    that grow with N.  For the built-in family with phi = log|T'| and
-    psi = 1 the exact endpoints are returned.
+    N-truncation (attained on simple cycles).  When the symbol with the
+    extreme ratio phi_i/psi_i has a self-loop, as every symbol of a
+    rule-based truncation does, that ratio is the exact extreme and is
+    returned as is; otherwise Karp's cycle mean is bisected to ~1e-13.
+    Either way these are inner estimates of the countable system's
+    endpoints that grow with N.  For the built-in family with
+    phi = log|T'| and psi = 1 the exact endpoints are returned.
     """
     if psi.positivity_floor is None:
         raise DomainError("denominator potential must carry a positivity floor")

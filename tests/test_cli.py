@@ -131,6 +131,19 @@ class TestSpectrumCommands:
         assert code == EXIT_OK
         assert "ESCAPE_VALUE" in out
 
+    def test_spectrum_birkhoff_tail_bounds_exact(self, capsys, tmp_path):
+        cfg = tmp_path / "phi.json"
+        cfg.write_text(json.dumps({"depth": 1, "default": 2.0,
+                                   "overrides": {"1": 1.0, "2": 1.5}}))
+        code, out, _ = run(capsys, "spectrum-birkhoff", "--lambda", "0.9",
+                           "--phi", str(cfg), "--grid-min", "1.2", "--grid-max", "1.8",
+                           "--grid-points", "2", "--nmax", "32", "--tol", "1e-2",
+                           "--format", "json")
+        assert code == EXIT_OK
+        result = json.loads(out)["result"]
+        assert result["alpha_min"] == 1.0
+        assert result["alpha_max"] == 2.0
+
 
 class TestSimulateAndEscape:
     def test_simulate(self, capsys):

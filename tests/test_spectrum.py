@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import markovdim as md
 from markovdim.errors import DomainError, MixingError, UnboundedError
-from markovdim.spectrum import _karp_min_cycle_mean
+from markovdim.spectrum import _karp_finish, _karp_min_cycle_mean, _karp_table
 
 ALPHA_M_09 = 2.302585092994046          # -log(1 - 0.9)
 ALPHA_MAX_09 = 2.4079456086518722       # -log(0.9 * 0.1)
@@ -23,17 +24,57 @@ def sv_setup(lam):
     return m, md.builtin_log_derivative(m), md.constant_potential(1.0)
 
 
-def brute_min_cycle_mean(mat, cost):
-    """Oracle: enumerate all simple cycles of a small digraph."""
+def brute_cycle_quotients(mat, phi, psi):
+    """Oracle: sum(phi)/sum(psi) over every simple cycle of a small digraph."""
     size = mat.shape[0]
-    best = math.inf
     for length in range(1, size + 1):
         for nodes in itertools.permutations(range(size), length):
             if nodes[0] != min(nodes):
                 continue
             if all(mat[nodes[i], nodes[(i + 1) % length]] for i in range(length)):
-                best = min(best, sum(cost[v] for v in nodes) / length)
+                yield sum(phi[v] for v in nodes) / sum(psi[v] for v in nodes)
+
+
+def brute_min_cycle_mean(mat, cost):
+    return min(brute_cycle_quotients(mat, cost, np.ones(mat.shape[0])))
+
+
+def karp_finish_loop(table):
+    """Reference: the scalar double loop that ``_karp_finish`` vectorizes."""
+    n = table.shape[1]
+    dn = table[n]
+    best = math.inf
+    for j in range(n):
+        if not math.isfinite(dn[j]):
+            continue
+        worst = -math.inf
+        for k in range(n):
+            if math.isfinite(table[k, j]):
+                worst = max(worst, (dn[j] - table[k, j]) / (n - k))
+        if worst > -math.inf:
+            best = min(best, worst)
+    if not math.isfinite(best):
+        raise MixingError("no cycle reachable from the base symbol")
     return best
+
+
+def explicit_model(mat):
+    """A model over an arbitrary transition matrix; only its graph is used."""
+    return md.MarkovMapModel(family="CUSTOM", branch_fn=None, row_start_fn=None,
+                             explicit_matrix=mat, alphabet_size=mat.shape[0],
+                             expansion_floor=2.0)
+
+
+@st.composite
+def dense_cycle_case(draw):
+    n = draw(st.integers(2, 7))
+    mat = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    mat = mat.reshape(n, n)
+    if draw(st.booleans()):
+        np.fill_diagonal(mat, True)
+    phi = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    psi = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+    return mat, phi, psi
 
 
 class TestAlphaBounds:
@@ -75,6 +116,60 @@ class TestAlphaBounds:
             assert _karp_min_cycle_mean(sub, cost) == \
                 pytest.approx(brute_min_cycle_mean(mat, cost), abs=1e-12)
             checked += 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=dense_cycle_case())
+    def test_dense_bounds_against_cycle_enumeration(self, case):
+        mat, phi_v, psi_v = case
+        n = mat.shape[0]
+        assume(psi_v.min() < psi_v.max())
+        assume(md.is_primitive(md.TruncatedSubsystem(size=n, dense=mat)))
+        phi = md.TablePotential({(i + 1,): v for i, v in enumerate(phi_v)})
+        psi = md.TablePotential({(i + 1,): v for i, v in enumerate(psi_v)},
+                                positivity_floor=float(psi_v.min()))
+        quotients = list(brute_cycle_quotients(mat, phi_v, psi_v))
+        lo, hi = md.alpha_bounds(explicit_model(mat), phi, psi, n)
+        assert lo == pytest.approx(min(quotients), abs=1e-12)
+        assert hi == pytest.approx(max(quotients), abs=1e-12)
+        mid = 0.5 * (lo + hi)
+        for cost in (phi_v, phi_v - mid * psi_v, mid * psi_v - phi_v):
+            table = _karp_table(mat, cost)
+            assert _karp_finish(table) == karp_finish_loop(table)
+
+    def test_karp_finish_unreachable_cycle(self):
+        # node 1 has no out-edge, so no walk from it reaches a cycle
+        table = _karp_table(np.array([[0, 0], [1, 1]], dtype=bool), np.array([1.0, 2.0]))
+        for finish in (_karp_finish, karp_finish_loop):
+            with pytest.raises(MixingError):
+                finish(table)
+
+    @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("phi,psi", [
+        (md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5}), md.constant_potential(1.0)),
+        (md.builtin_tail_potential(0.0, {1: 0.8, 2: -0.8, 5: 0.3}),
+         md.constant_potential(1.0)),
+        (md.builtin_tail_potential(1.3, {2: -0.4, 3: 2.2}),
+         md.builtin_tail_potential(0.7, {1: 1.9, 3: 0.5})),
+    ])
+    def test_rule_based_bounds_are_exact_node_extremes(self, lam, phi, psi):
+        # every staircase symbol has a self-loop, so the extreme node ratios
+        # are cycle quotients themselves
+        n = 32
+        ratios = phi.values_vector(n) / psi.values_vector(n)
+        want = (ratios.min(), ratios.max())
+        assert md.alpha_bounds(md.build_sv_map(lam), phi, psi, n) == want
+        if psi.is_constant():
+            grid = np.linspace(want[0], want[1], 4)[1:-1]
+            curve = md.full_birkhoff_spectrum_sv(lam, phi, grid, N=n, tol=1e-2)
+            assert (curve.alpha_min, curve.alpha_max) == want
+
+    def test_full_rule_bounds_are_exact_node_extremes(self):
+        branches = [md.make_branch(i + 1, i / 4, (i + 1) / 4, 4.0) for i in range(4)]
+        cm = md.build_custom_map(branches, "full")
+        phi = md.TablePotential({(1,): 0.3, (2,): -1.1, (3,): 2.7, (4,): 0.9})
+        values = phi.values_vector(4)
+        assert md.alpha_bounds(cm, phi, md.constant_potential(1.0), 4) == \
+            (values.min(), values.max())
 
     def test_karp_staircase_path_matches_dense(self):
         m = md.build_sv_map(0.85)
