@@ -24,11 +24,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BoundaryError, ConfigError, DomainError, MixingError
 
@@ -140,7 +139,7 @@ class MarkovMapModel:
     """
 
     def __init__(self, *, family: str, branch_fn: Callable[[int], BranchSpec],
-                 row_start_fn: Callable[[int], int] | None,
+                 row_start_fn: Callable[[np.ndarray], np.ndarray] | None,
                  explicit_matrix: np.ndarray | None,
                  alphabet_size: int | None,
                  expansion_floor: float,
@@ -152,7 +151,7 @@ class MarkovMapModel:
         self.expansion_floor = expansion_floor  # xi > 1, uniform lower slope bound
         self.tail = tail
         self._branch_fn = branch_fn
-        self._row_start_fn = row_start_fn       # row i covers columns >= start(i), staircase models
+        self._row_start_fn = row_start_fn       # row i covers columns >= start(i), array-valued
         self._explicit_matrix = explicit_matrix
         self._branch_cache: dict[int, BranchSpec] = {}
         if expansion_floor <= 1.0:
@@ -182,7 +181,7 @@ class MarkovMapModel:
     def transition(self, i: int, j: int) -> bool:
         """Whether the image of branch ``i`` covers branch ``j``."""
         if self._row_start_fn is not None:
-            return j >= self._row_start_fn(i) and j >= 1
+            return j >= self.row_start(i) and j >= 1
         m = self._explicit_matrix
         if i < 1 or j < 1 or i > m.shape[0] or j > m.shape[1]:
             raise DomainError(f"transition index ({i},{j}) out of range")
@@ -190,13 +189,13 @@ class MarkovMapModel:
 
     def row_start(self, i: int) -> int | None:
         """First column of row ``i`` when rows are suffix-shaped, else None."""
-        return None if self._row_start_fn is None else self._row_start_fn(i)
+        return None if self._row_start_fn is None else int(self._row_start_fn(i))
 
     def image_interval(self, i: int) -> tuple[float, float]:
         """Image of branch ``i``: the union of its target branch intervals."""
         if self._row_start_fn is not None:
             # suffix rows accumulate at 0: image = (0, right endpoint of first target]
-            return (0.0, self.branch(self._row_start_fn(i)).right)
+            return (0.0, self.branch(self.row_start(i)).right)
         targets = [j + 1 for j in range(self.alphabet_size) if self._explicit_matrix[i - 1, j]]
         lo = min(self.branch(j).left for j in targets)
         hi = max(self.branch(j).right for j in targets)
@@ -269,6 +268,11 @@ class MarkovMapModel:
         return f"MarkovMapModel(CUSTOM, branches={size})"
 
 
+def _staircase_starts(i):
+    """Staircase row rule, elementwise: row 1 and 2 start at column 1, row i at i - 1."""
+    return np.maximum(i - 1, 1)
+
+
 def build_sv_map(lam: float) -> MarkovMapModel:
     """Built-in dissipative family on (0,1] with parameter lambda in (1/2, 1).
 
@@ -287,10 +291,7 @@ def build_sv_map(lam: float) -> MarkovMapModel:
         s = slope_1 if n == 1 else slope_n
         return make_branch(n, lam ** n, lam ** (n - 1), s)
 
-    def row_start_fn(i: int) -> int:
-        return 1 if i <= 2 else i - 1
-
-    return MarkovMapModel(family="SV", branch_fn=branch_fn, row_start_fn=row_start_fn,
+    return MarkovMapModel(family="SV", branch_fn=branch_fn, row_start_fn=_staircase_starts,
                           explicit_matrix=None, alphabet_size=None,
                           expansion_floor=min(slope_1, slope_n), lam=lam)
 
@@ -340,9 +341,9 @@ def _assemble_custom(branches, transitions, tail_cfg) -> MarkovMapModel:
 
     if isinstance(transitions, str):
         if transitions == "full":
-            row_start = lambda i: 1
+            row_start = np.ones_like
         elif transitions == "staircase":
-            row_start = lambda i: 1 if i <= 2 else i - 1
+            row_start = _staircase_starts
         else:
             raise ConfigError(f"unknown transition rule {transitions!r}")
         return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn, row_start_fn=row_start,
@@ -485,18 +486,19 @@ class TruncatedSubsystem:
             return self.dense
         if self.size > 4096:
             raise DomainError("refusing to densify a matrix with N > 4096")
-        m = np.zeros((self.size, self.size), dtype=bool)
-        for i in range(self.size):
-            m[i, self.row_start[i] - 1:] = True
-        return m
+        return np.arange(1, self.size + 1) >= self.row_start[:, None]
 
-    @property
+    @cached_property
     def is_sv_staircase(self) -> bool:
         """Rows shaped like the built-in family: row 1 full, row i covers j >= i-1."""
         if self.row_start is None:
             return False
-        expect = np.maximum(np.arange(1, self.size + 1) - 1, 1)
-        return bool(np.array_equal(self.row_start, expect))
+        return bool(np.array_equal(self.row_start, _staircase_starts(np.arange(1, self.size + 1))))
+
+    @cached_property
+    def primitive(self) -> bool:
+        """:func:`is_primitive` of this subsystem, computed once."""
+        return is_primitive(self)
 
     @property
     def is_full(self) -> bool:
@@ -524,14 +526,14 @@ def truncate(model: MarkovMapModel, N: int) -> TruncatedSubsystem:
     if model.alphabet_size is not None and N > model.alphabet_size:
         raise DomainError(f"truncation level {N} exceeds alphabet size {model.alphabet_size}")
     if model._row_start_fn is not None:
-        starts = np.array([model._row_start_fn(i) for i in range(1, N + 1)], dtype=np.int64)
+        starts = np.asarray(model._row_start_fn(np.arange(1, N + 1)), dtype=np.int64)
         if (starts > N).any():
             raise MixingError(f"truncation at N={N} leaves a row without targets")
         sub = TruncatedSubsystem(size=N, row_start=starts)
     else:
         m = model._explicit_matrix[:N, :N]
         sub = TruncatedSubsystem(size=N, dense=np.ascontiguousarray(m))
-    if not is_primitive(sub):
+    if not sub.primitive:
         raise MixingError(f"truncation at N={N} is not primitive")
     return sub
 
@@ -543,7 +545,10 @@ def is_primitive(sub: TruncatedSubsystem) -> bool:
     """True iff some boolean matrix power A^m (m <= N^2) is strictly positive.
 
     Equivalent graph criterion used here: the digraph is strongly connected
-    and the gcd of its cycle lengths is 1.  Suffix-row subsystems whose
+    and the gcd of its cycle lengths is 1.  Strong connectivity is a
+    breadth-first search from symbol 1 that reaches every symbol, run once
+    on A and once on its transpose; the levels of the forward search then
+    give the period (:func:`_graph_period`).  Suffix-row subsystems whose
     first row is full and whose every row reaches some smaller column are
     primitive outright (descent to symbol 1 plus a full row there).
     """
@@ -557,27 +562,34 @@ def is_primitive(sub: TruncatedSubsystem) -> bool:
     n = m.shape[0]
     if n == 1:
         return bool(m[0, 0])
-    ncomp, _ = connected_components(csr_matrix(m), directed=True, connection="strong")
-    if ncomp != 1:
+    level = _bfs_levels(m)
+    if (level < 0).any() or (_bfs_levels(m.T) < 0).any():
         return False
-    return _graph_period(m) == 1
+    return _graph_period(m, level) == 1
 
 
-def _graph_period(m: np.ndarray) -> int:
-    """Gcd of cycle lengths of a strongly connected digraph (BFS level trick)."""
-    n = m.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in np.flatnonzero(m[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-                else:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-        queue = nxt
-    return abs(g) if g else 0
+def _bfs_levels(m: np.ndarray) -> np.ndarray:
+    """Distance from node 0 along the edges of ``m`` (-1 where unreachable).
+
+    Level-synchronous: each step takes the union of the frontier's rows.
+    """
+    level = np.full(m.shape[0], -1, dtype=np.int64)
+    frontier = np.zeros(m.shape[0], dtype=bool)
+    frontier[0] = True
+    d = 0
+    while frontier.any():
+        level[frontier] = d
+        d += 1
+        frontier = m[frontier].any(axis=0) & (level < 0)
+    return level
+
+
+def _graph_period(m: np.ndarray, level: np.ndarray) -> int:
+    """Gcd of cycle lengths of a strongly connected digraph.
+
+    With ``level`` the BFS distances from one node, every edge u -> v
+    satisfies level[v] <= level[u] + 1, and the period is the gcd of
+    level[u] + 1 - level[v] over all edges.
+    """
+    u, v = np.nonzero(m)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (CompositionError, ConvergenceError, DomainError, MixingError,
                      WorkLimitError)
-from .markov import MarkovMapModel, TruncatedSubsystem, is_primitive, truncate
+from .markov import MarkovMapModel, TruncatedSubsystem, truncate
 from .potentials import Potential
 
 #: orbit-sum enumeration caps
@@ -203,7 +203,7 @@ def perron_pressure(sub: TruncatedSubsystem, p: Potential, tol: float) -> float:
     if p.depth > sub.depth:
         raise CompositionError(
             f"potential depth {p.depth} exceeds subsystem depth {sub.depth}; recode first")
-    if not is_primitive(sub):
+    if not sub.primitive:
         raise MixingError("subsystem is not primitive")
     return _log_rho_solver(sub)(p.values_vector(sub.size), tol)
 

@@ -1,10 +1,32 @@
 """Command-line interface: dispatch, exit codes, deterministic artifacts."""
 import json
 import math
+import os
+import re
+import shlex
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import markovdim
 from markovdim.cli import EXIT_DOMAIN, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every line of the README "Command line" block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("markovdim ")]
+
+
+def readme_map_json() -> str:
+    """The README's JSON map example (the two-branch doubling map)."""
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    return next(b for b in blocks if '"branches"' in b)
 
 
 def run(capsys, *argv):
@@ -218,3 +240,49 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["pressure", "--map", "sv:0.9", "--potential", "zero", "--bogus"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("argv", readme_commands(),
+                             ids=lambda a: "-".join(a[:2] if a[0] == "dimension" else a[:1]))
+    def test_command_exits_ok(self, argv, capsys, tmp_path, monkeypatch):
+        # relative paths in the README (--out files, my_map.json) resolve in tmp_path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "my_map.json").write_text(readme_map_json())
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+
+
+REFUSE_SCIPY = textwrap.dedent("""
+    import sys
+
+    class RefuseScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                raise ImportError("import refused: " + name)
+            return None
+
+    sys.meta_path.insert(0, RefuseScipy())
+    import markovdim
+    from markovdim.cli import main
+
+    codes = [main(["pressure", "--map", "sv:0.9", "--potential", "neg-t-logT:7",
+                   "--nmax", "128", "--tol", "1e-4"]),
+             main(["pressure", "--map", sys.argv[1], "--potential", "logT"]),
+             main(["validate", "--config", sys.argv[1]])]
+    assert codes == [0, 0, 0], codes
+    assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+""")
+
+
+def test_runs_without_scipy(tmp_path):
+    cfg = tmp_path / "my_map.json"
+    cfg.write_text(readme_map_json())
+    src = str(Path(markovdim.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", REFUSE_SCIPY, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import markovdim as md
 from markovdim.errors import BoundaryError, ConfigError, DomainError, MixingError
@@ -142,6 +143,48 @@ def _primitive_by_powers(mat: np.ndarray) -> bool:
     return b.all()
 
 
+@st.composite
+def primitivity_graph(draw):
+    """A boolean n x n adjacency matrix, n <= 8, from one of five families:
+    arbitrary, reducible (no edge from a set T back to its complement),
+    block-cyclic of period 2 or 3 with or without a period-breaking chord,
+    and Wielandt-type (one n-cycle plus one chord closing an (n-1)-cycle,
+    primitive only through the long cycles, exponent (n-1)^2 + 1)."""
+    kind = draw(st.sampled_from(["random", "reducible", "cyclic", "cyclic_chord", "long_cycle"]))
+    lo = {"random": 1, "reducible": 2, "long_cycle": 2}.get(kind, 3)
+    n = draw(st.integers(lo, 8))
+    perm = np.array(draw(st.permutations(range(n))))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                    dtype=bool).reshape(n, n)
+    if kind == "random":
+        return bits
+    if kind == "reducible":
+        k = draw(st.integers(1, n - 1))
+        t = perm[:k]                       # no edge leaves T, so T never reaches the rest
+        mat = bits.copy()
+        mat[np.ix_(t, perm[k:])] = False
+        return mat
+    if kind == "long_cycle":
+        mat = np.zeros((n, n), dtype=bool)
+        mat[perm, np.roll(perm, -1)] = True
+        mat[perm[-1], perm[1]] = True
+        return mat
+    period = draw(st.integers(2, min(3, n)))
+    cls = np.empty(n, dtype=np.int64)
+    cls[perm] = np.arange(n) % period      # every class non-empty
+    mat = bits & ((cls[:, None] + 1) % period == cls[None, :])
+    members = [perm[c::period] for c in range(period)]
+    size = max(len(x) for x in members)
+    walk = np.array([members[k % period][(k // period) % len(members[k % period])]
+                     for k in range(size * period)])
+    mat[walk, np.roll(walk, -1)] = True    # a closed walk through every node, all steps c -> c+1
+    if kind == "cyclic_chord":
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.sampled_from([w for w in range(n) if cls[w] != (cls[u] + 1) % period]))
+        mat[u, v] = True
+    return mat
+
+
 class TestPrimitivity:
     def test_full_shift(self):
         sub = md.TruncatedSubsystem(size=2, dense=np.ones((2, 2), dtype=bool))
@@ -166,6 +209,12 @@ class TestPrimitivity:
             sub = md.TruncatedSubsystem(size=n, dense=mat)
             assert md.is_primitive(sub) == _primitive_by_powers(mat)
             checked += 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(mat=primitivity_graph())
+    def test_against_power_oracle_hypothesis(self, mat):
+        sub = md.TruncatedSubsystem(size=mat.shape[0], dense=mat)
+        assert md.is_primitive(sub) == _primitive_by_powers(mat)
 
 
 class TestCustomModels:
