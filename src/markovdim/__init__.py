@@ -15,7 +15,7 @@ from .markov import (BranchSpec, MarkovMapModel, TruncatedSubsystem, apply_map,
                      make_branch, truncate, validate_custom_branches)
 from .potentials import (CombinedPotential, Potential, TablePotential,
                          builtin_log_derivative, builtin_tail_potential, combine,
-                         constant_potential, potential_from_config, variation_bound)
+                         constant_potential, potential_from_config)
 from .pressure import (PressureResult, closed_form_pressure_sv, gurevich_pressure,
                        orbit_sum_pressure, perron_pressure, sv_critical_exponent)
 from .spectrum import (BowenReport, SpectrumCurve, SpectrumPoint, alpha_bounds,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: pressure, dimension (hyperbolic|variational), spectrum-lyapunov,
-spectrum-birkhoff, simulate, escape, figure1, validate.  Outputs are CSV or
-JSON, deterministic given the config (timestamps only with --stamp), and
-every artifact embeds the resolved configuration and tool version.
+Subcommands: pressure, dimension (hyperbolic|variational), spectrum-lyapunov
+(alias figure1), spectrum-birkhoff, simulate, escape, validate.  Outputs are
+CSV or JSON, deterministic given the config (timestamps only with --stamp),
+and every artifact embeds the resolved configuration and tool version.
 
 Exit codes: 0 success, 2 domain/config errors, 3 non-convergence (partial
 monotone results still written), 64 usage errors.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -75,7 +74,7 @@ def _emit(args, payload: str):
 
 def _meta(args, extra: dict) -> dict:
     cfg = dict(extra)
-    for k in ("nmax", "tol", "seed", "samples", "horizon", "threads", "format"):
+    for k in ("nmax", "tol", "seed", "samples", "horizon", "format"):
         if hasattr(args, k.replace("-", "_")):
             cfg[k] = getattr(args, k.replace("-", "_"))
     meta = {"tool": "markovdim", "version": __version__, "config": cfg}
@@ -159,7 +158,7 @@ def _cmd_dimension(args) -> int:
 
 def _cmd_spectrum_lyapunov(args) -> int:
     curve = lyapunov_spectrum_curve(args.lam, points=args.points, t_max=args.t_max)
-    meta = _meta(args, {"command": "spectrum-lyapunov", "lambda": args.lam,
+    meta = _meta(args, {"command": args.command, "lambda": args.lam,
                         "points": args.points, "t_max": args.t_max})
     if args.format == "json":
         result = {"points": [[p.alpha, p.dimension, p.source] for p in curve.points],
@@ -168,14 +167,6 @@ def _cmd_spectrum_lyapunov(args) -> int:
         _emit(args, _json_out(meta, result))
     else:
         _emit(args, curve_to_csv(curve, header_lines=_header_lines(meta)))
-    return EXIT_OK
-
-
-def _cmd_figure1(args) -> int:
-    # one-command reproduction of the Lyapunov-spectrum figure data
-    curve = lyapunov_spectrum_curve(args.lam, points=args.points, t_max=args.t_max)
-    meta = _meta(args, {"command": "figure1", "lambda": args.lam, "points": args.points})
-    _emit(args, curve_to_csv(curve, header_lines=_header_lines(meta)))
     return EXIT_OK
 
 
@@ -191,8 +182,7 @@ def _cmd_spectrum_birkhoff(args) -> int:
         lo = a_lo + 0.02 * span if lo is None else lo
         hi = a_hi - 0.02 * span if hi is None else hi
     grid = np.linspace(lo, hi, args.grid_points)
-    curve = full_birkhoff_spectrum_sv(args.lam, phi, grid, N=args.nmax, tol=args.tol,
-                                      threads=args.threads)
+    curve = full_birkhoff_spectrum_sv(args.lam, phi, grid, N=args.nmax, tol=args.tol)
     meta = _meta(args, {**m1, **m2, "command": "spectrum-birkhoff",
                         "grid": [lo, hi, args.grid_points]})
     if args.format == "json":
@@ -222,11 +212,9 @@ def _cmd_escape(args) -> int:
     meta = _meta(args, {**m1, "command": "escape"})
     if args.per_orbit:
         _emit(args, orbit_summaries_csv(model, args.samples, args.horizon, args.seed,
-                                        threads=args.threads,
                                         header_lines=_header_lines(meta)))
     else:
-        stats = escape_statistics(model, args.samples, args.horizon, args.seed,
-                                  threads=args.threads)
+        stats = escape_statistics(model, args.samples, args.horizon, args.seed)
         _emit(args, _json_out(meta, stats.to_dict()))
     return EXIT_OK
 
@@ -267,14 +255,6 @@ def validate_config_dict(cfg: dict) -> list[str]:
     return validate_potential_config(cfg)
 
 
-def validate_config(path: str) -> dict:
-    """Programmatic form of the ``validate`` subcommand."""
-    with open(path) as fh:
-        cfg = json.load(fh)
-    violations = validate_config_dict(cfg)
-    return {"path": path, "violations": violations, "ok": not violations}
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -291,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--stamp", action="store_true",
                         help="include a timestamp header (off by default; outputs are "
                              "deterministic without it)")
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("MARKOVDIM_THREADS", "1")),
-                        help="worker threads (default from MARKOVDIM_THREADS or 1); "
-                             "results are independent of this knob")
 
     sp = sub.add_parser("pressure", help="pressure of a potential by increasing truncations")
     sp.add_argument("--map", required=True, help="sv:LAMBDA or a map-config path")
@@ -318,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_dimension)
 
-    sp = sub.add_parser("spectrum-lyapunov", help="closed-form Lyapunov spectrum sweep")
+    # figure1 reproduces the paper's figure data under its own command name
+    sp = sub.add_parser("spectrum-lyapunov", aliases=["figure1"],
+                        help="closed-form Lyapunov spectrum sweep")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--points", type=int, default=200)
     sp.add_argument("--t-max", dest="t_max", type=float, default=40.0)
@@ -352,14 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--per-orbit", action="store_true", help="emit per-orbit CSV")
     common(sp)
     sp.set_defaults(fn=_cmd_escape)
-
-    sp = sub.add_parser("figure1", help="Lyapunov spectrum data with the jump point "
-                                        "appended (CSV)")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--points", type=int, default=200)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=40.0)
-    common(sp, fmt_default="csv")
-    sp.set_defaults(fn=_cmd_figure1)
 
     sp = sub.add_parser("validate", help="check a map or potential config without running")
     sp.add_argument("--config", required=True)

@@ -8,14 +8,13 @@ set).  Nothing in this module feeds back into the analytic spectrum.
 
 Randomness comes from a counter-based generator (Philox) keyed by an
 explicit seed; per-stream derivation uses jumps, so results are bit-for-bit
-reproducible and independent of worker count.
+reproducible.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -100,7 +99,7 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
     (recorded on the result, not raised).  An orbit that drops below the
     floating-point resolution floor is a certified escaper: the itinerary is
     truncated at the crossing and the classification is ESCAPING outright.
-    Depth-1 potentials passed in are evaluated along the itinerary and their
+    Potentials passed in are evaluated along the itinerary and their
     per-step values recorded.
     """
     if n < 1:
@@ -263,7 +262,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     Lanes that cross the deep floor keep stepping analytically: every deep
     step sits in some branch with index above a certified lower bound (the
     index can drop by at most 1 per step), its log-slope equals the tail
-    value exactly, and depth-1 potentials contribute their tail limits.
+    value exactly, and potentials contribute their tail limits.
     Deep steps are recorded in itineraries as -1.
     """
     if n < 1:
@@ -430,31 +429,14 @@ def _uniform_starts(rng: np.random.Generator, samples: int) -> np.ndarray:
     return 1.0 - rng.random(samples)  # uniform on (0, 1]
 
 
-def _run_batches(model, starts, n, threads, **kw) -> BatchStats:
-    if threads <= 1 or len(starts) < 2 * threads:
-        return simulate_batch(model, starts, n, **kw)
-    chunks = np.array_split(starts, threads)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda c: simulate_batch(model, c, n, **kw), chunks))
-    # fixed chunk order makes the concatenation independent of scheduling
-    def cat(attr):
-        vals = [getattr(p, attr) for p in parts]
-        return None if vals[0] is None else np.concatenate(vals)
-    return BatchStats(**{f: cat(f) for f in (
-        "starts", "steps", "aborted", "first_quarter_min", "last_quarter_min",
-        "logt_sum", "logt_tail_sum", "tail_steps", "tail_has_branch1",
-        "phi_sum", "psi_sum", "itineraries")})
-
-
 def escape_statistics(model: MarkovMapModel, samples: int, n: int, seed: int,
-                      escape_threshold: int = DEFAULT_ESCAPE_THRESHOLD,
-                      threads: int = 1) -> EscapeStats:
+                      escape_threshold: int = DEFAULT_ESCAPE_THRESHOLD) -> EscapeStats:
     """Classify uniformly sampled orbits and report the escaping fraction
     plus the mean final-window Lyapunov average among escapers."""
     if samples < 1000:
         raise DomainError(f"need >= 1000 samples, got {samples}")
     starts = _uniform_starts(orbit_rng(seed), samples)
-    stats = _run_batches(model, starts, n, threads)
+    stats = simulate_batch(model, starts, n)
     cls = stats.classification(escape_threshold)
     esc = cls == ESCAPING
     counts = {RECURRENT_WINDOW: int((cls == RECURRENT_WINDOW).sum()),
@@ -471,10 +453,10 @@ def escape_statistics(model: MarkovMapModel, samples: int, n: int, seed: int,
 
 def orbit_summaries_csv(model: MarkovMapModel, samples: int, n: int, seed: int,
                         escape_threshold: int = DEFAULT_ESCAPE_THRESHOLD,
-                        threads: int = 1, header_lines: list[str] | None = None) -> str:
+                        header_lines: list[str] | None = None) -> str:
     """Per-orbit CSV: start,classification,steps,avg_logT_tail,quotient."""
     starts = _uniform_starts(orbit_rng(seed), samples)
-    stats = _run_batches(model, starts, n, threads)
+    stats = simulate_batch(model, starts, n)
     cls = stats.classification(escape_threshold)
     out = [f"# {line}" for line in header_lines or []]
     out.append("start,classification,steps,avg_logT_tail,quotient")
@@ -510,8 +492,7 @@ class BoxCountResult:
 
 def box_count_level_set(model: MarkovMapModel, phi: Potential, psi: Potential,
                         alpha: float, eps_window: float, samples: int, n: int,
-                        grid_levels, seed: int, threads: int = 1,
-                        bootstrap: int = 200) -> BoxCountResult:
+                        grid_levels, seed: int, bootstrap: int = 200) -> BoxCountResult:
     """Crude (upward-biased) dimension estimate of a level set.
 
     Uniform start points whose horizon-n Birkhoff quotient lies within
@@ -530,7 +511,7 @@ def box_count_level_set(model: MarkovMapModel, phi: Potential, psi: Potential,
     if psi.positivity_floor is None:
         raise DomainError("denominator potential must carry a positivity floor")
     starts = _uniform_starts(orbit_rng(seed), samples)
-    stats = _run_batches(model, starts, n, threads, phi=phi, psi=psi)
+    stats = simulate_batch(model, starts, n, phi=phi, psi=psi)
     ok = (~stats.aborted) & (stats.steps == n)
     quot = np.where(ok, stats.phi_sum / np.where(ok, stats.psi_sum, 1.0), np.inf)
     keep = ok & (np.abs(quot - alpha) < eps_window)

@@ -158,10 +158,6 @@ class MarkovMapModel:
             raise DomainError("expansion floor must exceed 1")
 
     # -- alphabet ---------------------------------------------------------
-    @property
-    def is_infinite(self) -> bool:
-        return self.alphabet_size is None
-
     def branch(self, i: int) -> BranchSpec:
         """Materialize branch ``i`` (lazily, from the generator rule)."""
         if i < 1:
@@ -469,7 +465,6 @@ class TruncatedSubsystem:
     """
 
     size: int
-    depth: int = 1
     row_start: np.ndarray | None = None
     dense: np.ndarray | None = None
 

@@ -1,10 +1,12 @@
-"""Branch-word potentials: finite-depth real functions on the symbolic space.
+"""Branch potentials: real functions on the symbolic space that depend on
+the leading symbol only.
 
-A depth-k potential is constant on every cylinder of length k, so it is a
-table from length-k symbol words to reals.  Over the countable alphabet the
-table is a finite set of overrides plus a default value; the default doubles
-as the tail limit (the value on words whose leading symbol is large).  All
-built-ins are depth 1.
+A potential is constant on every 1-cylinder, so it is a table from symbols
+to reals.  Over the countable alphabet the table is a finite set of
+overrides plus a default value; the default doubles as the tail limit (the
+value on words whose leading symbol is large).  The pressures, Bowen roots
+and Birkhoff quotients the package computes are all taken of such
+potentials.
 
 A potential asserted to be bounded below by a positive constant carries
 ``positivity_floor``; the spectrum operations require it of every
@@ -35,8 +37,6 @@ class Potential:
 
     Attributes
     ----------
-    depth : int
-        Number of leading symbols the value depends on.
     tail_limit : float or None
         Declared limit of the value as the leading symbol index grows.
         Metadata: verified only on materialized symbols.
@@ -47,7 +47,6 @@ class Potential:
         used to reject combinations across different models.
     """
 
-    depth: int = 1
     tail_limit: float | None = None
     positivity_floor: float | None = None
     model_key: tuple | None = None
@@ -57,13 +56,11 @@ class Potential:
         raise NotImplementedError
 
     def eval_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        """Vectorized depth-1 evaluation on an array of leading symbols."""
+        """Vectorized evaluation on an array of leading symbols."""
         raise NotImplementedError
 
     def values_vector(self, n: int) -> np.ndarray:
-        """Values on symbols 1..n (depth-1 potentials only)."""
-        if self.depth != 1:
-            raise CompositionError(f"values_vector needs depth 1, potential has depth {self.depth}")
+        """Values on symbols 1..n."""
         return self.eval_symbols(np.arange(1, n + 1))
 
     def is_constant(self) -> bool:
@@ -80,27 +77,24 @@ class Potential:
 
 
 class TablePotential(Potential):
-    """Finitely many overrides on words, plus an optional default value.
+    """Finitely many overrides on symbols, plus an optional default value.
 
-    The default is the value on every non-overridden word; over an infinite
+    The default is the value on every non-overridden symbol; over an infinite
     alphabet it is also the tail limit.  ``default=None`` restricts the
-    potential to the overridden words (finite custom models).
+    potential to the overridden symbols (finite custom models).
     """
 
     def __init__(self, overrides: Mapping, default: float | None = None, *,
-                 depth: int = 1, positivity_floor: float | None = None,
+                 positivity_floor: float | None = None,
                  tail_limit: float | None = None, model_key: tuple | None = None,
                  name: str = "table"):
         self.overrides = {_as_word(k): float(v) for k, v in overrides.items()}
         for w in self.overrides:
-            if len(w) != depth:
-                raise DomainError(f"override word {w} has length != depth {depth}")
+            if len(w) != 1:
+                raise DomainError(f"override word {w} is not a single symbol")
             if any(s < 1 for s in w):
                 raise DomainError(f"override word {w} contains a symbol < 1")
         self.default = None if default is None else float(default)
-        self.depth = int(depth)
-        if self.depth < 1:
-            raise DomainError("depth must be >= 1")
         self.positivity_floor = positivity_floor
         if tail_limit is None and self.default is not None:
             tail_limit = self.default
@@ -111,18 +105,15 @@ class TablePotential(Potential):
         self._validate_floor(vals)
 
     def value(self, word) -> float:
-        w = _as_word(word)
-        if len(w) < self.depth:
-            raise DomainError(f"word {w} shorter than depth {self.depth}")
-        w = w[: self.depth]
+        w = _as_word(word)[:1]
+        if not w:
+            raise DomainError("potential evaluated on the empty word")
         v = self.overrides.get(w, self.default)
         if v is None:
             raise DomainError(f"potential undefined on word {w} (no default)")
         return v
 
     def eval_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        if self.depth != 1:
-            raise CompositionError("vectorized evaluation needs depth 1")
         symbols = np.asarray(symbols)
         if self.default is None:
             out = np.empty(symbols.shape, dtype=float)
@@ -142,7 +133,7 @@ class TablePotential(Potential):
         return len(vals) == 1
 
     def __repr__(self) -> str:
-        return (f"TablePotential({self.name}, depth={self.depth}, "
+        return (f"TablePotential({self.name}, "
                 f"overrides={len(self.overrides)}, default={self.default})")
 
 
@@ -158,7 +149,6 @@ class CombinedPotential(Potential):
         self.alpha = float(alpha)
         self.delta = float(delta)
         self.phi, self.psi, self.log_deriv = phi, psi, log_deriv
-        self.depth = max(phi.depth, psi.depth, log_deriv.depth)
         self.model_key = keys.pop() if keys else None
         self.name = "combined"
         tails = (phi.tail_limit, psi.tail_limit, log_deriv.tail_limit)
@@ -187,7 +177,7 @@ class CombinedPotential(Potential):
 # Built-ins
 # ---------------------------------------------------------------------------
 def builtin_log_derivative(model: MarkovMapModel) -> TablePotential:
-    """The depth-1 potential log|T'|: value log_slope(i) on symbol i.
+    """The potential log|T'|: value log_slope(i) on symbol i.
 
     For the built-in SV family the value is -log(1-lambda) on symbol 1 and
     -log(lambda(1-lambda)) on every other symbol, which is also the tail
@@ -212,7 +202,7 @@ def builtin_log_derivative(model: MarkovMapModel) -> TablePotential:
 
 
 def builtin_tail_potential(a: float, overrides: Mapping[int, float] | None = None) -> TablePotential:
-    """Depth-1 potential equal to ``a`` except on finitely many leading symbols.
+    """Potential equal to ``a`` except on finitely many leading symbols.
 
     The tail limit is ``a``.  When every value is strictly positive the
     minimum is recorded as the positivity floor, so the result is usable
@@ -236,52 +226,6 @@ def combine(q: float, phi: Potential, alpha: float, psi: Potential,
 
 
 # ---------------------------------------------------------------------------
-# Variation bounds
-# ---------------------------------------------------------------------------
-def variation_bound(p: Potential, m: int) -> float:
-    """Upper bound for the m-th variation: the largest oscillation of the
-    potential over words agreeing in their first m-1 symbols.
-
-    Exactly 0 for m > depth (the potential is locally constant there).  For
-    m <= depth the bound is sup-minus-inf over the materialized words in
-    each (m-1)-prefix class; over an infinite alphabet unmaterialized words
-    contribute the default value, so the result is a certified upper bound
-    on the materialized range.
-    """
-    if m < 1:
-        raise DomainError(f"variation order must be >= 1, got {m}")
-    if m > p.depth:
-        return 0.0
-    words, default = _materialized_table(p)
-    groups: dict[Word, list[float]] = {}
-    for w, v in words.items():
-        groups.setdefault(w[: m - 1], []).append(v)
-    if default is not None:
-        for vals in groups.values():
-            vals.append(default)
-        groups.setdefault((), []).append(default)
-    osc = 0.0
-    for vals in groups.values():
-        osc = max(osc, max(vals) - min(vals))
-    return osc
-
-
-def _materialized_table(p: Potential) -> tuple[dict[Word, float], float | None]:
-    if isinstance(p, TablePotential):
-        return dict(p.overrides), p.default
-    if isinstance(p, CombinedPotential):
-        words = set()
-        for comp in (p.phi, p.psi, p.log_deriv):
-            t, _ = _materialized_table(comp)
-            words.update(w[: p.depth] for w in t if len(w) >= p.depth)
-        table = {w: p.value(w) for w in words}
-        tails = (p.phi.tail_limit, p.psi.tail_limit, p.log_deriv.tail_limit)
-        default = p.tail_limit if all(t is not None for t in tails) else None
-        return table, default
-    raise DomainError(f"cannot materialize potential of type {type(p).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Config ingestion
 # ---------------------------------------------------------------------------
 def potential_from_config(source) -> TablePotential:
@@ -289,10 +233,11 @@ def potential_from_config(source) -> TablePotential:
 
     Schema::
 
-        {"depth": 1, "default": a, "overrides": {"1": v1, "2,3": v23, ...},
-         "positivity_floor": eps}       # floor optional
+        {"depth": 1, "default": a, "overrides": {"1": v1, "2": v2, ...},
+         "positivity_floor": eps}       # depth and floor optional
 
-    Override keys are comma-separated symbol words of length ``depth``.
+    Override keys are single symbols.  ``depth`` may only be 1: potentials
+    are constant on 1-cylinders, and any other value is a violation.
     """
     path = None
     if isinstance(source, str):
@@ -310,10 +255,8 @@ def potential_from_config(source) -> TablePotential:
     violations = validate_potential_config(cfg)
     if violations:
         raise ConfigError("invalid potential config: " + "; ".join(violations), path=path)
-    depth = int(cfg.get("depth", 1))
-    overrides = {tuple(int(s) for s in k.split(",")): float(v)
-                 for k, v in cfg.get("overrides", {}).items()}
-    return TablePotential(overrides, default=cfg.get("default"), depth=depth,
+    overrides = {int(k): float(v) for k, v in cfg.get("overrides", {}).items()}
+    return TablePotential(overrides, default=cfg.get("default"),
                           positivity_floor=cfg.get("positivity_floor"), name="config")
 
 
@@ -321,20 +264,19 @@ def validate_potential_config(cfg: dict) -> list[str]:
     """Schema and consistency checks; returns human-readable violations."""
     out: list[str] = []
     depth = cfg.get("depth", 1)
-    if not isinstance(depth, int) or depth < 1:
-        out.append(f"depth must be a positive integer, got {depth!r}")
+    if not isinstance(depth, int) or depth != 1:
+        out.append(f"depth must be 1 (potentials are constant on 1-cylinders), "
+                   f"got {depth!r}")
         return out
     overrides = cfg.get("overrides", {})
     for k, v in overrides.items():
         try:
-            word = tuple(int(s) for s in str(k).split(","))
+            symbol = int(k)
         except ValueError:
-            out.append(f"override key {k!r} is not a comma-separated symbol word")
+            out.append(f"override key {k!r} is not a single symbol")
             continue
-        if len(word) != depth:
-            out.append(f"override key {k!r} has length {len(word)} != depth {depth}")
-        if any(s < 1 for s in word):
-            out.append(f"override key {k!r} contains a symbol < 1")
+        if symbol < 1:
+            out.append(f"override key {k!r} is a symbol < 1")
         if not isinstance(v, (int, float)):
             out.append(f"override value for {k!r} is not numeric")
     if cfg.get("default") is None and not overrides:

@@ -1,7 +1,8 @@
 """Gurevich pressure via increasing compact subsystems.
 
-The pressure of a depth-1 potential p over a finite mixing subsystem equals
-log of the Perron root of the weighted transition matrix
+A potential p depends on the leading symbol only, so its pressure over a
+finite mixing subsystem equals log of the Perron root of the weighted
+transition matrix
 
     A[i, j] = t(i, j) * exp(p(i)),
 
@@ -30,8 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (CompositionError, ConvergenceError, DomainError, MixingError,
-                     WorkLimitError)
+from .errors import ConvergenceError, DomainError, MixingError, WorkLimitError
 from .markov import MarkovMapModel, TruncatedSubsystem, truncate
 from .potentials import Potential
 
@@ -114,8 +114,8 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
     partial sums of a candidate eigenvector must stay below 1 above it.  The
     predicate "trial >= Perron root" is therefore monotone and bisection is
     exact up to the requested relative tolerance, independent of the
-    spectral gap.  Depth-1 potentials are finitely many overrides plus a
-    constant default, so the rows past the last override share one weight
+    spectral gap.  Potentials are finitely many overrides plus a constant
+    default, so the rows past the last override share one weight
     and are closed in one step (:func:`_staircase_tail`); only the K head
     rows are substituted one by one, and a trial costs O(K).
     """
@@ -164,7 +164,8 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
 def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) -> float:
     """Log Perron root by power iteration with residual stopping.
 
-    Falls back to a dense eigensolver if the iteration cap is reached
+    The residual's product ``a @ y`` is the next iterate's product, so each
+    iteration does one matrix-vector product.  Falls back to a dense eigensolver if the iteration cap is reached
     (possible when the spectral gap is tiny); raises ConvergenceError when
     even that is unavailable.
     """
@@ -172,17 +173,16 @@ def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) 
     w = np.exp(log_weights - shift)
     a = matrix.astype(float) * w[:, None]
     n = a.shape[0]
-    x = np.full(n, 1.0 / n)
-    lam = 0.0
+    y = a @ np.full(n, 1.0 / n)
     for _ in range(_POWER_MAX_ITER):
-        y = a @ x
         lam = float(y.sum())            # L1 Rayleigh quotient for x >= 0, |x|_1 = 1
         if lam <= 0.0:
             raise ConvergenceError("power iteration collapsed to zero vector")
         y /= lam
-        if float(np.max(np.abs(a @ y - lam * y))) <= rel_tol * lam:
+        ay = a @ y
+        if float(np.max(np.abs(ay - lam * y))) <= rel_tol * lam:
             return math.log(lam) + shift
-        x = y
+        y = ay
     if n <= _DENSE_FALLBACK_MAX_N:
         rho = float(np.max(np.abs(np.linalg.eigvals(a))))
         return math.log(rho) + shift
@@ -194,15 +194,10 @@ def perron_pressure(sub: TruncatedSubsystem, p: Potential, tol: float) -> float:
     """log of the Perron root of the weighted transition matrix of ``sub``.
 
     ``tol`` is the relative eigenvalue tolerance.  Deterministic given its
-    inputs.  Raises MixingError on non-primitive subsystems and
-    CompositionError when the potential depth exceeds the subsystem depth
-    (recode to word symbols first).
+    inputs.  Raises MixingError on non-primitive subsystems.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
-    if p.depth > sub.depth:
-        raise CompositionError(
-            f"potential depth {p.depth} exceeds subsystem depth {sub.depth}; recode first")
     if not sub.primitive:
         raise MixingError("subsystem is not primitive")
     return _log_rho_solver(sub)(p.values_vector(sub.size), tol)

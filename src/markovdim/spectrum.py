@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -433,9 +432,8 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> BowenRepor
 # Full Birkhoff spectrum with the escape value
 # ---------------------------------------------------------------------------
 def full_birkhoff_spectrum_sv(lam: float, phi: Potential, grid,
-                              N: int = 128, tol: float = 1e-3,
-                              threads: int = 1) -> SpectrumCurve:
-    """Birkhoff spectrum of a depth-1 potential with a declared tail limit,
+                              N: int = 128, tol: float = 1e-3) -> SpectrumCurve:
+    """Birkhoff spectrum of a potential with a declared tail limit,
     for the built-in family with denominator 1.
 
     Away from the tail average ``a`` the curve is the variational value at
@@ -444,8 +442,6 @@ def full_birkhoff_spectrum_sv(lam: float, phi: Potential, grid,
     can see.  The point is emitted with source ESCAPE_VALUE and the jump is
     recorded as a discontinuity triple (a, nearby supremum, 1).
     """
-    if phi.depth != 1:
-        raise DomainError("full-spectrum scan needs a depth-1 potential")
     if phi.tail_limit is None:
         raise DomainError("potential must declare a tail limit")
     model = build_sv_map(lam)
@@ -457,13 +453,7 @@ def full_birkhoff_spectrum_sv(lam: float, phi: Potential, grid,
         return lo_a + 1e-12 < x < hi_a - 1e-12 and abs(x - a) > 1e-12
 
     targets = sorted({float(x) for x in grid if interior(float(x))})
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            pts = list(ex.map(
-                lambda x: variational_dimension(model, phi, psi, x, N, tol), targets))
-    else:
-        pts = [variational_dimension(model, phi, psi, x, N, tol) for x in targets]
-    points = sorted(pts, key=lambda p: p.alpha)
+    points = [variational_dimension(model, phi, psi, x, N, tol) for x in targets]
 
     escape = SpectrumPoint(alpha=a, dimension=1.0, q_star=None,
                            delta_iterations=0, source="ESCAPE_VALUE")

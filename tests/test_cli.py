@@ -35,6 +35,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+JSON_COMMANDS = [
+    ["pressure", "--map", "sv:0.9", "--potential", "neg-t-logT:7", "--nmax", "128",
+     "--tol", "1e-4"],
+    ["dimension", "hyperbolic", "--lambda", "0.9", "--nmax", "64", "--tol", "1e-2"],
+    ["dimension", "variational", "--lambda", "0.9", "--alpha", "2.3992", "--nmax", "32",
+     "--tol", "1e-2"],
+    ["spectrum-lyapunov", "--lambda", "0.9", "--points", "20", "--format", "json"],
+    ["figure1", "--lambda", "0.9", "--points", "20", "--format", "json"],
+    ["spectrum-birkhoff", "--lambda", "0.9", "--grid-points", "2", "--nmax", "32",
+     "--tol", "1e-2", "--format", "json"],
+    ["simulate", "--map", "sv:0.9", "--x0", "0.95", "--horizon", "5"],
+    ["escape", "--map", "sv:0.9", "--samples", "1000", "--horizon", "50"],
+]
+
+
 class TestPressureCommand:
     def test_sv_closed_form_case(self, capsys):
         code, out, _ = run(capsys, "pressure", "--map", "sv:0.9",
@@ -147,6 +162,16 @@ class TestSpectrumCommands:
         assert last[2] == "ESCAPE_VALUE"
         assert any(l.startswith("# discontinuity,") for l in lines)
 
+    def test_figure1_is_spectrum_lyapunov_csv(self, capsys):
+        outs = []
+        for cmd in (["figure1"], ["spectrum-lyapunov", "--format", "csv"]):
+            code, out, _ = run(capsys, *cmd, "--lambda", "0.9", "--points", "50")
+            assert code == EXIT_OK
+            outs.append(out)
+        bodies = [out[out.index("alpha,dimension,"):] for out in outs]
+        assert bodies[0] == bodies[1]
+        assert '"command": "figure1"' in outs[0] and '"t_max": 40.0' in outs[0]
+
     def test_spectrum_birkhoff(self, capsys):
         code, out, _ = run(capsys, "spectrum-birkhoff", "--lambda", "0.9",
                            "--grid-points", "4", "--nmax", "48", "--tol", "1e-2")
@@ -191,15 +216,12 @@ class TestSimulateAndEscape:
             assert code == EXIT_OK
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_thread_knob_does_not_change_results(self, capsys, tmp_path):
-        results = []
-        for th in ("1", "4"):
-            f = tmp_path / f"t{th}.json"
-            main(["escape", "--map", "sv:0.75", "--samples", "1200",
-                  "--horizon", "120", "--seed", "9", "--threads", th,
-                  "--out", str(f)])
-            results.append(json.loads(f.read_text())["result"])
-        assert results[0] == results[1]
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda a: "-".join(a[:2]))
+    def test_json_config_has_no_threads(self, argv, capsys):
+        _, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert payload["config"]["command"] == " ".join(argv[:2 if argv[0] == "dimension" else 1])
+        assert "threads" not in payload["config"]
 
 
 class TestValidateCommand:
@@ -229,6 +251,16 @@ class TestValidateCommand:
         assert code == EXIT_DOMAIN
         assert json.loads(out)["violations"]
 
+    @pytest.mark.parametrize("depth", [2, 0])
+    def test_potential_depth_other_than_one(self, capsys, tmp_path, depth):
+        f = tmp_path / "pot.json"
+        f.write_text(json.dumps({"depth": depth, "default": 1.0}))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        assert any("depth" in v for v in json.loads(out)["violations"])
+        code, _, err = run(capsys, "pressure", "--map", "sv:0.9", "--potential", str(f))
+        assert code == EXIT_DOMAIN and "depth" in err
+
 
 class TestExitCodes:
     def test_usage(self):
@@ -239,6 +271,11 @@ class TestExitCodes:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["pressure", "--map", "sv:0.9", "--potential", "zero", "--bogus"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_threads_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["escape", "--map", "sv:0.9", "--samples", "1000", "--threads", "2"])
         assert exc.value.code == EXIT_USAGE
 
 

@@ -151,12 +151,6 @@ class TestEscapeStatistics:
         b = md.escape_statistics(m, samples=1500, n=200, seed=42).to_json()
         assert a == b
 
-    def test_thread_count_invariant(self):
-        m = md.build_sv_map(0.75)
-        a = md.escape_statistics(m, samples=1500, n=150, seed=5, threads=1).to_json()
-        b = md.escape_statistics(m, samples=1500, n=150, seed=5, threads=3).to_json()
-        assert a == b
-
     def test_escaper_tail_exact_when_no_branch1(self):
         m = md.build_sv_map(0.9)
         starts = 1.0 - orbit_rng(17).random(2000)

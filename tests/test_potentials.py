@@ -1,4 +1,4 @@
-"""Potential tables, combination, and variation bounds."""
+"""Potential tables, combination, and config ingestion."""
 import math
 
 import numpy as np
@@ -94,7 +94,6 @@ class TestCombine:
 
     def test_depth_coherence(self):
         c = md.combine(2.0, self.logt, 0.5, self.one, 0.25, self.logt)
-        assert c.depth == 1
         assert c.value((2, 7, 1)) == c.value((2, 1, 4))  # depends on first symbol only
 
     def test_incompatible_models(self):
@@ -114,34 +113,6 @@ class TestCombine:
         assert c.tail_limit == pytest.approx(2.0 * (a - 1.0) - 0.5 * a)
 
 
-class TestVariationBound:
-    def test_beyond_depth(self):
-        p = md.builtin_tail_potential(1.0, {1: 5.0})
-        assert md.variation_bound(p, 2) == 0.0
-        assert md.variation_bound(p, 7) == 0.0
-
-    def test_sv_log_derivative(self):
-        # only two distinct values: the oscillation is -log(lambda)
-        p = md.builtin_log_derivative(md.build_sv_map(0.9))
-        assert md.variation_bound(p, 1) == pytest.approx(0.10536051565782628, rel=1e-12)
-
-    def test_constant(self):
-        p = md.constant_potential(3.0)
-        for m in (1, 2, 5):
-            assert md.variation_bound(p, m) == 0.0
-
-    def test_depth_two_table(self):
-        p = md.TablePotential({(1, 1): 0.0, (1, 2): 1.0, (2, 1): 5.0, (2, 2): 5.0},
-                              depth=2)
-        assert md.variation_bound(p, 1) == 5.0     # across everything
-        assert md.variation_bound(p, 2) == 1.0     # within the (1,*) class
-        assert md.variation_bound(p, 3) == 0.0
-
-    def test_order_validation(self):
-        with pytest.raises(DomainError):
-            md.variation_bound(md.constant_potential(1.0), 0)
-
-
 class TestConfig:
     def test_roundtrip(self, tmp_path):
         import json
@@ -159,10 +130,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             md.potential_from_config(cfg)
 
-    def test_word_keys(self):
-        p = md.potential_from_config({"depth": 2, "default": 0.0,
-                                      "overrides": {"1,2": 3.0}})
-        assert p.value((1, 2)) == 3.0 and p.value((2, 1)) == 0.0
+    @pytest.mark.parametrize("depth", [2, 0])
+    def test_depth_other_than_one_rejected(self, depth):
+        from markovdim.potentials import validate_potential_config
+        cfg = {"depth": depth, "default": 0.0, "overrides": {"1": 3.0}}
+        out = validate_potential_config(cfg)
+        assert len(out) == 1 and "depth" in out[0]
+        with pytest.raises(ConfigError, match="depth"):
+            md.potential_from_config(cfg)
+
+    @pytest.mark.parametrize("cfg", [{"depth": 1, "default": 0.0, "overrides": {"2": 3.0}},
+                                     {"default": 0.0, "overrides": {"2": 3.0}}])
+    def test_depth_one_or_absent_loads(self, cfg):
+        p = md.potential_from_config(cfg)
+        assert p.value(2) == 3.0 and p.value((2, 1)) == 3.0 and p.value(1) == 0.0
+
+    def test_word_override_rejected(self):
+        with pytest.raises(ConfigError, match="'1,2' is not a single symbol"):
+            md.potential_from_config({"default": 0.0, "overrides": {"1,2": 3.0}})
+        with pytest.raises(DomainError):
+            md.TablePotential({(1, 2): 3.0}, default=0.0)
 
     def test_bad_key_reported(self):
         from markovdim.potentials import validate_potential_config

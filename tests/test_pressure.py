@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import markovdim as md
+from markovdim import pressure
 from markovdim.errors import DomainError, MixingError, WorkLimitError
-from markovdim.pressure import _staircase_log_rho, _staircase_tail
+from markovdim.pressure import _power_log_rho, _staircase_log_rho, _staircase_tail
 
 LOG2 = 0.6931471805599453
 LOG_019 = -1.6607312068216509          # log(0.1 + 0.09)
@@ -63,6 +64,26 @@ def reference_staircase_log_rho(log_weights, rel_tol):
         if hi - lo <= rel_tol * hi:
             break
     return math.log(0.5 * (lo + hi)) + shift
+
+
+def reference_power_log_rho(matrix, log_weights, rel_tol):
+    """Oracle for _power_log_rho: the same power iteration with two products
+    per step, y = a @ x and the residual's a @ y, which the next step forms
+    again as a @ x."""
+    shift = float(np.max(log_weights))
+    w = np.exp(log_weights - shift)
+    a = matrix.astype(float) * w[:, None]
+    n = a.shape[0]
+    x = np.full(n, 1.0 / n)
+    for _ in range(pressure._POWER_MAX_ITER):
+        y = a @ x
+        lam = float(y.sum())
+        assert lam > 0.0
+        y /= lam
+        if float(np.max(np.abs(a @ y - lam * y))) <= rel_tol * lam:
+            return math.log(lam) + shift
+        x = y
+    return math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + shift
 
 
 def tail_by_loop(w_tail, rho, m):
@@ -259,6 +280,24 @@ def brute_orbit_sum(mat, logw, n, base):
 
     walk(base, 1, logw[base])
     return -math.inf if total == 0.0 else math.log(total) / n
+
+
+class TestPowerIteration:
+    # a cap of 3 iterations sends most cases to the dense eigvals fallback
+    @pytest.mark.parametrize("max_iter", [pressure._POWER_MAX_ITER, 3])
+    def test_matches_two_product_loop(self, max_iter, monkeypatch):
+        monkeypatch.setattr(pressure, "_POWER_MAX_ITER", max_iter)
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            n = int(rng.integers(2, 41))
+            density = rng.uniform(0.1, 0.9)
+            while True:
+                mat = rng.random((n, n)) < density
+                if md.is_primitive(md.TruncatedSubsystem(size=n, dense=mat)):
+                    break
+            logw = rng.normal(0.0, rng.uniform(0.0, 3.0), n)
+            tol = 10.0 ** rng.uniform(-12.0, -4.0)
+            assert _power_log_rho(mat, logw, tol) == reference_power_log_rho(mat, logw, tol)
 
 
 class TestOrbitSums:

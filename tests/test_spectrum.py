@@ -419,15 +419,6 @@ class TestFullSpectrum:
         with pytest.raises(DomainError):
             md.full_birkhoff_spectrum_sv(0.9, phi, [2.35])
 
-    def test_threaded_scan_matches_serial(self):
-        m, logt, one = sv_setup(0.9)
-        grid = np.linspace(2.34, 2.40, 5)
-        serial = md.full_birkhoff_spectrum_sv(0.9, logt, grid, N=48, tol=1e-2)
-        threaded = md.full_birkhoff_spectrum_sv(0.9, logt, grid, N=48, tol=1e-2,
-                                                threads=3)
-        assert [(p.alpha, p.dimension) for p in serial.points] == \
-            [(p.alpha, p.dimension) for p in threaded.points]
-
 
 class TestCurveCsv:
     def test_layout(self):
