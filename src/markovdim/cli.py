@@ -235,9 +235,9 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 
-def validate_config_dict(cfg: dict) -> list[str]:
+def validate_config_dict(cfg) -> list[str]:
     """Dispatch a parsed config to the right checker (map or potential)."""
-    if "branches" in cfg or "sv_lambda" in cfg:
+    if isinstance(cfg, dict) and ("branches" in cfg or "sv_lambda" in cfg):
         if "sv_lambda" in cfg:
             lam = cfg["sv_lambda"]
             return [] if 0.5 < lam < 1.0 else [f"sv_lambda must lie in (1/2, 1), got {lam}"]

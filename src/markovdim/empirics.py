@@ -164,38 +164,32 @@ def _sv_power_table(lam: float) -> np.ndarray:
     return np.array([lam ** k for k in range(k_max + 2)])
 
 
-def _sv_step(model: MarkovMapModel, x: np.ndarray, active: np.ndarray,
-             table: np.ndarray):
-    """One vectorized map step for the built-in family.
+def _sv_step(model: MarkovMapModel, x: np.ndarray, table: np.ndarray):
+    """One vectorized map step of every lane of ``x`` for the built-in family.
 
-    Returns (new x, branch indices, newly-aborted mask); inactive lanes
-    keep their values.  All endpoint comparisons go through ``table`` so
-    that decisions match the scalar path exactly (vectorized pow differs
-    from libm pow in the last ulp).
+    Returns (new x, branch indices, aborted mask); the new x and index of
+    an aborted lane mean nothing.  All endpoint comparisons go through
+    ``table`` so that decisions match the scalar path exactly (vectorized
+    pow differs from libm pow in the last ulp).
     """
     lam = model.lam
     loglam = math.log(lam)
     kmax = len(table) - 1
-    ax = np.where(active, x, 0.5)  # placeholder keeps log() quiet
-    u = np.log(ax) / loglam
+    u = np.log(x) / loglam
     k = np.clip(np.rint(u), 0, kmax).astype(np.int64)
     edge = table[k]
-    hit = np.abs(ax - edge) <= ENDPOINT_TOL * edge
+    hit = np.abs(x - edge) <= ENDPOINT_TOL * edge
     n = np.clip(np.floor(u).astype(np.int64) + 1, 1, kmax - 2)
     # correct the log-based guess against the exact endpoint table (the
     # guess is off by at most one except inside the excluded endpoint zone)
     for _ in range(2):
-        n = np.where((n > 1) & (ax > table[n - 1]), n - 1, n)
-        n = np.where(ax <= table[n], n + 1, n)
-    aborted = active & (hit | (ax <= 0.0) | (ax > 1.0))
-    stepping = active & ~aborted
+        n = np.where((n > 1) & (x > table[n - 1]), n - 1, n)
+        n = np.where(x <= table[n], n + 1, n)
+    aborted = hit | (x <= 0.0) | (x > 1.0)
     # same arithmetic as the scalar path (slope multiply), so batch and
     # scalar orbits agree bitwise
     slope = np.where(n == 1, 1.0 / (1.0 - lam), 1.0 / (lam * (1.0 - lam)))
-    y = (ax - table[n]) * slope
-    new_x = np.where(stepping, y, x)
-    idx = np.where(stepping, n, 0)
-    return new_x, idx, aborted
+    return (x - table[n]) * slope, n, aborted
 
 
 def _finite_tables(model: MarkovMapModel):
@@ -211,8 +205,8 @@ def _finite_tables(model: MarkovMapModel):
     return lefts, slopes, img_lo, order, lefts[order], rights[order]
 
 
-def _finite_step(model: MarkovMapModel, x: np.ndarray, active: np.ndarray, tables):
-    """Vectorized step for finite custom models via edge bisection."""
+def _finite_step(model: MarkovMapModel, x: np.ndarray, tables):
+    """Vectorized step of every lane for finite custom models via edge bisection."""
     lefts, slopes, img_lo, order, lefts_s, rights_s = tables
     pos = np.searchsorted(lefts_s, x, side="right") - 1
     pos = np.clip(pos, 0, len(order) - 1)
@@ -220,13 +214,10 @@ def _finite_step(model: MarkovMapModel, x: np.ndarray, active: np.ndarray, table
     scale = np.maximum(np.abs(x), 1e-300)
     near_edge = (np.abs(x - lefts_s[pos]) <= ENDPOINT_TOL * scale) | \
                 (np.abs(x - rights_s[pos]) <= ENDPOINT_TOL * scale)
-    aborted = active & (~inside | near_edge)
-    stepping = active & ~aborted
+    aborted = ~inside | near_edge
     branch_ids = order[pos] + 1
     y = img_lo[branch_ids - 1] + (x - lefts[branch_ids - 1]) * slopes[branch_ids - 1]
-    new_x = np.where(stepping, y, x)
-    idx = np.where(stepping, branch_ids, 0)
-    return new_x, idx, aborted
+    return y, branch_ids, aborted
 
 
 @dataclass
@@ -254,115 +245,206 @@ class BatchStats:
         return out
 
 
+def _mapped_zeros(m: int, n: int) -> np.ndarray:
+    """Zeroed (m, n) int32 array; from 1 MiB up in a memory map of its own.
+
+    From ``np.zeros`` a large array comes from the malloc heap once one of
+    its size has been freed (glibc then raises its mmap threshold).  Small
+    blocks that numpy caches for reuse can split the hole the freed array
+    left, and the heap then grows by the array's size again: the
+    itineraries of a 2000 x 3000 batch raised the peak RSS of a run by
+    24 MB that way.  A map of its own goes back to the system on release.
+    """
+    if m * n * 4 < 1 << 20:
+        return np.zeros((m, n), dtype=np.int32)
+    import mmap  # here, so that imports which never map pay nothing for it
+    buf = mmap.mmap(-1, m * n * 4, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.int32).reshape(m, n)
+
+
+def _compact(state: dict, keep: np.ndarray) -> dict:
+    return {key: arr[keep] for key, arr in state.items()}
+
+
 def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                    phi: Potential | None = None, psi: Potential | None = None,
                    collect_itineraries: bool = False) -> BatchStats:
     """Vectorized orbit batch; semantics per-orbit match simulate_orbit.
 
-    Lanes that cross the deep floor keep stepping analytically: every deep
-    step sits in some branch with index above a certified lower bound (the
-    index can drop by at most 1 per step), its log-slope equals the tail
-    value exactly, and potentials contribute their tail limits.
-    Deep steps are recorded in itineraries as -1.
+    Only live lanes are stepped.  Their lane indices and running state
+    (position, Birkhoff sums, quarter minima, the branch-1 flag) sit in
+    compact arrays; a lane writes its state back to the output only when it
+    leaves, by a boundary abort, a deep crossing or the horizon.  A live
+    lane's step count is the step number, so it needs no update per step.
+    Stepping stops once no live lane is left.
+
+    Lanes that cross the deep floor retire from stepping: every later step
+    sits in some branch with index above a certified lower bound (the index
+    can drop by at most 1 per step), its log-slope equals the tail value
+    exactly, and potentials contribute their tail limits (NaN without one).
+    Deep steps are recorded in itineraries as -1.  The step count, quarter
+    minima, itinerary entries and the abort once the bound falls below 2
+    follow in closed form at the crossing.  The float sums of deep lanes
+    still get one add per step on their own compact arrays, since in IEEE
+    arithmetic ``s + r*c`` is not r repeated adds; so every field is
+    bit-identical to stepping all lanes for the whole horizon.
     """
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
     if model.family != "SV" and model.tail is not None:
         return _scalar_batch(model, x0, n, phi, psi, collect_itineraries)
-    x = np.asarray(x0, dtype=float).copy()
-    m = len(x)
-    active = np.ones(m, dtype=bool)
-    deep = np.zeros(m, dtype=bool)
-    deep_bound = np.zeros(m, dtype=np.int64)   # certified branch-index lower bound
-    steps = np.zeros(m, dtype=np.int64)
-    aborted = np.zeros(m, dtype=bool)
+    starts = np.asarray(x0, dtype=float).copy()
+    m = len(starts)
     q = n // 4
-    fq_min = np.full(m, np.iinfo(np.int64).max)
-    lq_min = np.full(m, np.iinfo(np.int64).max)
-    logt_sum = np.zeros(m)
-    logt_tail = np.zeros(m)
-    tail_steps = np.zeros(m, dtype=np.int64)
-    tail_b1 = np.zeros(m, dtype=bool)
-    phi_sum = np.zeros(m) if phi is not None else None
-    psi_sum = np.zeros(m) if psi is not None else None
-    its = np.zeros((m, n), dtype=np.int32) if collect_itineraries else None
+    tail_start = n - q if q else n       # first step of the final quarter
+    big = np.iinfo(np.int64).max
+    out = BatchStats(starts=starts, steps=np.zeros(m, dtype=np.int64),
+                     aborted=np.zeros(m, dtype=bool),
+                     first_quarter_min=np.full(m, big), last_quarter_min=np.full(m, big),
+                     logt_sum=np.zeros(m), logt_tail_sum=np.zeros(m),
+                     tail_steps=np.zeros(m, dtype=np.int64),
+                     tail_has_branch1=np.zeros(m, dtype=bool),
+                     phi_sum=np.zeros(m) if phi is not None else None,
+                     psi_sum=np.zeros(m) if psi is not None else None,
+                     itineraries=_mapped_zeros(m, n) if collect_itineraries else None)
+    its = out.itineraries
     is_sv = model.family == "SV"
     if is_sv:
         step_fn, step_tables = _sv_step, _sv_power_table(model.lam)
+        logt_1 = -math.log(1.0 - model.lam)
+        logt_deep = -math.log(model.lam * (1.0 - model.lam))
+
+        def logt_of(idx: np.ndarray) -> np.ndarray:
+            return np.where(idx == 1, logt_1, logt_deep)
     else:
         step_fn, step_tables = _finite_step, _finite_tables(model)
-    starts = x.copy()
-    deep_supported = is_sv
-    logt_deep = -math.log(model.lam * (1.0 - model.lam)) if is_sv else 0.0
-    phi_deep = phi.tail_limit if phi is not None else None
-    psi_deep = psi.tail_limit if psi is not None else None
+        logt_table = np.array([0.0] + [b.log_slope for b in model._explicit_branches])
 
-    if not is_sv:
-        table = np.array([0.0] + [b.log_slope for b in model._explicit_branches])
+        def logt_of(idx: np.ndarray) -> np.ndarray:
+            return logt_table[idx]
 
-    def logt_of(idx: np.ndarray) -> np.ndarray:
-        if is_sv:
-            v1 = -math.log(1.0 - model.lam)
-            return np.where(idx == 1, v1, logt_deep)
-        return table[idx]
+    # per-step adds of a deep lane: the tail values, NaN for a potential
+    # without a tail limit
+    deep_adds = {"logt": logt_deep if is_sv else 0.0}
+    for key, pot in (("phi", phi), ("psi", psi)):
+        if pot is not None:
+            deep_adds[key] = pot.tail_limit if pot.tail_limit is not None else np.nan
+    sink = {"logt": out.logt_sum, "tail": out.logt_tail_sum, "phi": out.phi_sum,
+            "psi": out.psi_sum, "fqm": out.first_quarter_min,
+            "lqm": out.last_quarter_min, "tb1": out.tail_has_branch1}
+
+    def retire(state: dict, sel) -> np.ndarray:
+        """Write the selected lanes' running state to the output."""
+        lanes = state["lane"][sel]
+        for key, arr in state.items():
+            if key in sink:
+                sink[key][lanes] = arr[sel]
+        return lanes
+
+    live = {"lane": np.arange(m), "x": starts.copy(), "logt": np.zeros(m)}
+    for key in ("phi", "psi"):
+        if key in deep_adds:
+            live[key] = np.zeros(m)
+    if q:
+        live["fqm"] = np.full(m, big)
+    deep = {key: np.zeros(0) for key in ("tail", *deep_adds)}
+    deep["lane"] = np.zeros(0, dtype=np.int64)
+    deep["last"] = np.zeros(0, dtype=np.int64)   # step index of the final deep step
+    deep_end = n                                   # earliest "last" in the deep set
 
     for k in range(n):
-        stepping_lanes = active & ~deep
-        x, idx, newly_aborted = step_fn(model, x, stepping_lanes, step_tables)
-        aborted |= newly_aborted
-        moved = stepping_lanes & ~newly_aborted
-        # lanes in the deep state advance analytically
-        idx = np.where(deep & active, deep_bound, idx)
-        counted = moved | (deep & active)
-        steps[counted] += 1
+        if q and k == q:
+            # the first quarter is over: its minima of live lanes are final
+            out.first_quarter_min[live["lane"]] = live.pop("fqm")
+        if k == tail_start:
+            count = len(live["lane"])
+            live.update(tail=np.zeros(count), lqm=np.full(count, big),
+                        tb1=np.zeros(count, dtype=bool))
+        if deep_end < k:
+            gone = deep["last"] < k
+            retire(deep, gone)
+            deep = _compact(deep, ~gone)
+            deep_end = int(deep["last"].min()) if len(deep["last"]) else n
+        if len(deep["lane"]):
+            for key, c in deep_adds.items():
+                deep[key] += c
+            if k >= tail_start:
+                deep["tail"] += deep_adds["logt"]
+        if not len(live["lane"]):
+            if not len(deep["lane"]):
+                break
+            continue
+
+        y, idx, hit = step_fn(model, live["x"], step_tables)
+        if hit.any():
+            lanes = retire(live, hit)
+            out.steps[lanes] = k
+            out.aborted[lanes] = True
+            keep = ~hit
+            live = _compact(live, keep)
+            y, idx = y[keep], idx[keep]
+        live["x"] = y
         if its is not None:
-            its[moved, k] = idx[moved]
-            its[deep & active, k] = -1
-        safe_idx = np.maximum(idx, 1)
-        eval_idx = np.where(deep, 1, safe_idx)  # deep values are overwritten below
-        lt = np.where(deep, logt_deep, logt_of(eval_idx))
-        logt_sum[counted] += lt[counted]
-        if phi_sum is not None:
-            vals = np.where(deep, phi_deep if phi_deep is not None else np.nan,
-                            phi.eval_symbols(eval_idx))
-            phi_sum[counted] += vals[counted]
-        if psi_sum is not None:
-            vals = np.where(deep, psi_deep if psi_deep is not None else np.nan,
-                            psi.eval_symbols(eval_idx))
-            psi_sum[counted] += vals[counted]
-        if q >= 1 and k < q:
-            fq_min[counted] = np.minimum(fq_min[counted], idx[counted])
-        if q >= 1 and k >= n - q:
-            lq_min[counted] = np.minimum(lq_min[counted], idx[counted])
-            logt_tail[counted] += lt[counted]
-            tail_steps[counted] += 1
-            tail_b1[counted] |= idx[counted] == 1
-        # deep bookkeeping: crossing lanes freeze with a certified bound
-        if deep_supported:
-            crossing = moved & (x < DEEP_FLOOR) & ~deep
-            if crossing.any():
-                deep_bound[crossing] = idx[crossing] - 1
-                deep[crossing] = True
-            deep_bound[deep & active] -= 1
-            # once the bound decays toward small indices nothing is certified
-            # any more; such lanes abort (needs horizons of several thousand
-            # steps past the crossing)
-            exhausted = deep & active & (deep_bound < 2)
-            if exhausted.any():
-                aborted |= exhausted
-                deep &= ~exhausted
-        else:
-            aborted |= moved & (x < DEEP_FLOOR)
-            moved &= ~(x < DEEP_FLOOR)
-        active = moved | (deep & active)
-    full = steps == n
-    fq = np.where(full, fq_min, 0)
-    lq = np.where(full, lq_min, 0)
-    return BatchStats(starts=starts, steps=steps, aborted=aborted,
-                      first_quarter_min=fq, last_quarter_min=lq,
-                      logt_sum=logt_sum, logt_tail_sum=logt_tail,
-                      tail_steps=tail_steps, tail_has_branch1=tail_b1,
-                      phi_sum=phi_sum, psi_sum=psi_sum, itineraries=its)
+            its[live["lane"], k] = idx
+        lt = logt_of(idx)
+        live["logt"] += lt
+        if phi is not None:
+            live["phi"] += phi.eval_symbols(idx)
+        if psi is not None:
+            live["psi"] += psi.eval_symbols(idx)
+        if k < q:
+            live["fqm"] = np.minimum(live["fqm"], idx)
+        if k >= tail_start:
+            live["tail"] += lt
+            live["lqm"] = np.minimum(live["lqm"], idx)
+            live["tb1"] |= idx == 1
+
+        low = y < DEEP_FLOOR
+        if not low.any():
+            continue
+        if not is_sv:
+            lanes = retire(live, low)
+            out.steps[lanes] = k + 1
+            out.aborted[lanes] = True
+            live = _compact(live, ~low)
+            continue
+        # a lane crossing in branch i sits in a branch >= i - 1 - (j - k) at
+        # step j > k; it aborts after step k + i - 3, the last one certified
+        # >= 2.  With i < 4 no deep step is certified: the lane is flagged
+        # aborted at once but stays live.
+        out.aborted[live["lane"][low & (idx < 4)]] = True
+        cross = low & (idx >= 4)
+        if not cross.any():
+            continue
+        lanes = retire(live, cross)
+        i = idx[cross]
+        last = np.minimum(n - 1, k + i - 3)
+        out.steps[lanes] = last + 1
+        out.aborted[lanes] = k + i - 3 <= n - 1
+        if its is not None:
+            for lane, stop in zip(lanes, last + 1):
+                its[lane, k + 1:stop] = -1
+        # minima over the deep steps, which matter only for lanes that
+        # reach the horizon: the bound at the quarter's final step
+        if k + 1 < q:
+            out.first_quarter_min[lanes] = np.minimum(out.first_quarter_min[lanes], i - q + k)
+        if q and k < n - 1:
+            out.last_quarter_min[lanes] = np.minimum(out.last_quarter_min[lanes], i - n + k)
+        joined = {key: live[key][cross] for key in deep_adds}
+        joined["tail"] = live["tail"][cross] if "tail" in live else np.zeros(len(lanes))
+        joined.update(lane=lanes, last=last)
+        deep = {key: np.concatenate([deep[key], joined[key]]) for key in deep}
+        deep_end = min(deep_end, int(last.min()))
+        live = _compact(live, ~cross)
+
+    out.steps[retire(live, slice(None))] = n
+    retire(deep, slice(None))
+    full = out.steps == n
+    out.first_quarter_min = np.where(full, out.first_quarter_min, 0)
+    out.last_quarter_min = np.where(full, out.last_quarter_min, 0)
+    # a lane's steps are a prefix of the horizon
+    out.tail_steps = np.maximum(out.steps - tail_start, 0)
+    return out
 
 
 def _scalar_batch(model, x0, n, phi, psi, collect_itineraries) -> BatchStats:
@@ -521,20 +603,22 @@ def box_count_level_set(model: MarkovMapModel, phi: Potential, psi: Potential,
             f"only {len(retained)} points retained (need >= 50); widen eps_window "
             f"or raise samples")
 
-    def slope_of(points: np.ndarray) -> float:
-        cnts = [len(np.unique(np.floor(points / e).astype(np.int64))) for e in levels]
-        x = np.log(1.0 / np.asarray(levels))
-        y = np.log(np.asarray(cnts, dtype=float))
-        return float(np.polyfit(x, y, 1)[0])
+    # box ids of the retained points, once per level; a resample occupies
+    # the distinct ids of its picks
+    box_ids = [np.unique(np.floor(retained / e).astype(np.int64), return_inverse=True)[1]
+               for e in levels]
+    log_inv_size = np.log(1.0 / np.asarray(levels))
 
-    counts = tuple(int(len(np.unique(np.floor(retained / e).astype(np.int64))))
-                   for e in levels)
-    slope = slope_of(retained)
+    def slope_of(cnts) -> float:
+        return float(np.polyfit(log_inv_size, np.log(np.asarray(cnts, dtype=float)), 1)[0])
+
+    counts = tuple(int(ids.max()) + 1 for ids in box_ids)
+    slope = slope_of(counts)
     boot_rng = orbit_rng(seed, stream=1)
     bs = []
     for _ in range(bootstrap):
         pick = boot_rng.integers(0, len(retained), len(retained))
-        bs.append(slope_of(retained[pick]))
+        bs.append(slope_of([np.count_nonzero(np.bincount(ids[pick])) for ids in box_ids]))
     lo, hi = np.percentile(bs, [2.5, 97.5])
     return BoxCountResult(slope=slope, band=(float(lo), float(hi)),
                           retained=int(len(retained)), samples=samples, horizon=n,

@@ -260,15 +260,25 @@ def potential_from_config(source) -> TablePotential:
                           positivity_floor=cfg.get("positivity_floor"), name="config")
 
 
-def validate_potential_config(cfg: dict) -> list[str]:
+def _is_number(v) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def validate_potential_config(cfg) -> list[str]:
     """Schema and consistency checks; returns human-readable violations."""
+    if not isinstance(cfg, dict):
+        return [f"potential config must be a JSON object, got {type(cfg).__name__}"]
     out: list[str] = []
     depth = cfg.get("depth", 1)
-    if not isinstance(depth, int) or depth != 1:
+    if type(depth) is not int or depth != 1:
         out.append(f"depth must be 1 (potentials are constant on 1-cylinders), "
                    f"got {depth!r}")
         return out
     overrides = cfg.get("overrides", {})
+    if not isinstance(overrides, dict):
+        out.append(f"overrides must be a JSON object, got {type(overrides).__name__}")
+        overrides = {}
     for k, v in overrides.items():
         try:
             symbol = int(k)
@@ -277,18 +287,22 @@ def validate_potential_config(cfg: dict) -> list[str]:
             continue
         if symbol < 1:
             out.append(f"override key {k!r} is a symbol < 1")
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             out.append(f"override value for {k!r} is not numeric")
-    if cfg.get("default") is None and not overrides:
-        out.append("potential defines no values (no default, no overrides)")
+    default = cfg.get("default")
     floor = cfg.get("positivity_floor")
-    if floor is not None:
+    for key, v in (("default", default), ("positivity_floor", floor)):
+        if v is not None and not _is_number(v):
+            out.append(f"{key} must be a number, got {v!r}")
+    if default is None and not overrides:
+        out.append("potential defines no values (no default, no overrides)")
+    if _is_number(floor):
         if floor <= 0:
             out.append(f"positivity_floor must be > 0, got {floor}")
         else:
-            vals = [float(v) for v in overrides.values() if isinstance(v, (int, float))]
-            if cfg.get("default") is not None:
-                vals.append(float(cfg["default"]))
+            vals = [float(v) for v in overrides.values() if _is_number(v)]
+            if _is_number(default):
+                vals.append(float(default))
             low = [v for v in vals if v < floor]
             if low:
                 out.append(f"positivity_floor {floor} exceeds the value {min(low)}")

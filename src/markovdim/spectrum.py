@@ -347,10 +347,17 @@ def variational_dimension(model: MarkovMapModel, phi: Potential, psi: Potential,
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
-    lo_a, hi_a = alpha_bounds(model, phi, psi, N)
+    bounds = alpha_bounds(model, phi, psi, N)
+    return _variational_point(_PressureEvaluator(model, phi, psi, N), bounds, alpha, tol)
+
+
+def _variational_point(ev: _PressureEvaluator, bounds: tuple[float, float],
+                       alpha: float, tol: float) -> SpectrumPoint:
+    """``variational_dimension`` with the truncation's evaluator and alpha
+    bounds supplied, so a scan computes both once for all its points."""
+    lo_a, hi_a = bounds
     if not (lo_a < alpha < hi_a):
         raise DomainError(f"alpha = {alpha} outside the open interval ({lo_a}, {hi_a})")
-    ev = _PressureEvaluator(model, phi, psi, N)
     q_tol = max(min(tol * 1e-1, 1e-5), 1e-8)
     lo, hi = 0.0, 1.0
     value, q_star = _minimize_over_q(lambda q: ev.pressure(q, alpha, 0.0), q_tol)
@@ -444,6 +451,8 @@ def full_birkhoff_spectrum_sv(lam: float, phi: Potential, grid,
     """
     if phi.tail_limit is None:
         raise DomainError("potential must declare a tail limit")
+    if tol <= 0:
+        raise DomainError(f"tolerance must be > 0, got {tol}")
     model = build_sv_map(lam)
     psi = constant_potential(1.0)
     a = phi.tail_limit
@@ -453,7 +462,8 @@ def full_birkhoff_spectrum_sv(lam: float, phi: Potential, grid,
         return lo_a + 1e-12 < x < hi_a - 1e-12 and abs(x - a) > 1e-12
 
     targets = sorted({float(x) for x in grid if interior(float(x))})
-    points = [variational_dimension(model, phi, psi, x, N, tol) for x in targets]
+    ev = _PressureEvaluator(model, phi, psi, N) if targets else None
+    points = [_variational_point(ev, (lo_a, hi_a), x, tol) for x in targets]
 
     escape = SpectrumPoint(alpha=a, dimension=1.0, q_star=None,
                            delta_iterations=0, source="ESCAPE_VALUE")

@@ -261,6 +261,22 @@ class TestValidateCommand:
         code, _, err = run(capsys, "pressure", "--map", "sv:0.9", "--potential", str(f))
         assert code == EXIT_DOMAIN and "depth" in err
 
+    @pytest.mark.parametrize("cfg,field", [
+        ({"default": 1.0, "positivity_floor": "a"}, "positivity_floor"),
+        ({"default": "x"}, "default"),
+        ([1.0, 2.0], "JSON object"),
+    ])
+    def test_potential_wrong_types(self, capsys, tmp_path, cfg, field):
+        f = tmp_path / "pot.json"
+        f.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        violations = json.loads(out)["violations"]
+        assert len(violations) == 1 and field in violations[0]
+        code, _, err = run(capsys, "pressure", "--map", "sv:0.9", "--potential", str(f))
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error: invalid potential config") and field in err
+
 
 class TestExitCodes:
     def test_usage(self):

@@ -1,14 +1,19 @@
 """Orbit simulation, escape statistics, and box counting."""
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import markovdim as md
-from markovdim.empirics import (BOUNDARY_ABORT, ESCAPING, RECURRENT_WINDOW,
+from markovdim import empirics
+from markovdim.empirics import (BOUNDARY_ABORT, DEEP_FLOOR, ESCAPING, RECURRENT_WINDOW,
+                                BatchStats, _finite_tables, _scalar_batch, _sv_power_table,
                                 orbit_rng, simulate_batch)
 from markovdim.errors import DomainError, InsufficientSampleError
+from markovdim.markov import ENDPOINT_TOL
 
 ALPHA_MAX_09 = 2.4079456086518722
 
@@ -128,6 +133,270 @@ class TestBatchVsScalar:
             assert (rec.itinerary == batch.itineraries[i, :rec.steps]).all()
 
 
+# ---------------------------------------------------------------------------
+# Reference batch: every lane is stepped on every step of the horizon, with
+# masks for the lanes that stopped or went deep
+# ---------------------------------------------------------------------------
+def _ref_sv_step(model, x, active, table):
+    lam = model.lam
+    loglam = math.log(lam)
+    kmax = len(table) - 1
+    ax = np.where(active, x, 0.5)  # placeholder keeps log() quiet
+    u = np.log(ax) / loglam
+    k = np.clip(np.rint(u), 0, kmax).astype(np.int64)
+    edge = table[k]
+    hit = np.abs(ax - edge) <= ENDPOINT_TOL * edge
+    n = np.clip(np.floor(u).astype(np.int64) + 1, 1, kmax - 2)
+    for _ in range(2):
+        n = np.where((n > 1) & (ax > table[n - 1]), n - 1, n)
+        n = np.where(ax <= table[n], n + 1, n)
+    aborted = active & (hit | (ax <= 0.0) | (ax > 1.0))
+    stepping = active & ~aborted
+    slope = np.where(n == 1, 1.0 / (1.0 - lam), 1.0 / (lam * (1.0 - lam)))
+    y = (ax - table[n]) * slope
+    new_x = np.where(stepping, y, x)
+    idx = np.where(stepping, n, 0)
+    return new_x, idx, aborted
+
+
+def _ref_finite_step(model, x, active, tables):
+    lefts, slopes, img_lo, order, lefts_s, rights_s = tables
+    pos = np.searchsorted(lefts_s, x, side="right") - 1
+    pos = np.clip(pos, 0, len(order) - 1)
+    inside = (x > lefts_s[pos]) & (x < rights_s[pos])
+    scale = np.maximum(np.abs(x), 1e-300)
+    near_edge = (np.abs(x - lefts_s[pos]) <= ENDPOINT_TOL * scale) | \
+                (np.abs(x - rights_s[pos]) <= ENDPOINT_TOL * scale)
+    aborted = active & (~inside | near_edge)
+    stepping = active & ~aborted
+    branch_ids = order[pos] + 1
+    y = img_lo[branch_ids - 1] + (x - lefts[branch_ids - 1]) * slopes[branch_ids - 1]
+    new_x = np.where(stepping, y, x)
+    idx = np.where(stepping, branch_ids, 0)
+    return new_x, idx, aborted
+
+
+def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itineraries=False):
+    if n < 1:
+        raise DomainError(f"horizon must be >= 1, got {n}")
+    if model.family != "SV" and model.tail is not None:
+        return _scalar_batch(model, x0, n, phi, psi, collect_itineraries)
+    x = np.asarray(x0, dtype=float).copy()
+    m = len(x)
+    active = np.ones(m, dtype=bool)
+    deep = np.zeros(m, dtype=bool)
+    deep_bound = np.zeros(m, dtype=np.int64)
+    steps = np.zeros(m, dtype=np.int64)
+    aborted = np.zeros(m, dtype=bool)
+    q = n // 4
+    fq_min = np.full(m, np.iinfo(np.int64).max)
+    lq_min = np.full(m, np.iinfo(np.int64).max)
+    logt_sum = np.zeros(m)
+    logt_tail = np.zeros(m)
+    tail_steps = np.zeros(m, dtype=np.int64)
+    tail_b1 = np.zeros(m, dtype=bool)
+    phi_sum = np.zeros(m) if phi is not None else None
+    psi_sum = np.zeros(m) if psi is not None else None
+    its = np.zeros((m, n), dtype=np.int32) if collect_itineraries else None
+    is_sv = model.family == "SV"
+    if is_sv:
+        step_fn, step_tables = _ref_sv_step, _sv_power_table(model.lam)
+    else:
+        step_fn, step_tables = _ref_finite_step, _finite_tables(model)
+    starts = x.copy()
+    deep_supported = is_sv
+    logt_deep = -math.log(model.lam * (1.0 - model.lam)) if is_sv else 0.0
+    phi_deep = phi.tail_limit if phi is not None else None
+    psi_deep = psi.tail_limit if psi is not None else None
+
+    if not is_sv:
+        table = np.array([0.0] + [b.log_slope for b in model._explicit_branches])
+
+    def logt_of(idx):
+        if is_sv:
+            v1 = -math.log(1.0 - model.lam)
+            return np.where(idx == 1, v1, logt_deep)
+        return table[idx]
+
+    for k in range(n):
+        stepping_lanes = active & ~deep
+        x, idx, newly_aborted = step_fn(model, x, stepping_lanes, step_tables)
+        aborted |= newly_aborted
+        moved = stepping_lanes & ~newly_aborted
+        idx = np.where(deep & active, deep_bound, idx)
+        counted = moved | (deep & active)
+        steps[counted] += 1
+        if its is not None:
+            its[moved, k] = idx[moved]
+            its[deep & active, k] = -1
+        safe_idx = np.maximum(idx, 1)
+        eval_idx = np.where(deep, 1, safe_idx)
+        lt = np.where(deep, logt_deep, logt_of(eval_idx))
+        logt_sum[counted] += lt[counted]
+        if phi_sum is not None:
+            vals = np.where(deep, phi_deep if phi_deep is not None else np.nan,
+                            phi.eval_symbols(eval_idx))
+            phi_sum[counted] += vals[counted]
+        if psi_sum is not None:
+            vals = np.where(deep, psi_deep if psi_deep is not None else np.nan,
+                            psi.eval_symbols(eval_idx))
+            psi_sum[counted] += vals[counted]
+        if q >= 1 and k < q:
+            fq_min[counted] = np.minimum(fq_min[counted], idx[counted])
+        if q >= 1 and k >= n - q:
+            lq_min[counted] = np.minimum(lq_min[counted], idx[counted])
+            logt_tail[counted] += lt[counted]
+            tail_steps[counted] += 1
+            tail_b1[counted] |= idx[counted] == 1
+        if deep_supported:
+            crossing = moved & (x < DEEP_FLOOR) & ~deep
+            if crossing.any():
+                deep_bound[crossing] = idx[crossing] - 1
+                deep[crossing] = True
+            deep_bound[deep & active] -= 1
+            exhausted = deep & active & (deep_bound < 2)
+            if exhausted.any():
+                aborted |= exhausted
+                deep &= ~exhausted
+        else:
+            aborted |= moved & (x < DEEP_FLOOR)
+            moved &= ~(x < DEEP_FLOOR)
+        active = moved | (deep & active)
+    full = steps == n
+    fq = np.where(full, fq_min, 0)
+    lq = np.where(full, lq_min, 0)
+    return BatchStats(starts=starts, steps=steps, aborted=aborted,
+                      first_quarter_min=fq, last_quarter_min=lq,
+                      logt_sum=logt_sum, logt_tail_sum=logt_tail,
+                      tail_steps=tail_steps, tail_has_branch1=tail_b1,
+                      phi_sum=phi_sum, psi_sum=psi_sum, itineraries=its)
+
+
+def assert_batches_identical(got, want, itineraries=True):
+    for f in dataclasses.fields(BatchStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "itineraries" and not itineraries:
+            assert a is None
+            continue
+        if b is None:
+            assert a is None, f.name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+def sv_starts(lam, lanes, seed):
+    """Uniform starts plus starts exactly on branch endpoints lam**k."""
+    edges = [lam ** k for k in range(0, 12)]
+    return np.concatenate([1.0 - np.random.default_rng(seed).random(lanes), edges])
+
+
+def dense_custom_map(rng, m=64):
+    """Explicit map on m equal branches; branch i maps onto k_i adjacent ones,
+    starting at branch i (or ending at branch m), so every branch is a target."""
+    k = rng.integers(2, 5, size=m)
+    start = np.minimum(np.arange(m), m - k)
+    adj = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        adj[i, start[i]:start[i] + k[i]] = True
+    branches = [md.make_branch(i + 1, i / m, (i + 1) / m, float(k[i])) for i in range(m)]
+    return md.build_custom_map(branches, adj)
+
+
+class TestBatchAgainstReference:
+    @pytest.mark.parametrize("n", [1, 3, 60, 1000, 3000])
+    @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+    def test_sv_bit_identical(self, lam, n):
+        m = md.build_sv_map(lam)
+        starts = sv_starts(lam, 150, seed=int(lam * 100) + n)
+        want = reference_simulate_batch(m, starts, n, collect_itineraries=True)
+        assert want.aborted[-12:].all()  # the endpoint starts abort at once
+        assert_batches_identical(simulate_batch(m, starts, n, collect_itineraries=True), want)
+        assert_batches_identical(simulate_batch(m, starts, n), want, itineraries=False)
+
+    @pytest.mark.parametrize("lam,n,goes_deep", [(0.6, 7, False), (0.9, 400, False),
+                                                 (0.9, 1000, True)])
+    def test_sv_potentials_bit_identical(self, lam, n, goes_deep):
+        m = md.build_sv_map(lam)
+        starts = sv_starts(lam, 100, seed=5)
+        logt = md.builtin_log_derivative(m)
+        tail = md.builtin_tail_potential(2.0, {1: 0.5, 3: 1.25})
+        no_tail = md.builtin_tail_potential(1.5, {2: 0.25})
+        no_tail.tail_limit = None   # deep lanes then add NaN
+        for phi, psi in ((logt, tail), (no_tail, logt), (tail, None)):
+            want = reference_simulate_batch(m, starts, n, phi=phi, psi=psi,
+                                            collect_itineraries=True)
+            got = simulate_batch(m, starts, n, phi=phi, psi=psi, collect_itineraries=True)
+            assert_batches_identical(got, want)
+            if phi is no_tail:
+                deep = (want.itineraries == -1).any(axis=1)
+                assert (np.isnan(got.phi_sum) == deep).all()
+                assert deep.any() == goes_deep
+
+    def test_deep_lanes_exhaust(self):
+        # at lambda 0.6 a deep lane's certified bound falls below 2 within a
+        # few thousand steps of its crossing, and the lane aborts
+        m = md.build_sv_map(0.6)
+        starts = 1.0 - orbit_rng(3).random(300)
+        want = reference_simulate_batch(m, starts, 4000, collect_itineraries=True)
+        exhausted = want.aborted & (want.itineraries == -1).any(axis=1)
+        assert exhausted.any() and (want.steps[exhausted] < 4000).any()
+        assert_batches_identical(simulate_batch(m, starts, 4000, collect_itineraries=True),
+                                 want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_custom_bit_identical(self, seed):
+        rng = np.random.default_rng([seed, 64])
+        cm = dense_custom_map(rng)
+        starts = np.concatenate([1.0 - rng.random(500), np.arange(1, 64) / 64,
+                                 [1e-305, 3e-302, 1e-301]])
+        values = md.TablePotential({(i,): float(v) for i, v in
+                                    enumerate(rng.uniform(0.5, 1.5, 64), start=1)})
+        for n in (1, 5, 100):
+            want = reference_simulate_batch(cm, starts, n, phi=values,
+                                            collect_itineraries=True)
+            assert want.aborted.any()
+            assert_batches_identical(simulate_batch(cm, starts, n, phi=values,
+                                                    collect_itineraries=True), want)
+        # the tiny starts fall below the floor on their first step
+        assert want.aborted[-3:].all() and (want.steps[-3:] == 1).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(lam=st.sampled_from([0.55, 0.6, 0.75, 0.9, 0.97]),
+           starts=st.lists(st.floats(min_value=1e-320, max_value=1.0), min_size=1,
+                           max_size=40),
+           n=st.integers(min_value=1, max_value=500))
+    def test_hypothesis_bit_identical(self, lam, starts, n):
+        m = md.build_sv_map(lam)
+        x0 = np.asarray(starts)
+        phi = md.builtin_tail_potential(1.0, {1: 3.0})
+        want = reference_simulate_batch(m, x0, n, phi=phi, collect_itineraries=True)
+        assert_batches_identical(simulate_batch(m, x0, n, phi=phi, collect_itineraries=True),
+                                 want)
+
+    def test_stepping_stops_after_last_live_lane(self, monkeypatch):
+        m = md.build_sv_map(0.9)
+        starts = 1.0 - orbit_rng(1).random(2000)
+        n = 3000
+        want = reference_simulate_batch(m, starts, n, collect_itineraries=True)
+        # the step on which each lane leaves the live set: its crossing step
+        # when it went deep, its aborting step, or the horizon
+        live_steps = (want.itineraries > 0).sum(axis=1)
+        deep = (want.itineraries == -1).any(axis=1)
+        leave = np.where(deep, live_steps - 1,
+                         np.where(want.aborted, live_steps, n - 1))
+        calls = []
+        real = empirics._sv_step
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(empirics, "_sv_step", counting)
+        got = simulate_batch(m, starts, n, collect_itineraries=True)
+        assert_batches_identical(got, want)
+        assert len(calls) == leave.max() + 1 < n
+
 class TestEscapeStatistics:
     def test_positive_fraction_and_tail(self):
         st = md.escape_statistics(md.build_sv_map(0.9), samples=2000, n=400, seed=3)
@@ -160,6 +429,34 @@ class TestEscapeStatistics:
         assert esc.any()
         avg = stats.logt_tail_sum[esc] / stats.tail_steps[esc]
         assert np.abs(avg - ALPHA_MAX_09).max() < 0.02
+
+
+def reference_box_count(model, phi, psi, alpha, eps_window, samples, n, grid_levels, seed,
+                        bootstrap=200):
+    """(slope, band, counts) of box_count_level_set, counting every
+    bootstrap resample's boxes with np.unique."""
+    levels = [float(e) for e in grid_levels]
+    starts = 1.0 - orbit_rng(seed).random(samples)
+    stats = simulate_batch(model, starts, n, phi=phi, psi=psi)
+    ok = (~stats.aborted) & (stats.steps == n)
+    quot = np.where(ok, stats.phi_sum / np.where(ok, stats.psi_sum, 1.0), np.inf)
+    retained = stats.starts[ok & (np.abs(quot - alpha) < eps_window)]
+
+    def slope_of(points):
+        cnts = [len(np.unique(np.floor(points / e).astype(np.int64))) for e in levels]
+        x = np.log(1.0 / np.asarray(levels))
+        y = np.log(np.asarray(cnts, dtype=float))
+        return float(np.polyfit(x, y, 1)[0])
+
+    counts = tuple(int(len(np.unique(np.floor(retained / e).astype(np.int64))))
+                   for e in levels)
+    boot_rng = orbit_rng(seed, stream=1)
+    bs = []
+    for _ in range(bootstrap):
+        pick = boot_rng.integers(0, len(retained), len(retained))
+        bs.append(slope_of(retained[pick]))
+    lo, hi = np.percentile(bs, [2.5, 97.5])
+    return slope_of(retained), (float(lo), float(hi)), counts
 
 
 class TestBoxCount:
@@ -219,6 +516,16 @@ class TestBoxCount:
             md.box_count_level_set(self.m, self.logt, self.one, alpha=2.35,
                                    eps_window=0.1, samples=1000, n=20,
                                    grid_levels=[0.1, 0.2], seed=1)
+
+    @pytest.mark.parametrize("seed", [4, 11, 29])
+    def test_bootstrap_matches_reference(self, seed):
+        # boxes fine enough that resamples miss some of them
+        kw = dict(eps_window=0.02, samples=4000, n=400, seed=seed,
+                  grid_levels=[2.0 ** -k for k in range(6, 13)])
+        got = md.box_count_level_set(self.m, self.logt, self.one, ALPHA_MAX_09, **kw)
+        want = reference_box_count(self.m, self.logt, self.one, ALPHA_MAX_09, **kw)
+        assert got.retained > 1000 and got.band[0] < got.band[1]
+        assert (got.slope, got.band, got.counts) == want
 
     def test_reproducible(self):
         kw = dict(alpha=ALPHA_MAX_09, eps_window=0.05, samples=1500, n=80,

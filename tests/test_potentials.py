@@ -160,3 +160,19 @@ class TestConfig:
     def test_no_values(self):
         from markovdim.potentials import validate_potential_config
         assert validate_potential_config({"depth": 1}) != []
+
+    @pytest.mark.parametrize("cfg,field", [
+        ({"default": True}, "default"),
+        ({"default": 1.0, "positivity_floor": False}, "positivity_floor"),
+        ({"default": 1.0, "overrides": {"1": True}}, "'1'"),
+        ({"default": 1.0, "overrides": [1.0]}, "overrides"),
+        ({"depth": True, "default": 1.0}, "depth"),
+        (3.5, "JSON object"),
+        (None, "JSON object"),
+    ])
+    def test_wrong_types_are_violations(self, cfg, field):
+        from markovdim.potentials import validate_potential_config
+        out = validate_potential_config(cfg)
+        assert len(out) == 1 and field in out[0]
+        with pytest.raises(ConfigError):
+            md.potential_from_config(cfg)

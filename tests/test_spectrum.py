@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import markovdim as md
+from markovdim import spectrum
 from markovdim.errors import DomainError, MixingError, UnboundedError
 from markovdim.spectrum import _karp_finish, _karp_min_cycle_mean, _karp_table
 
@@ -413,6 +414,24 @@ class TestFullSpectrum:
         assert alphas == sorted(alphas)
         assert all(0.0 <= p.dimension <= 1.0 for p in curve.points)
         assert all(curve.alpha_min < p.alpha <= curve.alpha_max for p in curve.points)
+
+    def test_scan_points_match_single_points(self, monkeypatch):
+        # the scan computes alpha bounds and its evaluator once; every point
+        # is still the one variational_dimension gives on its own
+        phi = md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5})
+        model, one = md.build_sv_map(0.9), md.constant_potential(1.0)
+        grid = np.linspace(1.1, 1.9, 4)
+        want = [md.variational_dimension(model, phi, one, float(x), 64, 1e-3) for x in grid]
+        bounds_calls, evaluators = [], []
+        real_bounds, real_evaluator = spectrum.alpha_bounds, spectrum._PressureEvaluator
+        monkeypatch.setattr(spectrum, "alpha_bounds",
+                            lambda *a: bounds_calls.append(1) or real_bounds(*a))
+        monkeypatch.setattr(spectrum, "_PressureEvaluator",
+                            lambda *a: evaluators.append(1) or real_evaluator(*a))
+        curve = md.full_birkhoff_spectrum_sv(0.9, phi, grid, N=64, tol=1e-3)
+        assert len(bounds_calls) == 1 and len(evaluators) == 1
+        got = [p for p in curve.points if p.source == "VARIATIONAL"]
+        assert got == want
 
     def test_requires_tail_limit(self):
         phi = md.TablePotential({(1,): 1.0, (2,): 2.0})  # no default, no tail
