@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -19,11 +20,10 @@ import numpy as np
 
 from . import __version__
 from .empirics import escape_statistics, orbit_summaries_csv, simulate_orbit
-from .errors import ConvergenceError, MarkovDimError
-from .markov import build_sv_map, load_map_config, validate_custom_branches, make_branch
-from .potentials import (Potential, builtin_log_derivative, builtin_tail_potential,
-                         combine, constant_potential, potential_from_config,
-                         validate_potential_config)
+from .errors import ConfigError, ConvergenceError, MarkovDimError
+from .markov import build_sv_map, load_map_config, read_config
+from .potentials import (builtin_log_derivative, builtin_tail_potential, combine,
+                         constant_potential, potential_from_config)
 from .pressure import gurevich_pressure
 from .spectrum import (bowen_dimension, curve_to_csv, full_birkhoff_spectrum_sv,
                        lyapunov_spectrum_curve, sv_alpha_bounds, variational_dimension)
@@ -41,9 +41,20 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _spec_number(spec: str) -> float:
+    """The finite number after the first ':' of a mini-language spec."""
+    try:
+        v = float(spec.split(":", 1)[1])
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise ConfigError(f"{spec!r} does not end in a finite number")
+    return v
+
+
 def _parse_map(spec: str):
     if spec.startswith("sv:"):
-        return build_sv_map(float(spec[3:])), {"map": spec}
+        return build_sv_map(_spec_number(spec)), {"map": spec}
     return load_map_config(spec), {"map": spec}
 
 
@@ -52,15 +63,15 @@ def _parse_potential(spec: str, model):
     if spec == "logT":
         return builtin_log_derivative(model), {"potential": spec}
     if spec.startswith("neg-t-logT:"):
-        t = float(spec.split(":", 1)[1])
+        t = _spec_number(spec)
         logt = builtin_log_derivative(model)
         return combine(-t, logt, 0.0, constant_potential(1.0), 0.0, logt), {"potential": spec}
     if spec == "zero":
         return constant_potential(0.0), {"potential": spec}
     if spec.startswith("const:"):
-        return constant_potential(float(spec.split(":", 1)[1])), {"potential": spec}
+        return constant_potential(_spec_number(spec)), {"potential": spec}
     if spec.startswith("tail:"):
-        return builtin_tail_potential(float(spec.split(":", 1)[1])), {"potential": spec}
+        return builtin_tail_potential(_spec_number(spec)), {"potential": spec}
     return potential_from_config(spec), {"potential": spec}
 
 
@@ -220,39 +231,18 @@ def _cmd_escape(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    cfg = read_config(args.config)
+    is_map = isinstance(cfg, dict) and ("branches" in cfg or "sv_lambda" in cfg)
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: malformed JSON at line {exc.lineno}: {exc.msg}\n")
-        return EXIT_DOMAIN
-    violations = validate_config_dict(cfg)
+        # a config that is not an object goes by path: a bare JSON string would read as one
+        (load_map_config if is_map else potential_from_config)(
+            cfg if isinstance(cfg, dict) else args.config)
+        violations = []
+    except ConfigError as exc:
+        violations = exc.violations
     report = {"path": args.config, "violations": violations, "ok": not violations}
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     return EXIT_OK if not violations else EXIT_DOMAIN
-
-
-def validate_config_dict(cfg) -> list[str]:
-    """Dispatch a parsed config to the right checker (map or potential)."""
-    if isinstance(cfg, dict) and ("branches" in cfg or "sv_lambda" in cfg):
-        if "sv_lambda" in cfg:
-            lam = cfg["sv_lambda"]
-            return [] if 0.5 < lam < 1.0 else [f"sv_lambda must lie in (1/2, 1), got {lam}"]
-        try:
-            branches = [make_branch(int(b["index"]), float(b["left"]), float(b["right"]),
-                                    float(b["slope"])) for b in cfg["branches"]]
-        except (KeyError, TypeError, ValueError, MarkovDimError) as exc:
-            return [f"branch specs malformed: {exc}"]
-        transitions = cfg.get("transitions")
-        if transitions is None:
-            return ["missing transitions"]
-        if not isinstance(transitions, str):
-            transitions = np.asarray(transitions, dtype=bool)
-        return validate_custom_branches(branches, transitions, cfg.get("tail"))
-    return validate_potential_config(cfg)
 
 
 # ---------------------------------------------------------------------------

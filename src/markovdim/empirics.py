@@ -176,10 +176,10 @@ def _sv_step(model: MarkovMapModel, x: np.ndarray, table: np.ndarray):
     loglam = math.log(lam)
     kmax = len(table) - 1
     u = np.log(x) / loglam
-    k = np.clip(np.rint(u), 0, kmax).astype(np.int64)
+    k = np.minimum(np.maximum(np.rint(u), 0), kmax).astype(np.int64)
     edge = table[k]
     hit = np.abs(x - edge) <= ENDPOINT_TOL * edge
-    n = np.clip(np.floor(u).astype(np.int64) + 1, 1, kmax - 2)
+    n = np.minimum(np.maximum(np.floor(u).astype(np.int64) + 1, 1), kmax - 2)
     # correct the log-based guess against the exact endpoint table (the
     # guess is off by at most one except inside the excluded endpoint zone)
     for _ in range(2):

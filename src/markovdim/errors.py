@@ -47,14 +47,10 @@ class InsufficientSampleError(MarkovDimError):
 
 
 class ConfigError(MarkovDimError):
-    """A config file failed schema or consistency checks."""
+    """A config failed schema or consistency checks; ``violations`` lists each problem."""
 
-    def __init__(self, message: str, *, path: str | None = None, field: str | None = None):
+    def __init__(self, message: str, *, path: str | None = None,
+                 violations: list[str] | None = None):
         self.path = path
-        self.field = field
-        loc = []
-        if path:
-            loc.append(f"file={path}")
-        if field:
-            loc.append(f"field={field}")
-        super().__init__(message + (f" [{', '.join(loc)}]" if loc else ""))
+        self.violations = [message] if violations is None else violations
+        super().__init__(message + (f" [file={path}]" if path else ""))

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -88,8 +90,9 @@ class BranchSpec:
 
 
 def make_branch(index: int, left: float, right: float, slope: float) -> BranchSpec:
-    """Build a branch, deriving ``log_slope`` from ``slope``."""
-    return BranchSpec(index, left, right, slope, math.log(slope))
+    """Build a branch, deriving ``log_slope`` from ``slope`` (NaN for the slopes <= 0
+    that BranchSpec rejects)."""
+    return BranchSpec(index, left, right, slope, math.log(slope) if slope > 0 else math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +113,6 @@ class TailRule:
     slope: float
     anchor: float
 
-    def __post_init__(self):
-        if not (0.0 < self.ratio < 1.0):
-            raise ConfigError("tail ratio must lie in (0, 1)")
-        if not (self.slope > 1.0):
-            raise ConfigError("tail slope must exceed 1")
-        if self.from_index < 2:
-            raise ConfigError("tail from_index must be >= 2")
-
     def branch(self, n: int) -> BranchSpec:
         k = n - self.from_index
         return make_branch(n, self.anchor * self.ratio ** (k + 1),
@@ -130,9 +125,8 @@ class TailRule:
 class MarkovMapModel:
     """An expanding Markov interval map with countably many affine branches.
 
-    Immutable after construction (the branch cache only memoizes values that
-    are pure functions of the constructor arguments), so instances are safe
-    to share across parallel workers.
+    Immutable after construction: the branch cache only memoizes values that
+    are pure functions of the constructor arguments.
 
     Use :func:`build_sv_map` or :func:`build_custom_map` instead of calling
     this constructor directly.
@@ -269,6 +263,10 @@ def _staircase_starts(i):
     return np.maximum(i - 1, 1)
 
 
+#: row rules of custom models by transition name, elementwise like ``_staircase_starts``
+_ROW_RULES = {"full": np.ones_like, "staircase": _staircase_starts}
+
+
 def build_sv_map(lam: float) -> MarkovMapModel:
     """Built-in dissipative family on (0,1] with parameter lambda in (1/2, 1).
 
@@ -306,25 +304,26 @@ def build_custom_map(branches: Sequence[BranchSpec],
     The Markov image-consistency check runs on all explicit branches: the
     image interval implied by slope and branch length must coincide (within
     ``IMAGE_TOL``) with the union of the transition targets, and that union
-    must be a contiguous interval.
+    must be a contiguous interval.  The violations of
+    :func:`validate_custom_branches` raise one ConfigError.
     """
     violations = validate_custom_branches(branches, transitions, tail)
     if violations:
-        raise ConfigError("invalid custom model: " + "; ".join(violations))
+        raise ConfigError("invalid custom model: " + "; ".join(violations),
+                          violations=violations)
     return _assemble_custom(branches, transitions, tail)
 
 
 def _assemble_custom(branches, transitions, tail_cfg) -> MarkovMapModel:
-    branches = sorted(branches, key=lambda b: b.index)
+    """The model of a configuration that passed :func:`validate_custom_branches`."""
     by_index = {b.index: b for b in branches}
     n_explicit = len(branches)
 
     tail = None
     if tail_cfg is not None:
-        n0 = int(tail_cfg["from_index"])
-        anchor = by_index[n0 - 1].left
-        slope = float(tail_cfg.get("slope", 1.0 / tail_cfg["ratio"]))
-        tail = TailRule(n0, float(tail_cfg["ratio"]), slope, anchor)
+        n0, ratio = int(tail_cfg["from_index"]), float(tail_cfg["ratio"])
+        tail = TailRule(n0, ratio, float(tail_cfg.get("slope", 1.0 / ratio)),
+                        by_index[n0 - 1].left)
 
     def branch_fn(i: int) -> BranchSpec:
         if i in by_index:
@@ -336,35 +335,28 @@ def _assemble_custom(branches, transitions, tail_cfg) -> MarkovMapModel:
         floor = min(floor, tail.slope)
 
     if isinstance(transitions, str):
-        if transitions == "full":
-            row_start = np.ones_like
-        elif transitions == "staircase":
-            row_start = _staircase_starts
-        else:
-            raise ConfigError(f"unknown transition rule {transitions!r}")
-        return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn, row_start_fn=row_start,
-                              explicit_matrix=None,
+        return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn,
+                              row_start_fn=_ROW_RULES[transitions], explicit_matrix=None,
                               alphabet_size=None if tail is not None else n_explicit,
                               expansion_floor=floor, tail=tail)
-
-    if tail is not None:
-        raise ConfigError("a tail rule requires rule-based transitions ('full' or 'staircase')")
-    matrix = np.asarray(transitions, dtype=bool)
     return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn, row_start_fn=None,
-                          explicit_matrix=matrix, alphabet_size=n_explicit,
-                          expansion_floor=floor, tail=tail)
+                          explicit_matrix=np.asarray(transitions, dtype=bool),
+                          alphabet_size=n_explicit, expansion_floor=floor)
 
 
 def validate_custom_branches(branches: Sequence[BranchSpec],
-                             transitions: np.ndarray | str,
-                             tail_cfg: dict | None = None) -> list[str]:
-    """Run all consistency checks; return human-readable violations (empty = OK)."""
-    out: list[str] = []
+                             transitions: np.ndarray | str | None,
+                             tail: dict | None = None) -> list[str]:
+    """Run all consistency checks (``transitions=None`` skips those of the
+    transitions); return human-readable violations (empty = OK)."""
+    if not branches:
+        return ["a custom model needs at least one branch"]
     branches = sorted(branches, key=lambda b: b.index)
+    n = len(branches)
     indices = [b.index for b in branches]
-    if indices != list(range(1, len(branches) + 1)):
-        out.append(f"branch indices must be 1..{len(branches)} without gaps, got {indices}")
-        return out
+    if indices != list(range(1, n + 1)):
+        return [f"branch indices must be 1..{n} without gaps, got {indices}"]
+    out: list[str] = []
 
     # pairwise disjoint interiors
     by_pos = sorted(branches, key=lambda b: b.left)
@@ -372,14 +364,24 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
         if b.left < a.right - IMAGE_TOL:
             out.append(f"branches {a.index} and {b.index} have overlapping interiors")
 
-    explicit = isinstance(transitions, np.ndarray) or (
-        not isinstance(transitions, str) and transitions is not None)
+    explicit = transitions is not None and not isinstance(transitions, str)
+    if isinstance(transitions, str) and transitions not in _ROW_RULES:
+        out.append(f"unknown transition rule {transitions!r}")
+    if tail is not None:
+        n0, ratio, slope = (tail.get(key) for key in ("from_index", "ratio", "slope"))
+        if not (type(n0) is int and n0 == n + 1):
+            out.append(f"tail from_index must be the integer {n + 1}, one past the last "
+                       f"branch, got {reprlib.repr(n0)}")
+        if not (is_json_number(ratio) and 0.0 < ratio < 1.0):
+            out.append(f"tail ratio must be a number in (0, 1), got {reprlib.repr(ratio)}")
+        if "slope" in tail and not (is_json_number(slope) and slope > 1.0):
+            out.append(f"tail slope must be a number above 1, got {reprlib.repr(slope)}")
+        if explicit:
+            out.append("a tail rule requires rule-based transitions ('full' or 'staircase')")
     if explicit:
         m = np.asarray(transitions, dtype=bool)
-        n = len(branches)
         if m.shape != (n, n):
-            out.append(f"transition matrix shape {m.shape} != ({n},{n})")
-            return out
+            return out + [f"transition matrix shape {m.shape} != ({n},{n})"]
         if not m.any(axis=1).all():
             out.append("transition matrix has an all-zero row")
         if not m.any(axis=0).all():
@@ -402,41 +404,102 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
     return out
 
 
+def read_config(path: str):
+    """The parsed JSON document at ``path``; ConfigError if it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
+                          path=path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}", path=path)
+
+
+def is_json_number(v) -> bool:
+    """A finite JSON number: an int or a float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _field(obj: dict, key: str, out: list[str], where: str = "", want: str = "a number",
+           ok: Callable = is_json_number):
+    """``obj[key]`` if ``ok`` accepts it, else None with a violation appended to ``out``."""
+    v = obj.get(key)
+    if ok(v):
+        return v
+    out.append(f"{where}{key} must be {want}, got {reprlib.repr(v) if key in obj else 'nothing'}")
+    return None
+
+
+def _is_transitions(v) -> bool:
+    return isinstance(v, str) or isinstance(v, list) and all(
+        isinstance(row, list) and len(row) == len(v) and all(isinstance(x, bool) for x in row)
+        for row in v)
+
+
 def load_map_config(source) -> MarkovMapModel:
-    """Read the JSON map-config schema.
+    """Build the model of a JSON map config, given by path or already parsed.
 
     Schema::
 
         {"sv_lambda": 0.9}                                  # built-in family
         {"branches": [{"index": 1, "left": .., "right": .., "slope": ..}, ...],
-         "tail": {"from_index": n0, "ratio": r, "slope": s},  # optional
-         "transitions": "full" | "staircase" | [[...], ...]}
+         "transitions": "full" | "staircase" | [[true, false], ...],
+         "tail": {"from_index": n0, "ratio": r, "slope": s}}  # optional; s defaults to 1/r
+
+    One pass collects every violation into one ConfigError (``violations``):
+    the config is a JSON object; ``sv_lambda`` and each ``index``, ``left``,
+    ``right``, ``slope`` and tail ``ratio`` and ``slope`` is a finite JSON
+    number (not a bool or a string), and ``index`` and ``from_index`` are
+    integers; ``transitions`` is "full", "staircase" or a square list of
+    lists of JSON booleans; a ``tail`` needs rule transitions and
+    ``from_index`` = len(branches) + 1; then :func:`validate_custom_branches`
+    and the branch and SV range checks.
     """
-    path = None
-    if isinstance(source, (str,)):
-        path = source
+    path = source if isinstance(source, str) else None
+    cfg = read_config(path) if path is not None else source
+    out: list[str] = []
+    model = None
+    if not isinstance(cfg, dict):
+        out.append(f"map config must be a JSON object, got {type(cfg).__name__}")
+    elif "sv_lambda" in cfg:
+        lam = _field(cfg, "sv_lambda", out)
         try:
-            with open(source) as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read map config: {exc}", path=source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-                              path=source)
+            model = None if lam is None else build_sv_map(float(lam))
+        except DomainError as exc:
+            out.append(str(exc))
     else:
-        cfg = source
-    if "sv_lambda" in cfg:
-        return build_sv_map(float(cfg["sv_lambda"]))
-    try:
-        branches = [make_branch(int(b["index"]), float(b["left"]), float(b["right"]),
-                                float(b["slope"]))
-                    for b in cfg["branches"]]
-        transitions = cfg["transitions"]
-    except KeyError as exc:
-        raise ConfigError(f"missing required key {exc}", path=path, field=str(exc))
-    if not isinstance(transitions, str):
-        transitions = np.asarray(transitions, dtype=bool)
-    return build_custom_map(branches, transitions, cfg.get("tail"))
+        model = _custom_from_config(cfg, out)
+    if out:
+        raise ConfigError("invalid map config: " + "; ".join(out), path=path, violations=out)
+    return model
+
+
+def _custom_from_config(cfg: dict, out: list[str]) -> MarkovMapModel | None:
+    """The custom model of ``cfg``, or None with violations in the empty list ``out``."""
+    branches = []
+    specs = _field(cfg, "branches", out, want="a JSON list", ok=lambda v: isinstance(v, list))
+    for k, spec in enumerate(specs or [], 1):
+        if not isinstance(spec, dict):
+            out.append(f"branch {k} must be a JSON object, got {reprlib.repr(spec)}")
+            continue
+        index = _field(spec, "index", out, f"branch {k}: ", "an integer", lambda v: type(v) is int)
+        vals = [_field(spec, key, out, f"branch {k}: ") for key in ("left", "right", "slope")]
+        try:
+            if index is not None and None not in vals:
+                branches.append(make_branch(index, *map(float, vals)))
+        except DomainError as exc:
+            out.append(str(exc))
+    branches_ok = not out
+    transitions = _field(cfg, "transitions", out, want="'full', 'staircase' or a square list of "
+                         "lists of JSON booleans", ok=_is_transitions)
+    if isinstance(transitions, list):
+        transitions = np.array(transitions, dtype=bool)
+    tail = _field(cfg, "tail", out, want="a JSON object",
+                  ok=lambda v: v is None or isinstance(v, dict))
+    if branches_ok:
+        out += validate_custom_branches(branches, transitions, tail)
+    return None if out else _assemble_custom(branches, transitions, tail)
 
 
 def apply_map(model: MarkovMapModel, x: float) -> tuple[float, int]:

@@ -14,14 +14,13 @@ denominator potential.
 """
 from __future__ import annotations
 
-import json
 import math
 from typing import Mapping
 
 import numpy as np
 
 from .errors import CompositionError, ConfigError, DomainError
-from .markov import MarkovMapModel
+from .markov import MarkovMapModel, is_json_number, read_config
 
 Word = tuple[int, ...]
 
@@ -237,73 +236,47 @@ def potential_from_config(source) -> TablePotential:
          "positivity_floor": eps}       # depth and floor optional
 
     Override keys are single symbols.  ``depth`` may only be 1: potentials
-    are constant on 1-cylinders, and any other value is a violation.
+    are constant on 1-cylinders, and any other value is a violation.  The
+    violations of :func:`validate_potential_config`, or else of the
+    :class:`TablePotential` range checks, raise one ConfigError that lists them.
     """
-    path = None
-    if isinstance(source, str):
-        path = source
-        try:
-            with open(source) as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read potential config: {exc}", path=source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-                              path=source)
-    else:
-        cfg = source
+    path = source if isinstance(source, str) else None
+    cfg = read_config(path) if path is not None else source
     violations = validate_potential_config(cfg)
-    if violations:
-        raise ConfigError("invalid potential config: " + "; ".join(violations), path=path)
-    overrides = {int(k): float(v) for k, v in cfg.get("overrides", {}).items()}
-    return TablePotential(overrides, default=cfg.get("default"),
-                          positivity_floor=cfg.get("positivity_floor"), name="config")
-
-
-def _is_number(v) -> bool:
-    """A JSON number: int or float, but not bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not violations:
+        try:
+            return TablePotential({int(k): float(v) for k, v in cfg.get("overrides", {}).items()},
+                                  default=cfg.get("default"),
+                                  positivity_floor=cfg.get("positivity_floor"), name="config")
+        except DomainError as exc:
+            violations = [str(exc)]
+    raise ConfigError("invalid potential config: " + "; ".join(violations), path=path,
+                      violations=violations)
 
 
 def validate_potential_config(cfg) -> list[str]:
-    """Schema and consistency checks; returns human-readable violations."""
+    """Schema checks; returns human-readable violations."""
     if not isinstance(cfg, dict):
         return [f"potential config must be a JSON object, got {type(cfg).__name__}"]
-    out: list[str] = []
     depth = cfg.get("depth", 1)
     if type(depth) is not int or depth != 1:
-        out.append(f"depth must be 1 (potentials are constant on 1-cylinders), "
-                   f"got {depth!r}")
-        return out
+        return [f"depth must be 1 (potentials are constant on 1-cylinders), got {depth!r}"]
+    out: list[str] = []
     overrides = cfg.get("overrides", {})
     if not isinstance(overrides, dict):
         out.append(f"overrides must be a JSON object, got {type(overrides).__name__}")
         overrides = {}
     for k, v in overrides.items():
         try:
-            symbol = int(k)
+            int(k)
         except ValueError:
             out.append(f"override key {k!r} is not a single symbol")
             continue
-        if symbol < 1:
-            out.append(f"override key {k!r} is a symbol < 1")
-        if not _is_number(v):
+        if not is_json_number(v):
             out.append(f"override value for {k!r} is not numeric")
-    default = cfg.get("default")
-    floor = cfg.get("positivity_floor")
-    for key, v in (("default", default), ("positivity_floor", floor)):
-        if v is not None and not _is_number(v):
-            out.append(f"{key} must be a number, got {v!r}")
-    if default is None and not overrides:
+    for key in ("default", "positivity_floor"):
+        if cfg.get(key) is not None and not is_json_number(cfg[key]):
+            out.append(f"{key} must be a number, got {cfg[key]!r}")
+    if cfg.get("default") is None and not overrides:
         out.append("potential defines no values (no default, no overrides)")
-    if _is_number(floor):
-        if floor <= 0:
-            out.append(f"positivity_floor must be > 0, got {floor}")
-        else:
-            vals = [float(v) for v in overrides.values() if _is_number(v)]
-            if _is_number(default):
-                vals.append(float(default))
-            low = [v for v in vals if v < floor]
-            if low:
-                out.append(f"positivity_floor {floor} exceeds the value {min(low)}")
     return out

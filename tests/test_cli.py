@@ -1,4 +1,7 @@
 """Command-line interface: dispatch, exit codes, deterministic artifacts."""
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -9,10 +12,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import markovdim
 from markovdim.cli import EXIT_DOMAIN, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
+from markovdim.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,10 +29,10 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("markovdim ")]
 
 
-def readme_map_json() -> str:
-    """The README's JSON map example (the two-branch doubling map)."""
+def readme_json(key: str) -> str:
+    """The README's JSON config example that has ``key``."""
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
-    return next(b for b in blocks if '"branches"' in b)
+    return next(b for b in blocks if f'"{key}"' in b)
 
 
 def run(capsys, *argv):
@@ -278,7 +284,209 @@ class TestValidateCommand:
         assert err.startswith("error: invalid potential config") and field in err
 
 
+DOUBLING = [{"index": 1, "left": 0.0, "right": 0.5, "slope": 2.0},
+            {"index": 2, "left": 0.5, "right": 1.0, "slope": 2.0}]
+TAILED = [{"index": 1, "left": 0.5, "right": 1.0, "slope": 2.0},
+          {"index": 2, "left": 0.25, "right": 0.5, "slope": 4.0}]
+FULL = [[True, True], [True, True]]
+TAIL = {"from_index": 3, "ratio": 0.5, "slope": 4.0}
+TAILED_MAP = {"branches": TAILED, "transitions": "staircase", "tail": TAIL}
+
+#: map configs that ``validate`` and ``pressure`` used to read differently (one
+#: passed and the other refused, or either died with a traceback), each with
+#: a word its violation names
+DISAGREEING_MAPS = {
+    "rule-yes": ({"branches": DOUBLING, "transitions": "yes"}, "transition rule 'yes'"),
+    "tail-ratio-1.5": ({**TAILED_MAP, "tail": {"from_index": 3, "ratio": 1.5}}, "ratio"),
+    "tail-with-matrix": ({"branches": DOUBLING, "transitions": FULL,
+                          "tail": {"from_index": 3, "ratio": 0.5}}, "rule-based"),
+    "tail-no-from-index": ({**TAILED_MAP, "tail": {"ratio": 0.5}}, "from_index"),
+    "tail-from-index-5": ({**TAILED_MAP, "tail": {**TAIL, "from_index": 5}}, "from_index"),
+    "sv-lambda-str": ({"sv_lambda": "0.9"}, "sv_lambda"),
+    "ragged-matrix": ({"branches": DOUBLING, "transitions": [[True, True], [True]]}, "square"),
+    "branches-5": ({"branches": 5, "transitions": "full"}, "branches"),
+    "top-level-list": ([DOUBLING], "JSON object"),
+    "matrix-str-entry": ({"branches": DOUBLING, "transitions": [[True, "no"], [True, True]]},
+                         "booleans"),
+    "matrix-ints": ({"branches": DOUBLING, "transitions": [[1, 1], [1, 1]]}, "booleans"),
+    "slope-str": ({"branches": [{**DOUBLING[0], "slope": "2"}, DOUBLING[1]],
+                   "transitions": FULL}, "slope"),
+    "index-1.7": ({"branches": [{**DOUBLING[0], "index": 1.7}, DOUBLING[1]],
+                   "transitions": FULL}, "index"),
+}
+
+
+def quiet_main(*argv) -> tuple[int, str]:
+    """Exit code and stdout of ``main``; stderr is dropped.  An exception that
+    escapes ``main`` (the console script's exit 1) fails the calling test."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def loads(loader, path) -> bool:
+    try:
+        loader(str(path))
+    except ConfigError:
+        return False
+    return True
+
+
+def assert_validate_is_load(path, cfg, role: str):
+    """``validate`` says ok exactly when the loader it picks by the keys returns,
+    and ``pressure`` with the file as ``role`` (map or potential) exits 0, 2 or
+    3, and 2 whenever that role's loader refuses the file."""
+    is_map = isinstance(cfg, dict) and ("branches" in cfg or "sv_lambda" in cfg)
+    ok = loads(markovdim.load_map_config if is_map else markovdim.potential_from_config, path)
+    code, out = quiet_main("validate", "--config", str(path))
+    report = json.loads(out)
+    assert report["ok"] is ok and (report["violations"] == []) is ok
+    assert code == (EXIT_OK if ok else EXIT_DOMAIN)
+    if role == "map":
+        argv, loader = ["--map", str(path), "--potential", "logT"], markovdim.load_map_config
+    else:
+        argv, loader = ["--map", "sv:0.9", "--potential", str(path)], markovdim.potential_from_config
+    code, _ = quiet_main("pressure", *argv, "--nmax", "16", "--tol", "1e-2")
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_NOT_CONVERGED)
+    if not loads(loader, path):
+        assert code == EXIT_DOMAIN
+
+
+#: JSON values a mutation writes into a config: scalars of every JSON type,
+#: NaN and infinities included, and small arrays and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+CONFIG_KEYS = ("sv_lambda", "branches", "index", "left", "right", "slope", "transitions", "tail",
+               "from_index", "ratio", "depth", "default", "overrides", "positivity_floor", "1")
+MAP_BASES = [json.loads(readme_json("branches")), TAILED_MAP, {"sv_lambda": 0.9},
+             {"branches": TAILED, "transitions": "full", "tail": {"from_index": 3, "ratio": 0.5}}]
+POTENTIAL_BASES = [json.loads(readme_json("positivity_floor")),
+                   {"default": 2.0, "overrides": {"1": 1.0, "2": 1.5}}]
+
+
+def _paths(cfg, prefix=()):
+    """Every position in a parsed config, as the keys and indices leading to it."""
+    yield prefix
+    items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg) if isinstance(cfg, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def mutated(draw, bases):
+    """A base config after one to three edits: a value replaced, a key or entry
+    deleted, or a key set inside an object."""
+    cfg = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        value = draw(JSON_VALUES)
+        if not path:
+            cfg = value
+            continue
+        parent = cfg
+        for k in path[:-1]:
+            parent = parent[k]
+        action = draw(st.sampled_from(["replace", "delete", "set"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "set" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(CONFIG_KEYS))] = value
+        else:
+            parent[path[-1]] = value
+    return cfg
+
+
+class TestValidateIsLoad:
+    @pytest.mark.parametrize("cfg,word", DISAGREEING_MAPS.values(), ids=DISAGREEING_MAPS)
+    def test_disagreeing_map_configs(self, capsys, tmp_path, cfg, word):
+        f = tmp_path / "map.json"
+        f.write_text(json.dumps(cfg))
+        assert_validate_is_load(f, cfg, "map")
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        assert any(word in v for v in json.loads(out)["violations"])
+        code, _, err = run(capsys, "pressure", "--map", str(f), "--potential", "logT")
+        assert code == EXIT_DOMAIN and word in err
+
+    @pytest.mark.parametrize("cfg", [TAILED_MAP, json.loads(readme_json("branches"))],
+                             ids=["tail", "readme"])
+    def test_valid_map_configs(self, tmp_path, cfg):
+        f = tmp_path / "map.json"
+        f.write_text(json.dumps(cfg))
+        assert loads(markovdim.load_map_config, f)
+        assert_validate_is_load(f, cfg, "map")
+
+    def test_every_violation_reported(self, capsys, tmp_path):
+        cfg = {"branches": [{**DOUBLING[0], "slope": True}, {**DOUBLING[1], "left": "0.5"}],
+               "transitions": "yes", "tail": {"from_index": 3.0, "ratio": 0.5}}
+        f = tmp_path / "map.json"
+        f.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        violations = json.loads(out)["violations"]
+        assert code == EXIT_DOMAIN and len(violations) == 2
+        assert "branch 1: slope" in violations[0] and "branch 2: left" in violations[1]
+
+    def test_dense_64_branch_config(self, capsys, tmp_path):
+        # shaped like the benchmark's dense map: equal branches, integer slopes
+        # k_i, each branch onto k_i adjacent ones, transitions from adj.tolist()
+        m = 64
+        k = np.random.default_rng(3).integers(2, 5, size=m)
+        start = np.minimum(np.arange(m), m - k)
+        adj = np.zeros((m, m), dtype=bool)
+        for i in range(m):
+            adj[i, start[i]:start[i] + k[i]] = True
+        f = tmp_path / "dense_map.json"
+        f.write_text(json.dumps({
+            "branches": [{"index": i + 1, "left": i / m, "right": (i + 1) / m,
+                          "slope": float(k[i])} for i in range(m)],
+            "transitions": adj.tolist()}))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_OK and json.loads(out)["ok"] is True
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=mutated(MAP_BASES))
+    def test_mutated_map_configs(self, tmp_path, cfg):
+        f = tmp_path / "map.json"
+        f.write_text(json.dumps(cfg))
+        assert_validate_is_load(f, cfg, "map")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=mutated(POTENTIAL_BASES))
+    def test_mutated_potential_configs(self, tmp_path, cfg):
+        f = tmp_path / "pot.json"
+        f.write_text(json.dumps(cfg))
+        assert_validate_is_load(f, cfg, "potential")
+
+    def test_json_string_config_is_not_a_path(self, capsys, tmp_path):
+        (tmp_path / "pot.json").write_text(readme_json("positivity_floor"))
+        f = tmp_path / "name.json"
+        f.write_text(json.dumps(str(tmp_path / "pot.json")))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["violations"] == ["potential config must be a JSON object, got str"]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("spec,argv", [
+        ("sv:abc", ["pressure", "--map", "sv:abc", "--potential", "logT"]),
+        ("const:x", ["pressure", "--map", "sv:0.9", "--potential", "const:x"]),
+        ("neg-t-logT:", ["pressure", "--map", "sv:0.9", "--potential", "neg-t-logT:"]),
+        ("tail:z", ["spectrum-birkhoff", "--lambda", "0.9", "--phi", "tail:z"]),
+        ("const:inf", ["pressure", "--map", "sv:0.9", "--potential", "const:inf"]),
+        ("neg-t-logT:nan", ["pressure", "--map", "sv:0.9", "--potential", "neg-t-logT:nan"]),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_bad_number_spec(self, capsys, spec, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: ") and repr(spec) in err
+
     def test_usage(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -301,11 +509,22 @@ class TestReadmeCommands:
     def test_command_exits_ok(self, argv, capsys, tmp_path, monkeypatch):
         # relative paths in the README (--out files, my_map.json) resolve in tmp_path
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "my_map.json").write_text(readme_map_json())
+        (tmp_path / "my_map.json").write_text(readme_json("branches"))
         code, _, err = run(capsys, *argv)
         assert code == EXIT_OK, err
         if "--out" in argv:
             assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+
+    def test_potential_config(self, capsys, tmp_path):
+        f = tmp_path / "pot.json"
+        f.write_text(readme_json("positivity_floor"))
+        code, out, err = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_OK and json.loads(out)["ok"] is True, err
+        # the tail constant 2.5 makes the levels approach log(4 e^2.5) slowly
+        # from below: N = 512 and 1024 differ by 2.8e-5, so tol 1e-8 exits 3
+        code, _, err = run(capsys, "pressure", "--map", "sv:0.9", "--potential", str(f),
+                           "--tol", "1e-4")
+        assert code == EXIT_OK, err
 
 
 REFUSE_SCIPY = textwrap.dedent("""
@@ -332,7 +551,7 @@ REFUSE_SCIPY = textwrap.dedent("""
 
 def test_runs_without_scipy(tmp_path):
     cfg = tmp_path / "my_map.json"
-    cfg.write_text(readme_map_json())
+    cfg.write_text(readme_json("branches"))
     src = str(Path(markovdim.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import markovdim as md
+import markovdim.markov as mk
 from markovdim.errors import BoundaryError, ConfigError, DomainError, MixingError
 
 # frozen by direct arithmetic on the branch formulas
@@ -276,6 +277,35 @@ class TestCustomModels:
         assert cm.locate(0.05) == 5  # 0.05 sits inside the n=5 tail branch
         sub = md.truncate(cm, 16)
         assert md.is_primitive(sub)
+
+    @pytest.mark.parametrize("tail,word", [({"from_index": 4, "ratio": 0.5}, "from_index"),
+                                           ({"from_index": 3, "ratio": 1.5}, "ratio"),
+                                           ({"from_index": 3, "ratio": 0.5, "slope": 0.5}, "slope")])
+    def test_tail_checks(self, tail, word):
+        branches = [md.make_branch(1, 0.5, 1.0, 2.0), md.make_branch(2, 0.25, 0.5, 4.0)]
+        with pytest.raises(ConfigError, match=word) as exc:
+            md.build_custom_map(branches, "staircase", tail=tail)
+        assert len(exc.value.violations) == 1
+
+    def test_load_collects_every_violation(self):
+        cfg = {"branches": [{"index": 1, "left": 0.0, "right": 0.5},
+                            {"index": 2, "left": 0.6, "right": 0.5, "slope": 2.0}],
+               "transitions": "full", "tail": [3, 0.5]}
+        with pytest.raises(ConfigError) as exc:
+            md.load_map_config(cfg)
+        assert exc.value.violations == ["branch 1: slope must be a number, got nothing",
+                                        "branch 2: right must exceed left",
+                                        "tail must be a JSON object, got [3, 0.5]"]
+
+    def test_consistency_checked_once_per_load(self, monkeypatch):
+        calls = []
+        check = mk.validate_custom_branches
+        monkeypatch.setattr(mk, "validate_custom_branches",
+                            lambda *args: calls.append(args) or check(*args))
+        md.load_map_config({"branches": [{"index": 1, "left": 0.0, "right": 0.5, "slope": 2.0},
+                                         {"index": 2, "left": 0.5, "right": 1.0, "slope": 2.0}],
+                            "transitions": [[True, True], [True, True]]})
+        assert len(calls) == 1
 
     def test_tail_needs_rule_transitions(self):
         branches = [md.make_branch(1, 0.5, 1.0, 2.0), md.make_branch(2, 0.25, 0.5, 4.0)]
