@@ -13,9 +13,8 @@ from .errors import (BoundaryError, CompositionError, ConfigError, ConvergenceEr
 from .markov import (BranchSpec, MarkovMapModel, TruncatedSubsystem, apply_map,
                      build_custom_map, build_sv_map, is_primitive, load_map_config,
                      make_branch, truncate, validate_custom_branches)
-from .potentials import (CombinedPotential, Potential, TablePotential,
-                         builtin_log_derivative, builtin_tail_potential, combine,
-                         constant_potential, potential_from_config)
+from .potentials import (TablePotential, builtin_log_derivative, builtin_tail_potential,
+                         combine, constant_potential, potential_from_config)
 from .pressure import (PressureResult, closed_form_pressure_sv, gurevich_pressure,
                        orbit_sum_pressure, perron_pressure, sv_critical_exponent)
 from .spectrum import (BowenReport, SpectrumCurve, SpectrumPoint, alpha_bounds,

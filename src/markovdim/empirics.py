@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BoundaryError, DomainError, InsufficientSampleError
 from .markov import ENDPOINT_TOL, MarkovMapModel
-from .potentials import Potential
+from .potentials import TablePotential
 
 #: an orbit whose final-quarter branch indices never drop below this is a
 #: candidate escaper (see OrbitRecord.classification)
@@ -91,7 +91,7 @@ def _classify(itinerary: np.ndarray, aborted: bool, threshold: int) -> str:
 
 
 def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
-                   phi: Potential | None = None, psi: Potential | None = None,
+                   phi: TablePotential | None = None, psi: TablePotential | None = None,
                    escape_threshold: int = DEFAULT_ESCAPE_THRESHOLD) -> OrbitRecord:
     """Apply the map up to ``n`` times from ``x0``.
 
@@ -140,7 +140,7 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
                        phi_steps=phi_steps, psi_steps=psi_steps)
 
 
-def birkhoff_quotient(rec: OrbitRecord, phi: Potential, psi: Potential,
+def birkhoff_quotient(rec: OrbitRecord, phi: TablePotential, psi: TablePotential,
                       window: int) -> float:
     """S_w(phi) / S_w(psi) over the final ``window`` steps of the orbit."""
     if psi.positivity_floor is None:
@@ -267,7 +267,7 @@ def _compact(state: dict, keep: np.ndarray) -> dict:
 
 
 def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
-                   phi: Potential | None = None, psi: Potential | None = None,
+                   phi: TablePotential | None = None, psi: TablePotential | None = None,
                    collect_itineraries: bool = False) -> BatchStats:
     """Vectorized orbit batch; semantics per-orbit match simulate_orbit.
 
@@ -572,7 +572,7 @@ class BoxCountResult:
                 "retention_rate": self.retention_rate}
 
 
-def box_count_level_set(model: MarkovMapModel, phi: Potential, psi: Potential,
+def box_count_level_set(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
                         alpha: float, eps_window: float, samples: int, n: int,
                         grid_levels, seed: int, bootstrap: int = 200) -> BoxCountResult:
     """Crude (upward-biased) dimension estimate of a level set.

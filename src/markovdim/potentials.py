@@ -2,11 +2,17 @@
 the leading symbol only.
 
 A potential is constant on every 1-cylinder, so it is a table from symbols
-to reals.  Over the countable alphabet the table is a finite set of
-overrides plus a default value; the default doubles as the tail limit (the
-value on words whose leading symbol is large).  The pressures, Bowen roots
-and Birkhoff quotients the package computes are all taken of such
-potentials.
+to reals: finitely many head values plus a default, which doubles as the
+tail limit (the value on words whose leading symbol is large).
+:class:`TablePotential` is the one potential type, and :func:`combine`
+forms q*(phi - alpha*psi) - delta*log|T'| as another table.  The
+pressures, Bowen roots and Birkhoff quotients the package computes are
+all taken of such tables.
+
+For the built-in family, log|T'| is -log(1-lambda) on symbol 1 and
+-log(lambda(1-lambda)) everywhere else.  Every symbol of a staircase
+truncation has a self-loop, so with psi = 1 these two values are the exact
+Lyapunov bounds that ``alpha_bounds`` reads off the extreme node ratios.
 
 A potential asserted to be bounded below by a positive constant carries
 ``positivity_floor``; the spectrum operations require it of every
@@ -24,6 +30,10 @@ from .markov import MarkovMapModel, is_json_number, read_config
 
 Word = tuple[int, ...]
 
+#: largest symbol a :class:`TablePotential` may override; the head array is
+#: sized by the largest override, so this caps it at 8 MiB
+MAX_OVERRIDE_SYMBOL = 1 << 20
+
 
 def _as_word(w) -> Word:
     if isinstance(w, int):
@@ -31,14 +41,21 @@ def _as_word(w) -> Word:
     return tuple(int(s) for s in w)
 
 
-class Potential:
-    """Base class; see :class:`TablePotential` and :class:`CombinedPotential`.
+class TablePotential:
+    """Finitely many overrides on symbols, plus an optional default value.
+
+    Stored as one float array: the values on symbols 1..K, where K is the
+    largest overridden symbol (at most ``MAX_OVERRIDE_SYMBOL``), followed by
+    the default.  The default is the value on every non-overridden symbol
+    and the ``tail_limit`` (the value on words whose leading symbol is
+    large).  ``default=None`` restricts the potential to the overridden
+    symbols (finite custom models); undefined symbols are NaN in the array.
+    Every given value must be finite.
 
     Attributes
     ----------
     tail_limit : float or None
-        Declared limit of the value as the leading symbol index grows.
-        Metadata: verified only on materialized symbols.
+        The default, as the limit of the value as the leading symbol grows.
     positivity_floor : float or None
         Present iff every value is asserted to be >= this positive bound.
     model_key : tuple or None
@@ -46,130 +63,65 @@ class Potential:
         used to reject combinations across different models.
     """
 
-    tail_limit: float | None = None
-    positivity_floor: float | None = None
-    model_key: tuple | None = None
-    name: str = "potential"
+    def __init__(self, overrides: Mapping, default: float | None = None, *,
+                 positivity_floor: float | None = None, model_key: tuple | None = None,
+                 name: str = "table"):
+        words = {_as_word(k): float(v) for k, v in overrides.items()}
+        for w in words:
+            if len(w) != 1:
+                raise DomainError(f"override word {w} is not a single symbol")
+            if w[0] < 1:
+                raise DomainError(f"override word {w} contains a symbol < 1")
+            if w[0] > MAX_OVERRIDE_SYMBOL:
+                raise DomainError(f"override symbol {w[0]} exceeds {MAX_OVERRIDE_SYMBOL}")
+        self.default = None if default is None else float(default)
+        given = list(words.values()) + ([] if self.default is None else [self.default])
+        for v in given:
+            if not math.isfinite(v):
+                raise DomainError(f"potential value {v} is not finite")
+        self._values = np.full(max((w[0] for w in words), default=0) + 1,
+                               math.nan if self.default is None else self.default)
+        for (s,), v in words.items():
+            self._values[s - 1] = v
+        self.tail_limit = self.default
+        self.positivity_floor = positivity_floor
+        self.model_key = model_key
+        self.name = name
+        if positivity_floor is not None:
+            if positivity_floor <= 0:
+                raise DomainError("positivity_floor must be > 0")
+            bad = [v for v in given if v < positivity_floor - 1e-15]
+            if bad:
+                raise DomainError(
+                    f"potential claims floor {positivity_floor} but takes value {min(bad)}")
 
     def value(self, word) -> float:
-        raise NotImplementedError
+        w = _as_word(word)[:1]
+        if not w:
+            raise DomainError("potential evaluated on the empty word")
+        return float(self.eval_symbols(np.array(w))[0])
 
     def eval_symbols(self, symbols: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of leading symbols."""
-        raise NotImplementedError
+        symbols = np.asarray(symbols)
+        if symbols.size and symbols.min() < 1:
+            raise DomainError("potential evaluated on a symbol < 1")
+        out = self._values.take(symbols - 1, mode="clip")
+        if self.default is None and np.isnan(out).any():
+            raise DomainError("potential undefined on some requested symbols (no default)")
+        return out
 
     def values_vector(self, n: int) -> np.ndarray:
         """Values on symbols 1..n."""
         return self.eval_symbols(np.arange(1, n + 1))
 
     def is_constant(self) -> bool:
-        return False
-
-    def _validate_floor(self, values) -> None:
-        if self.positivity_floor is not None:
-            if self.positivity_floor <= 0:
-                raise DomainError("positivity_floor must be > 0")
-            bad = [v for v in values if v < self.positivity_floor - 1e-15]
-            if bad:
-                raise DomainError(
-                    f"potential claims floor {self.positivity_floor} but takes value {min(bad)}")
-
-
-class TablePotential(Potential):
-    """Finitely many overrides on symbols, plus an optional default value.
-
-    The default is the value on every non-overridden symbol; over an infinite
-    alphabet it is also the tail limit.  ``default=None`` restricts the
-    potential to the overridden symbols (finite custom models).
-    """
-
-    def __init__(self, overrides: Mapping, default: float | None = None, *,
-                 positivity_floor: float | None = None,
-                 tail_limit: float | None = None, model_key: tuple | None = None,
-                 name: str = "table"):
-        self.overrides = {_as_word(k): float(v) for k, v in overrides.items()}
-        for w in self.overrides:
-            if len(w) != 1:
-                raise DomainError(f"override word {w} is not a single symbol")
-            if any(s < 1 for s in w):
-                raise DomainError(f"override word {w} contains a symbol < 1")
-        self.default = None if default is None else float(default)
-        self.positivity_floor = positivity_floor
-        if tail_limit is None and self.default is not None:
-            tail_limit = self.default
-        self.tail_limit = tail_limit
-        self.model_key = model_key
-        self.name = name
-        vals = list(self.overrides.values()) + ([] if self.default is None else [self.default])
-        self._validate_floor(vals)
-
-    def value(self, word) -> float:
-        w = _as_word(word)[:1]
-        if not w:
-            raise DomainError("potential evaluated on the empty word")
-        v = self.overrides.get(w, self.default)
-        if v is None:
-            raise DomainError(f"potential undefined on word {w} (no default)")
-        return v
-
-    def eval_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        symbols = np.asarray(symbols)
-        if self.default is None:
-            out = np.empty(symbols.shape, dtype=float)
-            out.fill(np.nan)
-        else:
-            out = np.full(symbols.shape, self.default, dtype=float)
-        for (s,), v in self.overrides.items():
-            out[symbols == s] = v
-        if np.isnan(out).any():
-            raise DomainError("potential undefined on some requested symbols (no default)")
-        return out
-
-    def is_constant(self) -> bool:
-        vals = set(self.overrides.values())
-        if self.default is not None:
-            vals.add(self.default)
-        return len(vals) == 1
+        vals = self._values[~np.isnan(self._values)]
+        return vals.size > 0 and bool((vals == vals[0]).all())
 
     def __repr__(self) -> str:
         return (f"TablePotential({self.name}, "
-                f"overrides={len(self.overrides)}, default={self.default})")
-
-
-class CombinedPotential(Potential):
-    """Lazy pointwise combination q*(phi - alpha*psi) - delta*log_deriv."""
-
-    def __init__(self, q: float, phi: Potential, alpha: float, psi: Potential,
-                 delta: float, log_deriv: Potential):
-        keys = {p.model_key for p in (phi, psi, log_deriv) if p.model_key is not None}
-        if len(keys) > 1:
-            raise CompositionError(f"potentials come from different models: {sorted(keys)}")
-        self.q = float(q)
-        self.alpha = float(alpha)
-        self.delta = float(delta)
-        self.phi, self.psi, self.log_deriv = phi, psi, log_deriv
-        self.model_key = keys.pop() if keys else None
-        self.name = "combined"
-        tails = (phi.tail_limit, psi.tail_limit, log_deriv.tail_limit)
-        if all(t is not None for t in tails):
-            self.tail_limit = self.q * (tails[0] - self.alpha * tails[1]) - self.delta * tails[2]
-        else:
-            self.tail_limit = None
-        self.positivity_floor = None
-
-    def value(self, word) -> float:
-        w = _as_word(word)
-        return (self.q * (self.phi.value(w) - self.alpha * self.psi.value(w))
-                - self.delta * self.log_deriv.value(w))
-
-    def eval_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        return (self.q * (self.phi.eval_symbols(symbols)
-                          - self.alpha * self.psi.eval_symbols(symbols))
-                - self.delta * self.log_deriv.eval_symbols(symbols))
-
-    def is_constant(self) -> bool:
-        return (self.phi.is_constant() and self.psi.is_constant()
-                and (self.delta == 0.0 or self.log_deriv.is_constant()))
+                f"head={self._values.size - 1}, default={self.default})")
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +170,26 @@ def constant_potential(c: float) -> TablePotential:
     return builtin_tail_potential(c, {})
 
 
-def combine(q: float, phi: Potential, alpha: float, psi: Potential,
-            delta: float, log_deriv: Potential) -> CombinedPotential:
-    """Pointwise q*(phi - alpha*psi) - delta*log_deriv, exact in the coefficients."""
-    return CombinedPotential(q, phi, alpha, psi, delta, log_deriv)
+def combine(q: float, phi: TablePotential, alpha: float, psi: TablePotential,
+            delta: float, log_deriv: TablePotential) -> TablePotential:
+    """The table of q*(phi - alpha*psi) - delta*log_deriv, formed once on the
+    head values and on the defaults.
+
+    A symbol undefined in any input is undefined in the result, which has
+    no positivity floor.  A value that overflows raises DomainError.
+    """
+    pots = (phi, psi, log_deriv)
+    keys = {p.model_key for p in pots if p.model_key is not None}
+    if len(keys) > 1:
+        raise CompositionError(f"potentials come from different models: {sorted(keys)}")
+    cols = np.arange(max(p._values.size for p in pots))
+    a, b, c = (p._values.take(cols, mode="clip") for p in pots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = float(q) * (a - float(alpha) * b) - float(delta) * c
+    defined = ~(np.isnan(a) | np.isnan(b) | np.isnan(c))
+    head = {s + 1: float(v) for s, v in enumerate(values[:-1]) if defined[s]}
+    return TablePotential(head, default=float(values[-1]) if defined[-1] else None,
+                          model_key=keys.pop() if keys else None, name="combined")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +203,8 @@ def potential_from_config(source) -> TablePotential:
         {"depth": 1, "default": a, "overrides": {"1": v1, "2": v2, ...},
          "positivity_floor": eps}       # depth and floor optional
 
-    Override keys are single symbols.  ``depth`` may only be 1: potentials
+    Override keys are single symbols, plain decimals from 1 to
+    ``MAX_OVERRIDE_SYMBOL``.  ``depth`` may only be 1: potentials
     are constant on 1-cylinders, and any other value is a violation.  The
     violations of :func:`validate_potential_config`, or else of the
     :class:`TablePotential` range checks, raise one ConfigError that lists them.
@@ -267,9 +236,7 @@ def validate_potential_config(cfg) -> list[str]:
         out.append(f"overrides must be a JSON object, got {type(overrides).__name__}")
         overrides = {}
     for k, v in overrides.items():
-        try:
-            int(k)
-        except ValueError:
+        if not (isinstance(k, str) and k.isascii() and k.isdigit() and str(int(k)) == k):
             out.append(f"override key {k!r} is not a single symbol")
             continue
         if not is_json_number(v):

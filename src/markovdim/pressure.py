@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, MixingError, WorkLimitError
 from .markov import MarkovMapModel, TruncatedSubsystem, truncate
-from .potentials import Potential
+from .potentials import TablePotential
 
 #: orbit-sum enumeration caps
 ORBIT_SUM_MAX_ALPHABET = 12
@@ -60,7 +60,7 @@ class PressureResult:
     truncation_used: int
     per_level: tuple[tuple[int, float], ...]
     converged: bool
-    method: str  # PERRON | ORBIT_SUM | CLOSED_FORM
+    method: str  # PERRON
 
     def to_dict(self) -> dict:
         return {"value": self.value, "method": self.method,
@@ -190,7 +190,7 @@ def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) 
                            f"{_POWER_MAX_ITER} iterations (N={n})")
 
 
-def perron_pressure(sub: TruncatedSubsystem, p: Potential, tol: float) -> float:
+def perron_pressure(sub: TruncatedSubsystem, p: TablePotential, tol: float) -> float:
     """log of the Perron root of the weighted transition matrix of ``sub``.
 
     ``tol`` is the relative eigenvalue tolerance.  Deterministic given its
@@ -227,7 +227,7 @@ def _log_rho_solver(sub: TruncatedSubsystem):
 # ---------------------------------------------------------------------------
 # Periodic-orbit sums
 # ---------------------------------------------------------------------------
-def orbit_sum_pressure(sub: TruncatedSubsystem, p: Potential, n: int,
+def orbit_sum_pressure(sub: TruncatedSubsystem, p: TablePotential, n: int,
                        base_symbol: int) -> float:
     """(1/n) log Z_n, where Z_n sums exp of the n-step potential total over
     all period-n symbolic orbits through ``base_symbol``.
@@ -277,7 +277,7 @@ def _levels(n_max: int) -> list[int]:
     return out
 
 
-def gurevich_pressure(model: MarkovMapModel, p: Potential, tol: float,
+def gurevich_pressure(model: MarkovMapModel, p: TablePotential, tol: float,
                       N_max: int) -> PressureResult:
     """Pressure over the countable system by exhaustion with truncations.
 

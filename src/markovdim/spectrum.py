@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, MixingError, UnboundedError
 from .markov import MarkovMapModel, TruncatedSubsystem, build_sv_map, truncate
-from .potentials import Potential, builtin_log_derivative, constant_potential
+from .potentials import TablePotential, builtin_log_derivative, constant_potential
 from .pressure import (_levels, _log_rho_solver, closed_form_pressure_sv,
                        sv_critical_exponent)
 
@@ -223,15 +223,7 @@ def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.n
     return 0.5 * (lo + hi)
 
 
-def _is_sv_lyapunov_case(model: MarkovMapModel, phi: Potential, psi: Potential) -> bool:
-    if model.family != "SV" or not psi.is_constant():
-        return False
-    if abs(psi.value((1,)) - 1.0) > 1e-15:
-        return False
-    return (phi.name == "log|T'|" and phi.model_key == ("SV", model.lam))
-
-
-def alpha_bounds(model: MarkovMapModel, phi: Potential, psi: Potential,
+def alpha_bounds(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
                  N: int) -> tuple[float, float]:
     """Estimates of the extreme Birkhoff quotients (alpha_m, alpha_M).
 
@@ -242,16 +234,13 @@ def alpha_bounds(model: MarkovMapModel, phi: Potential, psi: Potential,
     returned as is; otherwise Karp's cycle mean is bisected to ~1e-13.
     Either way these are inner estimates of the countable system's
     endpoints that grow with N.  For the built-in family with
-    phi = log|T'| and psi = 1 the exact endpoints are returned.
+    phi = log|T'| and psi = 1 the node ratios are log|T'| itself, so the
+    self-loop rule returns the exact endpoints ``sv_alpha_bounds(lam)``.
     """
     if psi.positivity_floor is None:
         raise DomainError("denominator potential must carry a positivity floor")
     if N < 2:
         raise DomainError(f"N must be >= 2, got {N}")
-    if _is_sv_lyapunov_case(model, phi, psi):
-        return sv_alpha_bounds(model.lam)
-    if phi is psi:
-        return (1.0, 1.0)
     sub = truncate(model, N)
     phi_v = phi.values_vector(N)
     psi_v = psi.values_vector(N)
@@ -267,7 +256,7 @@ class _PressureEvaluator:
     """Caches the truncation and component value vectors for repeated
     evaluations of q (phi - alpha psi) - delta log|T'| pressures."""
 
-    def __init__(self, model: MarkovMapModel, phi: Potential, psi: Potential, N: int,
+    def __init__(self, model: MarkovMapModel, phi: TablePotential, psi: TablePotential, N: int,
                  eig_tol: float = 1e-12):
         self.sub = truncate(model, N)
         self.phi_v = phi.values_vector(N)
@@ -317,7 +306,7 @@ def _minimize_over_q(h, tol: float) -> tuple[float, float]:
     return h(q), q
 
 
-def inf_pressure_over_q(model: MarkovMapModel, phi: Potential, psi: Potential,
+def inf_pressure_over_q(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
                         alpha: float, delta: float, N: int,
                         tol: float) -> tuple[float, float]:
     """Minimum over q of the truncated pressure of q(phi - alpha psi) - delta log|T'|.
@@ -337,7 +326,7 @@ def inf_pressure_over_q(model: MarkovMapModel, phi: Potential, psi: Potential,
     return _minimize_over_q(lambda q: ev.pressure(q, alpha, delta), tol)
 
 
-def variational_dimension(model: MarkovMapModel, phi: Potential, psi: Potential,
+def variational_dimension(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
                           alpha: float, N: int, tol: float) -> SpectrumPoint:
     """Level-set dimension V(alpha) at truncation N, to bracket width <= tol.
 
@@ -438,7 +427,7 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> BowenRepor
 # ---------------------------------------------------------------------------
 # Full Birkhoff spectrum with the escape value
 # ---------------------------------------------------------------------------
-def full_birkhoff_spectrum_sv(lam: float, phi: Potential, grid,
+def full_birkhoff_spectrum_sv(lam: float, phi: TablePotential, grid,
                               N: int = 128, tol: float = 1e-3) -> SpectrumCurve:
     """Birkhoff spectrum of a potential with a declared tail limit,
     for the built-in family with denominator 1.

@@ -29,6 +29,12 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("markovdim ")]
 
 
+def readme_library_tour() -> str:
+    """The README's "Library tour" Python block."""
+    section = README.read_text().split("## Library tour", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def readme_json(key: str) -> str:
     """The README's JSON config example that has ``key``."""
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
@@ -283,6 +289,28 @@ class TestValidateCommand:
         assert code == EXIT_DOMAIN
         assert err.startswith("error: invalid potential config") and field in err
 
+    @pytest.mark.parametrize("overrides", [{"1_0": 2.0}, {" 3 ": 5.0}, {"1": 2.0, "01": 3.0}],
+                             ids=["underscore", "spaces", "leading-zero"])
+    def test_override_key_not_plain_decimal(self, capsys, tmp_path, overrides):
+        f = tmp_path / "pot.json"
+        f.write_text(json.dumps({"default": 1.0, "overrides": overrides}))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        assert any("is not a single symbol" in v for v in json.loads(out)["violations"])
+        code, _, err = run(capsys, "pressure", "--map", "sv:0.9", "--potential", str(f))
+        assert code == EXIT_DOMAIN and "is not a single symbol" in err
+
+    @pytest.mark.parametrize("key", ["1000000000000", "99999999999999999999999"],
+                             ids=["huge", "beyond-int64"])
+    def test_override_key_beyond_cap(self, capsys, tmp_path, key):
+        f = tmp_path / "pot.json"
+        f.write_text(json.dumps({"default": 1.0, "overrides": {key: 2.0}}))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["violations"] == [f"override symbol {key} exceeds 1048576"]
+        code, _, err = run(capsys, "pressure", "--map", "sv:0.9", "--potential", str(f))
+        assert code == EXIT_DOMAIN and "exceeds 1048576" in err
+
 
 DOUBLING = [{"index": 1, "left": 0.0, "right": 0.5, "slope": 2.0},
             {"index": 2, "left": 0.5, "right": 1.0, "slope": 2.0}]
@@ -514,6 +542,12 @@ class TestReadmeCommands:
         assert code == EXIT_OK, err
         if "--out" in argv:
             assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+
+    def test_library_tour(self):
+        ns: dict = {}
+        exec(readme_library_tour(), ns)
+        assert abs(ns["res"].value - markovdim.closed_form_pressure_sv(0.9, 7.0)) < 1e-10
+        assert abs(ns["dim"] - 0.575717) < 1e-5
 
     def test_potential_config(self, capsys, tmp_path):
         f = tmp_path / "pot.json"

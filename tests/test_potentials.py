@@ -3,9 +3,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import markovdim as md
 from markovdim.errors import CompositionError, ConfigError, DomainError
+from markovdim.potentials import MAX_OVERRIDE_SYMBOL, validate_potential_config
+
+
+def reference_combined_value(q, phi, alpha, psi, delta, log_deriv, word) -> float:
+    """q*(phi - alpha*psi) - delta*log_deriv evaluated lazily, one word at a time."""
+    return q * (phi.value(word) - alpha * psi.value(word)) - delta * log_deriv.value(word)
+
+
+def reference_tail_limit(q, phi, alpha, psi, delta, log_deriv):
+    tails = (phi.tail_limit, psi.tail_limit, log_deriv.tail_limit)
+    if any(t is None for t in tails):
+        return None
+    return q * (tails[0] - alpha * tails[1]) - delta * tails[2]
+
+
+VALUES = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@st.composite
+def table_triples(draw):
+    """Three tables, each with a default and overrides on some symbols <= 8,
+    or with no default and values on symbols 1..n (a finite alphabet of n
+    symbols, shared by the three); and the n up to which all are defined."""
+    n = draw(st.integers(1, 8))
+
+    def table():
+        if draw(st.booleans()):
+            keys = draw(st.sets(st.integers(1, 8), max_size=5))
+            return md.TablePotential({k: draw(VALUES) for k in keys}, default=draw(VALUES))
+        return md.TablePotential({k: draw(VALUES) for k in range(1, n + 1)})
+
+    pots = [table() for _ in range(3)]
+    return pots, (n if any(p.default is None for p in pots) else 40)
 
 
 class TestLogDerivative:
@@ -112,6 +146,85 @@ class TestCombine:
         a = self.logt.tail_limit
         assert c.tail_limit == pytest.approx(2.0 * (a - 1.0) - 0.5 * a)
 
+    def test_returns_table(self):
+        c = md.combine(-7.0, self.logt, 0.0, self.one, 0.0, self.logt)
+        assert isinstance(c, md.TablePotential)
+        assert c.positivity_floor is None and c.model_key == ("SV", 0.9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(triple=table_triples(), q=VALUES, alpha=VALUES, delta=VALUES)
+    def test_matches_lazy_reference(self, triple, q, alpha, delta):
+        (phi, psi, log_deriv), n = triple
+        args = (q, phi, alpha, psi, delta, log_deriv)
+        c = md.combine(*args)
+        want = np.array([reference_combined_value(*args, s) for s in range(1, n + 1)])
+        assert c.values_vector(n).tobytes() == want.tobytes()
+        for s in range(1, n + 3):
+            try:
+                v = reference_combined_value(*args, s)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    c.value(s)
+            else:
+                assert c.value(s) == v
+        assert c.tail_limit == reference_tail_limit(*args)
+
+    def test_undefined_symbol_stays_undefined(self):
+        finite = md.TablePotential({1: 0.5, 2: 1.5})
+        c = md.combine(2.0, finite, 1.0, self.one, 0.0, self.one)
+        assert c.values_vector(2).tolist() == [-1.0, 1.0]
+        assert c.tail_limit is None
+        with pytest.raises(DomainError):
+            c.value(3)
+        with pytest.raises(DomainError):
+            c.values_vector(3)
+
+    def test_overflow_raises(self):
+        big = md.constant_potential(1e308)
+        with pytest.raises(DomainError, match="not finite"):
+            md.combine(10.0, big, 0.0, big, 0.0, big)
+        with pytest.raises(DomainError, match="not finite"):
+            md.combine(1.0, big, -1.0, big, 0.0, big)
+
+
+class TestTableValues:
+    @pytest.mark.parametrize("make", [
+        lambda: md.constant_potential(math.inf),
+        lambda: md.builtin_tail_potential(1.0, {2: math.nan}),
+        lambda: md.TablePotential({}, default=-math.inf),
+        lambda: md.TablePotential({(3,): math.inf}),
+    ], ids=["const-inf", "tail-override-nan", "default-neg-inf", "override-inf"])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(DomainError, match="not finite"):
+            make()
+
+    @pytest.mark.parametrize("symbol", [0, -1, -40])
+    def test_symbols_below_one_raise(self, symbol):
+        p = md.builtin_tail_potential(1.0, {1: 5.0})
+        with pytest.raises(DomainError):
+            p.value(symbol)
+        with pytest.raises(DomainError):
+            p.eval_symbols(np.array([2, symbol, 1]))
+
+    def test_override_symbol_capped(self):
+        p = md.builtin_tail_potential(1.0, {MAX_OVERRIDE_SYMBOL: 2.0})
+        assert p.value(MAX_OVERRIDE_SYMBOL) == 2.0 and p.value(MAX_OVERRIDE_SYMBOL + 1) == 1.0
+        for symbol in (MAX_OVERRIDE_SYMBOL + 1, 10**9, 2**64):
+            with pytest.raises(DomainError, match="exceeds"):
+                md.builtin_tail_potential(1.0, {symbol: 2.0})
+
+    def test_eval_symbols_past_head(self):
+        p = md.builtin_tail_potential(1.0, {1: 5.0, 3: -2.0})
+        got = p.eval_symbols(np.array([[1, 2], [3, 4], [10**9, 3]]))
+        assert got.tolist() == [[5.0, 1.0], [-2.0, 1.0], [1.0, -2.0]]
+        assert p.eval_symbols(np.array([], dtype=np.int64)).shape == (0,)
+
+    def test_constant(self):
+        assert md.constant_potential(2.0).is_constant()
+        assert md.TablePotential({1: 2.0, 2: 2.0}).is_constant()
+        assert not md.builtin_tail_potential(1.0, {1: 5.0}).is_constant()
+        assert not md.TablePotential({}).is_constant()
+
 
 class TestConfig:
     def test_roundtrip(self, tmp_path):
@@ -160,6 +273,19 @@ class TestConfig:
     def test_no_values(self):
         from markovdim.potentials import validate_potential_config
         assert validate_potential_config({"depth": 1}) != []
+
+    @pytest.mark.parametrize("key", ["1_0", " 3 ", "01", "+2", "\u0661", "1.0", ""])
+    def test_override_key_must_be_plain_decimal(self, key):
+        cfg = {"default": 0.0, "overrides": {key: 3.0}}
+        assert validate_potential_config(cfg) == [f"override key {key!r} is not a single symbol"]
+        with pytest.raises(ConfigError, match="is not a single symbol"):
+            md.potential_from_config(cfg)
+
+    @pytest.mark.parametrize("key", ["1000000000000", "99999999999999999999999"])
+    def test_override_key_beyond_cap_is_violation(self, key):
+        with pytest.raises(ConfigError, match="exceeds") as exc:
+            md.potential_from_config({"default": 0.0, "overrides": {key: 3.0}})
+        assert exc.value.violations == [f"override symbol {key} exceeds {MAX_OVERRIDE_SYMBOL}"]
 
     @pytest.mark.parametrize("cfg,field", [
         ({"default": True}, "default"),

@@ -80,10 +80,11 @@ def dense_cycle_case(draw):
 
 class TestAlphaBounds:
     def test_sv_lyapunov_exact(self):
-        m, logt, one = sv_setup(0.9)
-        lo, hi = md.alpha_bounds(m, logt, one, 8)
-        assert lo == pytest.approx(ALPHA_M_09, rel=1e-14)
-        assert hi == pytest.approx(ALPHA_MAX_09, rel=1e-14)
+        # the self-loop rule reads the closed-form endpoints off log|T'| itself
+        for lam in (0.51, 0.6, 0.75, 0.9, 0.99):
+            m, logt, one = sv_setup(lam)
+            for N in (2, 8, 512, 4096):
+                assert md.alpha_bounds(m, logt, one, N) == md.sv_alpha_bounds(lam)
 
     def test_equal_potentials(self):
         m, logt, one = sv_setup(0.9)
