@@ -17,8 +17,8 @@ from .potentials import (TablePotential, builtin_log_derivative, builtin_tail_po
                          combine, constant_potential, potential_from_config)
 from .pressure import (PressureResult, closed_form_pressure_sv, gurevich_pressure,
                        orbit_sum_pressure, perron_pressure, sv_critical_exponent)
-from .spectrum import (BowenReport, SpectrumCurve, SpectrumPoint, alpha_bounds,
-                       bowen_dimension, curve_to_csv, derivative_identity_check,
+from .spectrum import (SpectrumCurve, SpectrumPoint, alpha_bounds, bowen_dimension,
+                       curve_to_csv, derivative_identity_check,
                        full_birkhoff_spectrum_sv, inf_pressure_over_q,
                        lyapunov_closed_form, lyapunov_spectrum_curve, sv_alpha_bounds,
                        sv_alpha_of_t, sv_hyperbolic_dimension, variational_dimension)

@@ -86,8 +86,8 @@ def _emit(args, payload: str):
 def _meta(args, extra: dict) -> dict:
     cfg = dict(extra)
     for k in ("nmax", "tol", "seed", "samples", "horizon", "format"):
-        if hasattr(args, k.replace("-", "_")):
-            cfg[k] = getattr(args, k.replace("-", "_"))
+        if hasattr(args, k):
+            cfg[k] = getattr(args, k)
     meta = {"tool": "markovdim", "version": __version__, "config": cfg}
     if getattr(args, "stamp", False):
         meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -147,10 +147,9 @@ def _cmd_dimension(args) -> int:
     if args.nmax is None:
         args.nmax = _DIMENSION_NMAX[args.kind]
     if args.kind == "hyperbolic":
-        model = build_sv_map(args.lam) if args.map is None else _parse_map(args.map)[0]
+        model, m1 = _parse_map(args.map or f"sv:{args.lam}")
         rep = bowen_dimension(model, args.nmax, args.tol)
-        meta = _meta(args, {"command": "dimension hyperbolic",
-                            "map": args.map or f"sv:{args.lam}"})
+        meta = _meta(args, {**m1, "command": "dimension hyperbolic"})
         _emit(args, _json_out(meta, rep.to_dict()))
         return EXIT_OK if rep.converged else _not_converged(rep.per_level, args.tol)
     # variational

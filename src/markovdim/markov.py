@@ -14,10 +14,10 @@ j >= n - 1.  Custom models are finitely many explicit branches plus an
 optional geometric tail rule.
 
 Finite truncations to the sub-alphabet {1..N} are the compact mixing
-subsystems on which all pressure computations run; they are represented
-either by a compact "row span" encoding (each row covers a suffix of the
-columns, which is exact for the SV family and scales to N ~ 1e4) or by a
-dense boolean matrix for small explicit models.
+subsystems on which all pressure computations run.  A truncation of a
+rule-based model (the SV family, or a custom "staircase" or "full" rule)
+is that rule's name, which fixes its matrix at every N with no storage; a
+truncation of an explicit model holds a dense boolean matrix.
 """
 from __future__ import annotations
 
@@ -40,6 +40,10 @@ ENDPOINT_TOL = 1e-12
 
 #: tolerance for the Markov image-consistency check on custom models
 IMAGE_TOL = 1e-9
+
+#: transition rules by name: under "staircase" row 1 covers every column and
+#: row i >= 2 the columns j >= i - 1; under "full" every row covers every column
+_RULES = ("staircase", "full")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +137,7 @@ class MarkovMapModel:
     """
 
     def __init__(self, *, family: str, branch_fn: Callable[[int], BranchSpec],
-                 row_start_fn: Callable[[np.ndarray], np.ndarray] | None,
+                 rule: str | None,
                  explicit_matrix: np.ndarray | None,
                  alphabet_size: int | None,
                  expansion_floor: float,
@@ -144,8 +148,8 @@ class MarkovMapModel:
         self.alphabet_size = alphabet_size      # None => countably infinite
         self.expansion_floor = expansion_floor  # xi > 1, uniform lower slope bound
         self.tail = tail
+        self.rule = rule                        # a name in _RULES, or None for explicit_matrix
         self._branch_fn = branch_fn
-        self._row_start_fn = row_start_fn       # row i covers columns >= start(i), array-valued
         self._explicit_matrix = explicit_matrix
         self._branch_cache: dict[int, BranchSpec] = {}
         if expansion_floor <= 1.0:
@@ -170,22 +174,23 @@ class MarkovMapModel:
     # -- transition structure ---------------------------------------------
     def transition(self, i: int, j: int) -> bool:
         """Whether the image of branch ``i`` covers branch ``j``."""
-        if self._row_start_fn is not None:
-            return j >= self.row_start(i) and j >= 1
+        if self.rule is not None:
+            return j >= self._first_target(i)
         m = self._explicit_matrix
         if i < 1 or j < 1 or i > m.shape[0] or j > m.shape[1]:
             raise DomainError(f"transition index ({i},{j}) out of range")
         return bool(m[i - 1, j - 1])
 
-    def row_start(self, i: int) -> int | None:
-        """First column of row ``i`` when rows are suffix-shaped, else None."""
-        return None if self._row_start_fn is None else int(self._row_start_fn(i))
+    def _first_target(self, i: int) -> int:
+        """Smallest branch covered by branch ``i`` under the model's rule."""
+        return max(i - 1, 1) if self.rule == "staircase" else 1
 
     def image_interval(self, i: int) -> tuple[float, float]:
         """Image of branch ``i``: the union of its target branch intervals."""
-        if self._row_start_fn is not None:
-            # suffix rows accumulate at 0: image = (0, right endpoint of first target]
-            return (0.0, self.branch(self.row_start(i)).right)
+        if self.rule is not None:
+            # rule rows cover every branch from the first target on, which accumulate
+            # at 0: image = (0, right endpoint of first target]
+            return (0.0, self.branch(self._first_target(i)).right)
         targets = [j + 1 for j in range(self.alphabet_size) if self._explicit_matrix[i - 1, j]]
         lo = min(self.branch(j).left for j in targets)
         hi = max(self.branch(j).right for j in targets)
@@ -258,15 +263,6 @@ class MarkovMapModel:
         return f"MarkovMapModel(CUSTOM, branches={size})"
 
 
-def _staircase_starts(i):
-    """Staircase row rule, elementwise: row 1 and 2 start at column 1, row i at i - 1."""
-    return np.maximum(i - 1, 1)
-
-
-#: row rules of custom models by transition name, elementwise like ``_staircase_starts``
-_ROW_RULES = {"full": np.ones_like, "staircase": _staircase_starts}
-
-
 def build_sv_map(lam: float) -> MarkovMapModel:
     """Built-in dissipative family on (0,1] with parameter lambda in (1/2, 1).
 
@@ -285,7 +281,7 @@ def build_sv_map(lam: float) -> MarkovMapModel:
         s = slope_1 if n == 1 else slope_n
         return make_branch(n, lam ** n, lam ** (n - 1), s)
 
-    return MarkovMapModel(family="SV", branch_fn=branch_fn, row_start_fn=_staircase_starts,
+    return MarkovMapModel(family="SV", branch_fn=branch_fn, rule="staircase",
                           explicit_matrix=None, alphabet_size=None,
                           expansion_floor=min(slope_1, slope_n), lam=lam)
 
@@ -336,10 +332,10 @@ def _assemble_custom(branches, transitions, tail_cfg) -> MarkovMapModel:
 
     if isinstance(transitions, str):
         return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn,
-                              row_start_fn=_ROW_RULES[transitions], explicit_matrix=None,
+                              rule=transitions, explicit_matrix=None,
                               alphabet_size=None if tail is not None else n_explicit,
                               expansion_floor=floor, tail=tail)
-    return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn, row_start_fn=None,
+    return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn, rule=None,
                           explicit_matrix=np.asarray(transitions, dtype=bool),
                           alphabet_size=n_explicit, expansion_floor=floor)
 
@@ -365,7 +361,7 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
             out.append(f"branches {a.index} and {b.index} have overlapping interiors")
 
     explicit = transitions is not None and not isinstance(transitions, str)
-    if isinstance(transitions, str) and transitions not in _ROW_RULES:
+    if isinstance(transitions, str) and transitions not in _RULES:
         out.append(f"unknown transition rule {transitions!r}")
     if tail is not None:
         n0, ratio, slope = (tail.get(key) for key in ("from_index", "ratio", "slope"))
@@ -521,21 +517,22 @@ def apply_map(model: MarkovMapModel, x: float) -> tuple[float, int]:
 class TruncatedSubsystem:
     """Compact mixing subsystem on the sub-alphabet {1..size}.
 
-    Either ``row_start`` (1-based first column per row; each row covers a
-    suffix of the columns) or ``dense`` (boolean matrix) is set.  The
-    suffix encoding is exact for the built-in family and avoids O(N^2)
-    storage at large truncation levels.
+    Either ``rule`` (a transition rule name, "staircase" or "full", which
+    fixes the matrix at every size and needs no storage) or ``dense`` (a
+    boolean matrix) is set.
     """
 
     size: int
-    row_start: np.ndarray | None = None
+    rule: str | None = None
     dense: np.ndarray | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise DomainError("subsystem size must be >= 1")
-        if (self.row_start is None) == (self.dense is None):
-            raise DomainError("exactly one of row_start/dense must be given")
+        if (self.rule is None) == (self.dense is None):
+            raise DomainError("exactly one of rule/dense must be given")
+        if self.rule is not None and self.rule not in _RULES:
+            raise DomainError(f"unknown transition rule {self.rule!r}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -544,14 +541,8 @@ class TruncatedSubsystem:
             return self.dense
         if self.size > 4096:
             raise DomainError("refusing to densify a matrix with N > 4096")
-        return np.arange(1, self.size + 1) >= self.row_start[:, None]
-
-    @cached_property
-    def is_sv_staircase(self) -> bool:
-        """Rows shaped like the built-in family: row 1 full, row i covers j >= i-1."""
-        if self.row_start is None:
-            return False
-        return bool(np.array_equal(self.row_start, _staircase_starts(np.arange(1, self.size + 1))))
+        ones = np.ones((self.size, self.size), dtype=bool)
+        return np.triu(ones, -1) if self.rule == "staircase" else ones
 
     @cached_property
     def primitive(self) -> bool:
@@ -559,17 +550,11 @@ class TruncatedSubsystem:
         return is_primitive(self)
 
     @property
-    def is_full(self) -> bool:
-        if self.row_start is not None:
-            return bool((self.row_start == 1).all())
-        return bool(self.dense.all())
-
-    @property
     def self_loops(self) -> np.ndarray:
         """Boolean mask of the symbols whose row covers their own column."""
         if self.dense is not None:
             return np.diagonal(self.dense).astype(bool)
-        return self.row_start <= np.arange(1, self.size + 1)
+        return np.ones(self.size, dtype=bool)
 
 
 def truncate(model: MarkovMapModel, N: int) -> TruncatedSubsystem:
@@ -583,11 +568,8 @@ def truncate(model: MarkovMapModel, N: int) -> TruncatedSubsystem:
         raise DomainError(f"truncation level must be >= 2, got {N}")
     if model.alphabet_size is not None and N > model.alphabet_size:
         raise DomainError(f"truncation level {N} exceeds alphabet size {model.alphabet_size}")
-    if model._row_start_fn is not None:
-        starts = np.asarray(model._row_start_fn(np.arange(1, N + 1)), dtype=np.int64)
-        if (starts > N).any():
-            raise MixingError(f"truncation at N={N} leaves a row without targets")
-        sub = TruncatedSubsystem(size=N, row_start=starts)
+    if model.rule is not None:
+        sub = TruncatedSubsystem(size=N, rule=model.rule)
     else:
         m = model._explicit_matrix[:N, :N]
         sub = TruncatedSubsystem(size=N, dense=np.ascontiguousarray(m))
@@ -602,21 +584,18 @@ def truncate(model: MarkovMapModel, N: int) -> TruncatedSubsystem:
 def is_primitive(sub: TruncatedSubsystem) -> bool:
     """True iff some boolean matrix power A^m (m <= N^2) is strictly positive.
 
-    Equivalent graph criterion used here: the digraph is strongly connected
-    and the gcd of its cycle lengths is 1.  Strong connectivity is a
-    breadth-first search from symbol 1 that reaches every symbol, run once
-    on A and once on its transpose; the levels of the forward search then
-    give the period (:func:`_graph_period`).  Suffix-row subsystems whose
-    first row is full and whose every row reaches some smaller column are
-    primitive outright (descent to symbol 1 plus a full row there).
+    A rule subsystem is primitive at every size: row 1 covers every column,
+    so symbol 1 has a self-loop and reaches every symbol, and every symbol
+    reaches symbol 1 (under "staircase" by stepping down i -> i - 1).  For a
+    dense subsystem the equivalent graph criterion is used: the digraph is
+    strongly connected and the gcd of its cycle lengths is 1.  Strong
+    connectivity is a breadth-first search from symbol 1 that reaches every
+    symbol, run once on A and once on its transpose; the levels of the
+    forward search then give the period (:func:`_graph_period`).
     """
-    if sub.row_start is not None:
-        starts = sub.row_start
-        if starts[0] == 1 and bool((starts[1:] <= np.arange(1, sub.size)).all()):
-            return True  # row 1 full + descent i -> i-1 available from every row
-        m = sub.matrix
-    else:
-        m = sub.dense
+    if sub.rule is not None:
+        return True
+    m = sub.dense
     n = m.shape[0]
     if n == 1:
         return bool(m[0, 0])

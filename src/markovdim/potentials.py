@@ -64,8 +64,7 @@ class TablePotential:
     """
 
     def __init__(self, overrides: Mapping, default: float | None = None, *,
-                 positivity_floor: float | None = None, model_key: tuple | None = None,
-                 name: str = "table"):
+                 positivity_floor: float | None = None, model_key: tuple | None = None):
         words = {_as_word(k): float(v) for k, v in overrides.items()}
         for w in words:
             if len(w) != 1:
@@ -86,7 +85,6 @@ class TablePotential:
         self.tail_limit = self.default
         self.positivity_floor = positivity_floor
         self.model_key = model_key
-        self.name = name
         if positivity_floor is not None:
             if positivity_floor <= 0:
                 raise DomainError("positivity_floor must be > 0")
@@ -120,8 +118,7 @@ class TablePotential:
         return vals.size > 0 and bool((vals == vals[0]).all())
 
     def __repr__(self) -> str:
-        return (f"TablePotential({self.name}, "
-                f"head={self._values.size - 1}, default={self.default})")
+        return f"TablePotential(head={self._values.size - 1}, default={self.default})"
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +137,7 @@ def builtin_log_derivative(model: MarkovMapModel) -> TablePotential:
         v1 = -math.log(1.0 - lam)
         vtail = -math.log(lam * (1.0 - lam))
         return TablePotential({(1,): v1}, default=vtail, positivity_floor=floor,
-                              model_key=("SV", lam), name="log|T'|")
+                              model_key=("SV", lam))
     n = model.alphabet_size
     if n is None:
         overrides = {(i,): model.log_slope(i) for i in range(1, model.tail.from_index)}
@@ -149,7 +146,7 @@ def builtin_log_derivative(model: MarkovMapModel) -> TablePotential:
         overrides = {(i,): model.log_slope(i) for i in range(1, n + 1)}
         default = None
     return TablePotential(overrides, default=default, positivity_floor=floor,
-                          model_key=("CUSTOM", id(model)), name="log|T'|")
+                          model_key=("CUSTOM", id(model)))
 
 
 def builtin_tail_potential(a: float, overrides: Mapping[int, float] | None = None) -> TablePotential:
@@ -163,7 +160,7 @@ def builtin_tail_potential(a: float, overrides: Mapping[int, float] | None = Non
     vals = [float(a)] + [float(v) for v in overrides.values()]
     floor = min(vals) if min(vals) > 0 else None
     return TablePotential({(int(k),): float(v) for k, v in overrides.items()},
-                          default=float(a), positivity_floor=floor, name="tail")
+                          default=float(a), positivity_floor=floor)
 
 
 def constant_potential(c: float) -> TablePotential:
@@ -189,7 +186,7 @@ def combine(q: float, phi: TablePotential, alpha: float, psi: TablePotential,
     defined = ~(np.isnan(a) | np.isnan(b) | np.isnan(c))
     head = {s + 1: float(v) for s, v in enumerate(values[:-1]) if defined[s]}
     return TablePotential(head, default=float(values[-1]) if defined[-1] else None,
-                          model_key=keys.pop() if keys else None, name="combined")
+                          model_key=keys.pop() if keys else None)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +213,7 @@ def potential_from_config(source) -> TablePotential:
         try:
             return TablePotential({int(k): float(v) for k, v in cfg.get("overrides", {}).items()},
                                   default=cfg.get("default"),
-                                  positivity_floor=cfg.get("positivity_floor"), name="config")
+                                  positivity_floor=cfg.get("positivity_floor"))
         except DomainError as exc:
             violations = [str(exc)]
     raise ConfigError("invalid potential config: " + "; ".join(violations), path=path,

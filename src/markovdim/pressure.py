@@ -9,12 +9,13 @@ transition matrix
 and the pressure over the full countable system is the monotone limit of
 these finite values along any increasing exhaustion.  Three routes coexist:
 
-* ``perron_pressure``: Perron root of the weighted matrix.  Suffix-row
-  (staircase) subsystems use an exact characteristic-function bisection
+* ``perron_pressure``: Perron root of the weighted matrix.  Staircase
+  subsystems use an exact characteristic-function bisection
   that is immune to spectral-gap collapse and costs O(K) per trial value,
   K being the index of the last weight that differs from the constant
-  tail (the tail rows are closed in one step); general subsystems use
-  power iteration with residual stopping and a dense-eigensolver fallback.
+  tail (the tail rows are closed in one step); "full" ones take the weight
+  sum of their rank-one matrix; general subsystems use power iteration
+  with residual stopping and a dense-eigensolver fallback.
 * ``orbit_sum_pressure``: (1/n) log of the weighted count of period-n
   orbits through a base cylinder, an independent finite-n oracle.
 * ``closed_form_pressure_sv``: the exact formula for the built-in family.
@@ -48,19 +49,20 @@ _DENSE_FALLBACK_MAX_N = 2048
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PressureResult:
-    """Pressure estimate with its truncation diagnostics.
+    """Per-level values of an exhaustion by truncations, with diagnostics.
 
-    ``per_level`` is the monotone sequence of (N, P_N); ``value`` is the
-    last entry and is a lower bound for the true pressure whenever
-    ``converged`` is False (the scheme approximates from below, so no
-    extrapolation is ever reported).
+    The values are pressures P_N (``method`` PERRON) or Bowen roots s_N of
+    P_N(-s log|T'|) = 0 (``method`` BOWEN).  ``per_level`` is the monotone
+    sequence of (N, value); ``value`` is the last entry and is a lower bound
+    for the countable system's value whenever ``converged`` is False (the
+    scheme approximates from below, so no extrapolation is ever reported).
     """
 
     value: float
     truncation_used: int
     per_level: tuple[tuple[int, float], ...]
     converged: bool
-    method: str  # PERRON
+    method: str  # PERRON | BOWEN
 
     def to_dict(self) -> dict:
         return {"value": self.value, "method": self.method,
@@ -212,14 +214,15 @@ def _rank_one_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
 def _log_rho_solver(sub: TruncatedSubsystem):
     """Perron-root routine for the shape of ``sub``: (log_weights, rel_tol) -> log rho.
 
-    Staircase subsystems take the characteristic bisection, full ones the
-    rank-one sum, everything else power iteration on the materialized
-    matrix.  Callers that evaluate many potentials on one subsystem keep the
-    returned routine, so the shape is inspected once.
+    Staircase subsystems take the characteristic bisection, "full" ones (and
+    a staircase of one symbol, or an all-true dense matrix) the rank-one sum,
+    everything else power iteration on the materialized matrix.  Callers that
+    evaluate many potentials on one subsystem keep the returned routine, so
+    the shape is inspected once.
     """
-    if sub.is_sv_staircase and sub.size >= 2:
+    if sub.rule == "staircase" and sub.size >= 2:
         return _staircase_log_rho
-    if sub.is_full:
+    if sub.rule is not None or sub.dense.all():
         return _rank_one_log_rho
     return partial(_power_log_rho, sub.matrix)
 
@@ -277,6 +280,39 @@ def _levels(n_max: int) -> list[int]:
     return out
 
 
+def _exhaust(model: MarkovMapModel, N_max: int, tol: float, level_value,
+             method: str) -> PressureResult:
+    """``level_value(sub)`` on the truncations of the doubling schedule.
+
+    Levels run N = 2, 4, 8, ... up to ``N_max`` (clamped to a finite
+    alphabet).  A level whose truncation is not primitive is skipped, since
+    leading truncations of explicit maps may not be primitive yet;
+    MixingError is raised only when no level is primitive.  ``converged`` is
+    set when the last two values differ by less than ``tol``, or when the
+    last level is the whole finite alphabet.
+    """
+    if tol <= 0:
+        raise DomainError(f"tolerance must be > 0, got {tol}")
+    if N_max < 2:
+        raise DomainError(f"N_max must be >= 2, got {N_max}")
+    if model.alphabet_size is not None:
+        N_max = min(N_max, model.alphabet_size)
+    per_level: list[tuple[int, float]] = []
+    for n in _levels(N_max):
+        try:
+            sub = truncate(model, n)
+        except MixingError:
+            continue
+        per_level.append((n, level_value(sub)))
+    if not per_level:
+        raise MixingError("no primitive truncation level available")
+    converged = len(per_level) >= 2 and abs(per_level[-1][1] - per_level[-2][1]) < tol
+    if model.alphabet_size is not None and per_level[-1][0] == model.alphabet_size:
+        converged = True  # the final level is the whole system, not an approximation
+    return PressureResult(value=per_level[-1][1], truncation_used=per_level[-1][0],
+                          per_level=tuple(per_level), converged=converged, method=method)
+
+
 def gurevich_pressure(model: MarkovMapModel, p: TablePotential, tol: float,
                       N_max: int) -> PressureResult:
     """Pressure over the countable system by exhaustion with truncations.
@@ -286,30 +322,12 @@ def gurevich_pressure(model: MarkovMapModel, p: TablePotential, tol: float,
     levels differ by less than ``tol``; otherwise the final value is a
     certified lower bound (the sequence increases to the true pressure).
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
-    if N_max < 2:
-        raise DomainError(f"N_max must be >= 2, got {N_max}")
     eig_tol = min(tol * 1e-2, 1e-11)
-    if model.alphabet_size is not None:
-        N_max = min(N_max, model.alphabet_size)
-    per_level: list[tuple[int, float]] = []
-    for n in _levels(N_max):
-        try:
-            sub = truncate(model, n)
-        except MixingError:
-            continue
-        per_level.append((n, perron_pressure(sub, p, eig_tol)))
-    if not per_level:
-        raise MixingError("no primitive truncation level available")
-    for (_, a), (_, b) in zip(per_level, per_level[1:]):
+    res = _exhaust(model, N_max, tol, lambda sub: perron_pressure(sub, p, eig_tol), "PERRON")
+    for (_, a), (_, b) in zip(res.per_level, res.per_level[1:]):
         if b < a - 1e-9:  # larger subsystems can only gain pressure
             raise ConvergenceError(f"per-level pressures not monotone: {a} -> {b}")
-    converged = len(per_level) >= 2 and abs(per_level[-1][1] - per_level[-2][1]) < tol
-    if model.alphabet_size is not None and per_level[-1][0] == model.alphabet_size:
-        converged = True  # the final level is the whole system, not an approximation
-    return PressureResult(value=per_level[-1][1], truncation_used=per_level[-1][0],
-                          per_level=tuple(per_level), converged=converged, method="PERRON")
+    return res
 
 
 # ---------------------------------------------------------------------------

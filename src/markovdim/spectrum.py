@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DegenerateError, DomainError, MixingError, UnboundedError
 from .markov import MarkovMapModel, TruncatedSubsystem, build_sv_map, truncate
 from .potentials import TablePotential, builtin_log_derivative, constant_potential
-from .pressure import (_levels, _log_rho_solver, closed_form_pressure_sv,
+from .pressure import (PressureResult, _exhaust, _log_rho_solver, closed_form_pressure_sv,
                        sv_critical_exponent)
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -76,21 +76,6 @@ class SpectrumCurve:
         alphas = [p.alpha for p in self.points]
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise DomainError("spectrum points must be strictly sorted by alpha")
-
-
-@dataclass(frozen=True)
-class BowenReport:
-    """Per-level roots s_N of P_N(-s log|T'|) = 0 and their final value."""
-
-    value: float
-    truncation_used: int
-    per_level: tuple[tuple[int, float], ...]
-    converged: bool
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "method": "BOWEN",
-                "per_level": [[n, s] for n, s in self.per_level],
-                "converged": self.converged}
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +138,7 @@ def _karp_min_cycle_mean(sub: TruncatedSubsystem, cost: np.ndarray) -> float:
     """Minimum cycle mean of source-node costs over the subsystem digraph.
 
     Karp's formula on shortest k-edge walk weights from node 1, relaxed
-    over the dense transition matrix (suffix-row subsystems are densified).
+    over the dense transition matrix (rule subsystems are densified).
     ``alpha_bounds`` needs it only when an extreme node has no self-loop,
     which never happens on rule-based truncations.
     """
@@ -370,58 +355,41 @@ def _variational_point(ev: _PressureEvaluator, bounds: tuple[float, float],
 # ---------------------------------------------------------------------------
 # Bowen roots
 # ---------------------------------------------------------------------------
-def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> BowenReport:
+def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureResult:
     """Hyperbolic-dimension estimate: per-level Bowen roots of P_N(-s log|T'|).
 
-    P_N is strictly decreasing in s, positive at s = 0 (else the smallest
-    level is degenerate), and nonpositive at s = 1 for branches inside a
-    bounded interval, so bisection on [0, 1] is safe.  The roots increase
-    with N toward the supremum over compact invariant subsets.  Levels whose
-    truncation is not primitive are skipped, as in ``gurevich_pressure``;
-    MixingError is raised only when no level is primitive.
+    P_N is strictly decreasing in s, positive at s = 0 (else the level is
+    degenerate: DegenerateError), and nonpositive at s = 1 for branches
+    inside a bounded interval, so bisection on [0, 1] is safe.  The roots
+    increase with N toward the supremum over compact invariant subsets.
+    Levels whose truncation is not primitive are skipped, as in
+    ``gurevich_pressure``; MixingError is raised only when no level is
+    primitive.  The result has ``method`` BOWEN.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
-    if N_max < 2:
-        raise DomainError(f"N_max must be >= 2, got {N_max}")
     logt = builtin_log_derivative(model)
     eig_tol = min(tol * 1e-3, 1e-12)
-    if model.alphabet_size is not None:
-        N_max = min(N_max, model.alphabet_size)
-    per_level: list[tuple[int, float]] = []
-    for n in _levels(N_max):
-        try:
-            sub = truncate(model, n)
-        except MixingError:
-            continue  # leading truncations of explicit maps may not be primitive yet
-        logt_v = logt.values_vector(n)
+
+    def root(sub: TruncatedSubsystem) -> float:
+        logt_v = logt.values_vector(sub.size)
         log_rho = _log_rho_solver(sub)
 
         def pressure_at(s: float) -> float:
             return log_rho(-s * logt_v, eig_tol)
 
         if pressure_at(0.0) <= 0.0:
-            if not per_level:
-                raise DegenerateError(f"pressure at s=0 is nonpositive at level N={n}")
-            break
-        lo, hi = 0.0, 1.0
+            raise DegenerateError(f"pressure at s=0 is nonpositive at level N={sub.size}")
         if pressure_at(1.0) > 0.0:
-            per_level.append((n, 1.0))  # root clipped at the ambient dimension
-            continue
+            return 1.0  # root clipped at the ambient dimension
+        lo, hi = 0.0, 1.0
         while hi - lo > tol * 1e-2:
             mid = 0.5 * (lo + hi)
             if pressure_at(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
-        per_level.append((n, 0.5 * (lo + hi)))
-    if not per_level:
-        raise MixingError("no primitive truncation level available")
-    converged = len(per_level) >= 2 and abs(per_level[-1][1] - per_level[-2][1]) < tol
-    if model.alphabet_size is not None and per_level[-1][0] == model.alphabet_size:
-        converged = True
-    return BowenReport(value=per_level[-1][1], truncation_used=per_level[-1][0],
-                       per_level=tuple(per_level), converged=converged)
+        return 0.5 * (lo + hi)
+
+    return _exhaust(model, N_max, tol, root, "BOWEN")
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,25 @@ class TestTruncation:
         with pytest.raises(DomainError):
             md.truncate(cm, 3)
 
+    @pytest.mark.parametrize("name", ["sv", "full", "staircase"])
+    def test_rule_matrix_matches_transitions(self, name):
+        branches = [md.make_branch(1, 0.5, 1.0, 2.0), md.make_branch(2, 0.25, 0.5, 4.0)]
+        tail = {"from_index": 3, "ratio": 0.5}
+        m = (md.build_sv_map(0.8) if name == "sv"
+             else md.build_custom_map(branches, name, tail=tail))
+        for n in range(2, 65):
+            want = np.array([[m.transition(i, j) for j in range(1, n + 1)]
+                             for i in range(1, n + 1)])
+            sub = md.truncate(m, n)
+            assert np.array_equal(sub.matrix, want), n
+            assert np.array_equal(sub.self_loops, np.diagonal(want)), n
+
+    @pytest.mark.parametrize("kwargs", [{"rule": "suffix"}, {},
+                                        {"rule": "full", "dense": np.ones((2, 2), dtype=bool)}])
+    def test_subsystem_needs_one_known_shape(self, kwargs):
+        with pytest.raises(DomainError):
+            md.TruncatedSubsystem(size=2, **kwargs)
+
 
 def _primitive_by_powers(mat: np.ndarray) -> bool:
     # literal definition: some power m <= N^2 strictly positive
@@ -198,6 +217,14 @@ class TestPrimitivity:
     @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
     def test_sv_truncations(self, n):
         assert md.is_primitive(md.truncate(md.build_sv_map(0.8), n))
+
+    @pytest.mark.parametrize("rule", ["staircase", "full"])
+    def test_rule_subsystems_primitive_as_dense(self, rule):
+        # the rule shortcut agrees with the graph criterion on the same matrix
+        for n in range(1, 65):
+            sub = md.TruncatedSubsystem(size=n, rule=rule)
+            assert md.is_primitive(sub)
+            assert md.is_primitive(md.TruncatedSubsystem(size=n, dense=sub.matrix)), n
 
     def test_against_power_oracle(self):
         rng = np.random.default_rng(1234)

@@ -382,6 +382,16 @@ class TestGurevich:
         assert res.converged
         assert res.per_level == ((2, pytest.approx(LOG2, abs=1e-10)),)
 
+    def test_full_rule_level_2_is_weight_sum(self):
+        # a "full" truncation is rank one at every level, N = 2 included
+        branches = [md.make_branch(i + 1, i / 4, (i + 1) / 4, 4.0) for i in range(4)]
+        cm = md.build_custom_map(branches, "full")
+        p = md.TablePotential({1: -1.3, 2: -0.4, 3: 0.2, 4: 0.5})
+        res = md.gurevich_pressure(cm, p, 1e-8, 4)
+        n, p2 = res.per_level[0]
+        assert n == 2
+        assert p2 == pytest.approx(math.log(math.exp(-1.3) + math.exp(-0.4)), rel=1e-15)
+
     def test_validation(self):
         m = md.build_sv_map(0.9)
         with pytest.raises(DomainError):

@@ -61,7 +61,7 @@ def karp_finish_loop(table):
 
 def explicit_model(mat):
     """A model over an arbitrary transition matrix; only its graph is used."""
-    return md.MarkovMapModel(family="CUSTOM", branch_fn=None, row_start_fn=None,
+    return md.MarkovMapModel(family="CUSTOM", branch_fn=None, rule=None,
                              explicit_matrix=mat, alphabet_size=mat.shape[0],
                              expansion_floor=2.0)
 
@@ -296,6 +296,11 @@ class TestBowen:
         assert rep.value == pytest.approx(target, abs=1e-3)
         vals = [s for _, s in rep.per_level]
         assert all(b >= a - 1e-8 for a, b in zip(vals, vals[1:]))
+
+    def test_to_dict(self):
+        d = md.bowen_dimension(md.build_sv_map(0.9), 64, 1e-6).to_dict()
+        assert d["method"] == "BOWEN"
+        assert sorted(d) == ["converged", "method", "per_level", "value"]
 
     def test_doubling_slope_custom(self):
         branches = [md.make_branch(1, 0.0, 0.5, 2.0), md.make_branch(2, 0.5, 1.0, 2.0)]
