@@ -9,6 +9,9 @@ set).  Nothing in this module feeds back into the analytic spectrum.
 Randomness comes from a counter-based generator (Philox) keyed by an
 explicit seed; per-stream derivation uses jumps, so results are bit-for-bit
 reproducible.
+
+Every model steps through the one vectorized loop of :func:`simulate_batch`;
+only the kernel that finds each lane's branch depends on the map's shape.
 """
 from __future__ import annotations
 
@@ -20,17 +23,19 @@ import numpy as np
 
 from .errors import BoundaryError, DomainError, InsufficientSampleError
 from .markov import ENDPOINT_TOL, MarkovMapModel
-from .potentials import TablePotential
+from .potentials import TablePotential, builtin_log_derivative
 
 #: an orbit whose final-quarter branch indices never drop below this is a
 #: candidate escaper (see OrbitRecord.classification)
 DEFAULT_ESCAPE_THRESHOLD = 5
 
-#: below this the position is no longer resolvable in doubles; an orbit that
-#: crosses it sits in branch index >= ~6.9e2/|log lambda|, so it cannot
-#: descend back below any realistic escape threshold within the remaining
-#: horizon: it is a certified escaper and its remaining tail statistics are
-#: filled from the (constant) deep-branch values instead of simulated
+#: below this the position is no longer resolvable in doubles; on an
+#: infinite staircase an orbit that crosses it sits in branch index
+#: >= ~6.9e2/|log ratio|, so it cannot descend back below any realistic
+#: escape threshold within the remaining horizon: it is a certified escaper
+#: and its remaining tail statistics are filled from the (constant)
+#: deep-branch values instead of simulated.  On any other shape the orbit
+#: aborts at the crossing.
 DEEP_FLOOR = 1e-300
 
 RECURRENT_WINDOW = "RECURRENT_WINDOW"
@@ -90,6 +95,12 @@ def _classify(itinerary: np.ndarray, aborted: bool, threshold: int) -> str:
     return RECURRENT_WINDOW
 
 
+def _certifies_deep(model: MarkovMapModel) -> bool:
+    """Whether an orbit below the deep floor keeps a certified branch bound:
+    on an infinite staircase the branch index drops by at most 1 per step."""
+    return model.rule == "staircase" and model.alphabet_size is None
+
+
 def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
                    phi: TablePotential | None = None, psi: TablePotential | None = None,
                    escape_threshold: int = DEFAULT_ESCAPE_THRESHOLD) -> OrbitRecord:
@@ -97,8 +108,10 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
 
     An endpoint hit aborts the orbit with classification BOUNDARY_ABORT
     (recorded on the result, not raised).  An orbit that drops below the
-    floating-point resolution floor is a certified escaper: the itinerary is
-    truncated at the crossing and the classification is ESCAPING outright.
+    floating-point resolution floor stops there: on an infinite staircase
+    it is a certified escaper (ESCAPING) while the remaining horizon is
+    shorter than its branch index less the escape threshold; otherwise, and
+    always on a finite map or a "full" rule, it is BOUNDARY_ABORT.
     Potentials passed in are evaluated along the itinerary and their
     per-step values recorded.
     """
@@ -129,9 +142,10 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
     psi_steps = psi.eval_symbols(it) if (psi is not None and len(it)) else (
         np.empty(0) if psi is not None else None)
     if went_deep:
-        # escape is certified only while the remaining horizon cannot bring
-        # the branch index (which drops by at most 1 per step) back down
-        certified = (n - len(itinerary)) < int(itinerary[-1]) - escape_threshold
+        # escape is certified only on an infinite staircase, and only while the
+        # remaining horizon cannot bring the branch index back down
+        certified = (_certifies_deep(model)
+                     and n - len(itinerary) < int(itinerary[-1]) - escape_threshold)
         cls = ESCAPING if certified else BOUNDARY_ABORT
     else:
         cls = _classify(it, aborted, escape_threshold)
@@ -156,24 +170,52 @@ def birkhoff_quotient(rec: OrbitRecord, phi: TablePotential, psi: TablePotential
 # ---------------------------------------------------------------------------
 # Vectorized batches
 # ---------------------------------------------------------------------------
-def _sv_power_table(lam: float) -> np.ndarray:
-    """lam**k for k = 0..K, each computed by the scalar pow that BranchSpec
-    uses, so batch and scalar orbits see bitwise-identical branch endpoints.
-    K covers every index reachable above the deep floor."""
-    k_max = int(math.log(DEEP_FLOOR) / math.log(lam)) + 8
-    return np.array([lam ** k for k in range(k_max + 2)])
+@dataclass(frozen=True)
+class _BranchTable:
+    """Branches 1..K of a model as arrays, row n - 1 for branch n, and the
+    rows in the order of their left endpoints."""
+
+    lefts: np.ndarray
+    rights: np.ndarray
+    slopes: np.ndarray
+    img_lo: np.ndarray
+    order: np.ndarray
+    lefts_s: np.ndarray
+    rights_s: np.ndarray
 
 
-def _sv_step(model: MarkovMapModel, x: np.ndarray, table: np.ndarray):
+def _branch_table(model: MarkovMapModel) -> _BranchTable:
+    """Rows of branches 1..K from ``model.edges``, the scalar path's own
+    expressions, so batch and scalar orbits see bitwise-identical endpoints.
+    K is a finite model's alphabet; a geometric part (SV: anchor 1 from
+    branch 1; a tail: from ``from_index``) runs nine rows past the first
+    branch whose left end is below the deep floor."""
+    t = model.tail
+    if model.alphabet_size is not None:
+        count = model.alphabet_size
+    else:
+        first, anchor, ratio = (t.from_index, t.anchor, t.ratio) if t else (1, 1.0, model.lam)
+        count = first - 1 + int(math.log(DEEP_FLOOR / anchor) / math.log(ratio)) + 10
+    rows = np.fromiter((v for i in range(1, count + 1) for v in model.edges(i)),
+                       dtype=float, count=3 * count).reshape(count, 3)
+    lefts, rights, slopes = (np.ascontiguousarray(col) for col in rows.T)
+    img_lo = np.zeros(count) if model.rule is not None else np.array(
+        [model.image_interval(i)[0] for i in range(1, count + 1)])
+    order = np.argsort(lefts)
+    return _BranchTable(lefts, rights, slopes, img_lo, order, lefts[order], rights[order])
+
+
+def _sv_step(model: MarkovMapModel, x: np.ndarray, tab: _BranchTable):
     """One vectorized map step of every lane of ``x`` for the built-in family.
 
     Returns (new x, branch indices, aborted mask); the new x and index of
-    an aborted lane mean nothing.  All endpoint comparisons go through
-    ``table`` so that decisions match the scalar path exactly (vectorized
-    pow differs from libm pow in the last ulp).
+    an aborted lane mean nothing.  A log-based guess of the index is
+    corrected against ``tab.rights``, whose entry k is lam**k, so that
+    decisions match the scalar path exactly (vectorized pow differs from
+    libm pow in the last ulp).
     """
-    lam = model.lam
-    loglam = math.log(lam)
+    table = tab.rights
+    loglam = math.log(model.lam)
     kmax = len(table) - 1
     u = np.log(x) / loglam
     k = np.minimum(np.maximum(np.rint(u), 0), kmax).astype(np.int64)
@@ -188,36 +230,20 @@ def _sv_step(model: MarkovMapModel, x: np.ndarray, table: np.ndarray):
     aborted = hit | (x <= 0.0) | (x > 1.0)
     # same arithmetic as the scalar path (slope multiply), so batch and
     # scalar orbits agree bitwise
-    slope = np.where(n == 1, 1.0 / (1.0 - lam), 1.0 / (lam * (1.0 - lam)))
-    return (x - table[n]) * slope, n, aborted
+    return (x - table[n]) * tab.slopes[n - 1], n, aborted
 
 
-def _finite_tables(model: MarkovMapModel):
-    """Branch tables for ``_finite_step``, built once per batch: lefts,
-    slopes, image left ends, and the branch order by left endpoint with
-    the sorted lefts and rights."""
-    branches = model._explicit_branches
-    lefts = np.array([b.left for b in branches])
-    rights = np.array([b.right for b in branches])
-    slopes = np.array([b.slope for b in branches])
-    img_lo = np.array([model.image_interval(b.index)[0] for b in branches])
-    order = np.argsort(lefts)
-    return lefts, slopes, img_lo, order, lefts[order], rights[order]
-
-
-def _finite_step(model: MarkovMapModel, x: np.ndarray, tables):
-    """Vectorized step of every lane for finite custom models via edge bisection."""
-    lefts, slopes, img_lo, order, lefts_s, rights_s = tables
-    pos = np.searchsorted(lefts_s, x, side="right") - 1
-    pos = np.clip(pos, 0, len(order) - 1)
-    inside = (x > lefts_s[pos]) & (x < rights_s[pos])
+def _finite_step(model: MarkovMapModel, x: np.ndarray, tab: _BranchTable):
+    """Vectorized step of every lane by a sorted search of the left endpoints."""
+    pos = np.maximum(np.searchsorted(tab.lefts_s, x, side="right") - 1, 0)
+    inside = (x > tab.lefts_s[pos]) & (x < tab.rights_s[pos])
     scale = np.maximum(np.abs(x), 1e-300)
-    near_edge = (np.abs(x - lefts_s[pos]) <= ENDPOINT_TOL * scale) | \
-                (np.abs(x - rights_s[pos]) <= ENDPOINT_TOL * scale)
+    near_edge = (np.abs(x - tab.lefts_s[pos]) <= ENDPOINT_TOL * scale) | \
+                (np.abs(x - tab.rights_s[pos]) <= ENDPOINT_TOL * scale)
     aborted = ~inside | near_edge
-    branch_ids = order[pos] + 1
-    y = img_lo[branch_ids - 1] + (x - lefts[branch_ids - 1]) * slopes[branch_ids - 1]
-    return y, branch_ids, aborted
+    rows = tab.order[pos]
+    y = tab.img_lo[rows] + (x - tab.lefts[rows]) * tab.slopes[rows]
+    return y, rows + 1, aborted
 
 
 @dataclass
@@ -271,6 +297,10 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                    collect_itineraries: bool = False) -> BatchStats:
     """Vectorized orbit batch; semantics per-orbit match simulate_orbit.
 
+    Every model takes the same setup: one branch table, log|T'| from
+    :func:`builtin_log_derivative`, and a kernel picked by shape
+    (``_sv_step`` for SV, ``_finite_step`` for every custom map).
+
     Only live lanes are stepped.  Their lane indices and running state
     (position, Birkhoff sums, quarter minima, the branch-1 flag) sit in
     compact arrays; a lane writes its state back to the output only when it
@@ -278,21 +308,22 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     lane's step count is the step number, so it needs no update per step.
     Stepping stops once no live lane is left.
 
-    Lanes that cross the deep floor retire from stepping: every later step
+    On an infinite staircase (SV, or a custom "staircase" rule with a tail)
+    lanes that cross the deep floor retire from stepping: every later step
     sits in some branch with index above a certified lower bound (the index
-    can drop by at most 1 per step), its log-slope equals the tail value
-    exactly, and potentials contribute their tail limits (NaN without one).
-    Deep steps are recorded in itineraries as -1.  The step count, quarter
-    minima, itinerary entries and the abort once the bound falls below 2
-    follow in closed form at the crossing.  The float sums of deep lanes
+    can drop by at most 1 per step).  A deep step counts while that bound
+    exceeds the head of every table the batch reads (log|T'|, phi, psi), so
+    each takes its tail value exactly (NaN without one); then the lane
+    aborts.  Elsewhere a lane that crosses the floor aborts at once.  Deep
+    steps are recorded in itineraries as -1.  The step count, quarter
+    minima, itinerary entries and the abort follow in closed form at the
+    crossing.  The float sums of deep lanes
     still get one add per step on their own compact arrays, since in IEEE
     arithmetic ``s + r*c`` is not r repeated adds; so every field is
     bit-identical to stepping all lanes for the whole horizon.
     """
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
-    if model.family != "SV" and model.tail is not None:
-        return _scalar_batch(model, x0, n, phi, psi, collect_itineraries)
     starts = np.asarray(x0, dtype=float).copy()
     m = len(starts)
     q = n // 4
@@ -308,27 +339,18 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                      psi_sum=np.zeros(m) if psi is not None else None,
                      itineraries=_mapped_zeros(m, n) if collect_itineraries else None)
     its = out.itineraries
-    is_sv = model.family == "SV"
-    if is_sv:
-        step_fn, step_tables = _sv_step, _sv_power_table(model.lam)
-        logt_1 = -math.log(1.0 - model.lam)
-        logt_deep = -math.log(model.lam * (1.0 - model.lam))
-
-        def logt_of(idx: np.ndarray) -> np.ndarray:
-            return np.where(idx == 1, logt_1, logt_deep)
-    else:
-        step_fn, step_tables = _finite_step, _finite_tables(model)
-        logt_table = np.array([0.0] + [b.log_slope for b in model._explicit_branches])
-
-        def logt_of(idx: np.ndarray) -> np.ndarray:
-            return logt_table[idx]
-
-    # per-step adds of a deep lane: the tail values, NaN for a potential
-    # without a tail limit
-    deep_adds = {"logt": logt_deep if is_sv else 0.0}
-    for key, pot in (("phi", phi), ("psi", psi)):
-        if pot is not None:
-            deep_adds[key] = pot.tail_limit if pot.tail_limit is not None else np.nan
+    step_fn = _sv_step if model.family == "SV" else _finite_step
+    tab = _branch_table(model)
+    logt = builtin_log_derivative(model)
+    tables = {key: pot for key, pot in (("logt", logt), ("phi", phi), ("psi", psi))
+              if pot is not None}
+    # per-step adds of a deep lane: the tail values, NaN for a table without a
+    # tail limit
+    deep_adds = {key: pot.tail_limit if pot.tail_limit is not None else np.nan
+                 for key, pot in tables.items()}
+    # a deep step is certified only on an infinite staircase, and only while
+    # its branch bound exceeds the head of every table the batch reads
+    head = max(pot.head for pot in tables.values()) if _certifies_deep(model) else None
     sink = {"logt": out.logt_sum, "tail": out.logt_tail_sum, "phi": out.phi_sum,
             "psi": out.psi_sum, "fqm": out.first_quarter_min,
             "lqm": out.last_quarter_min, "tb1": out.tail_has_branch1}
@@ -341,10 +363,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                 sink[key][lanes] = arr[sel]
         return lanes
 
-    live = {"lane": np.arange(m), "x": starts.copy(), "logt": np.zeros(m)}
-    for key in ("phi", "psi"):
-        if key in deep_adds:
-            live[key] = np.zeros(m)
+    live = {"lane": np.arange(m), "x": starts.copy(), **{key: np.zeros(m) for key in tables}}
     if q:
         live["fqm"] = np.full(m, big)
     deep = {key: np.zeros(0) for key in ("tail", *deep_adds)}
@@ -375,7 +394,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                 break
             continue
 
-        y, idx, hit = step_fn(model, live["x"], step_tables)
+        y, idx, hit = step_fn(model, live["x"], tab)
         if hit.any():
             lanes = retire(live, hit)
             out.steps[lanes] = k
@@ -386,41 +405,38 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
         live["x"] = y
         if its is not None:
             its[live["lane"], k] = idx
-        lt = logt_of(idx)
-        live["logt"] += lt
-        if phi is not None:
-            live["phi"] += phi.eval_symbols(idx)
-        if psi is not None:
-            live["psi"] += psi.eval_symbols(idx)
+        vals = {key: pot.eval_symbols(idx) for key, pot in tables.items()}
+        for key, v in vals.items():
+            live[key] += v
         if k < q:
             live["fqm"] = np.minimum(live["fqm"], idx)
         if k >= tail_start:
-            live["tail"] += lt
+            live["tail"] += vals["logt"]
             live["lqm"] = np.minimum(live["lqm"], idx)
             live["tb1"] |= idx == 1
 
         low = y < DEEP_FLOOR
         if not low.any():
             continue
-        if not is_sv:
+        if head is None:
             lanes = retire(live, low)
             out.steps[lanes] = k + 1
             out.aborted[lanes] = True
             live = _compact(live, ~low)
             continue
         # a lane crossing in branch i sits in a branch >= i - 1 - (j - k) at
-        # step j > k; it aborts after step k + i - 3, the last one certified
-        # >= 2.  With i < 4 no deep step is certified: the lane is flagged
-        # aborted at once but stays live.
-        out.aborted[live["lane"][low & (idx < 4)]] = True
-        cross = low & (idx >= 4)
+        # step j > k; it aborts after step k + i - 2 - head, the last one whose
+        # bound exceeds the head.  With i < head + 3 no deep step is
+        # certified: the lane is flagged aborted at once but stays live.
+        out.aborted[live["lane"][low & (idx < head + 3)]] = True
+        cross = low & (idx >= head + 3)
         if not cross.any():
             continue
         lanes = retire(live, cross)
         i = idx[cross]
-        last = np.minimum(n - 1, k + i - 3)
+        last = np.minimum(n - 1, k + i - 2 - head)
         out.steps[lanes] = last + 1
-        out.aborted[lanes] = k + i - 3 <= n - 1
+        out.aborted[lanes] = k + i - 2 - head <= n - 1
         if its is not None:
             for lane, stop in zip(lanes, last + 1):
                 its[lane, k + 1:stop] = -1
@@ -445,44 +461,6 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     # a lane's steps are a prefix of the horizon
     out.tail_steps = np.maximum(out.steps - tail_start, 0)
     return out
-
-
-def _scalar_batch(model, x0, n, phi, psi, collect_itineraries) -> BatchStats:
-    """Per-orbit fallback for models the vectorized stepper cannot handle."""
-    m = len(x0)
-    q = n // 4
-    stats = BatchStats(starts=np.asarray(x0, dtype=float),
-                       steps=np.zeros(m, dtype=np.int64),
-                       aborted=np.zeros(m, dtype=bool),
-                       first_quarter_min=np.zeros(m, dtype=np.int64),
-                       last_quarter_min=np.zeros(m, dtype=np.int64),
-                       logt_sum=np.zeros(m), logt_tail_sum=np.zeros(m),
-                       tail_steps=np.zeros(m, dtype=np.int64),
-                       tail_has_branch1=np.zeros(m, dtype=bool),
-                       phi_sum=np.zeros(m) if phi is not None else None,
-                       psi_sum=np.zeros(m) if psi is not None else None,
-                       itineraries=np.zeros((m, n), dtype=np.int32)
-                       if collect_itineraries else None)
-    for i, x in enumerate(x0):
-        rec = simulate_orbit(model, float(x), n, phi=phi, psi=psi)
-        k = rec.steps
-        stats.steps[i] = k
-        stats.aborted[i] = rec.classification == BOUNDARY_ABORT
-        stats.logt_sum[i] = rec.logt_steps.sum()
-        if stats.itineraries is not None:
-            stats.itineraries[i, :k] = rec.itinerary
-        if phi is not None:
-            stats.phi_sum[i] = rec.phi_steps.sum()
-        if psi is not None:
-            stats.psi_sum[i] = rec.psi_steps.sum()
-        if k == n and q >= 1:
-            stats.first_quarter_min[i] = rec.itinerary[:q].min()
-            stats.last_quarter_min[i] = rec.itinerary[n - q:].min()
-            tail = rec.logt_steps[n - q:]
-            stats.logt_tail_sum[i] = tail.sum()
-            stats.tail_steps[i] = q
-            stats.tail_has_branch1[i] = bool((rec.itinerary[n - q:] == 1).any())
-    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,10 @@ class TailRule:
     slope: float
     anchor: float
 
-    def branch(self, n: int) -> BranchSpec:
+    def edges(self, n: int) -> tuple[float, float, float]:
+        """(left, right, slope) of tail branch ``n``."""
         k = n - self.from_index
-        return make_branch(n, self.anchor * self.ratio ** (k + 1),
-                           self.anchor * self.ratio ** k, self.slope)
+        return self.anchor * self.ratio ** (k + 1), self.anchor * self.ratio ** k, self.slope
 
 
 # ---------------------------------------------------------------------------
@@ -129,47 +129,59 @@ class TailRule:
 class MarkovMapModel:
     """An expanding Markov interval map with countably many affine branches.
 
-    Immutable after construction: the branch cache only memoizes values that
-    are pure functions of the constructor arguments.
+    Immutable after construction.  The explicit branches of a custom model
+    are stored; every other branch is the closed form ``edge_fn``, never
+    cached.
 
     Use :func:`build_sv_map` or :func:`build_custom_map` instead of calling
     this constructor directly.
     """
 
-    def __init__(self, *, family: str, branch_fn: Callable[[int], BranchSpec],
+    def __init__(self, *, family: str,
+                 edge_fn: Callable[[int], tuple[float, float, float]] | None,
                  rule: str | None,
                  explicit_matrix: np.ndarray | None,
                  alphabet_size: int | None,
                  expansion_floor: float,
                  lam: float | None = None,
-                 tail: TailRule | None = None):
+                 tail: TailRule | None = None,
+                 explicit: Sequence[BranchSpec] = ()):
         self.family = family                    # "SV" or "CUSTOM"
         self.lam = lam
         self.alphabet_size = alphabet_size      # None => countably infinite
         self.expansion_floor = expansion_floor  # xi > 1, uniform lower slope bound
         self.tail = tail
         self.rule = rule                        # a name in _RULES, or None for explicit_matrix
-        self._branch_fn = branch_fn
+        self._edge_fn = edge_fn                 # branches past the explicit ones
+        self._explicit = tuple(explicit)        # branches 1..len(explicit)
         self._explicit_matrix = explicit_matrix
-        self._branch_cache: dict[int, BranchSpec] = {}
         if expansion_floor <= 1.0:
             raise DomainError("expansion floor must exceed 1")
 
     # -- alphabet ---------------------------------------------------------
-    def branch(self, i: int) -> BranchSpec:
-        """Materialize branch ``i`` (lazily, from the generator rule)."""
+    def edges(self, i: int) -> tuple[float, float, float]:
+        """(left, right, slope) of branch ``i``, the floats :meth:`branch` holds,
+        without building a BranchSpec."""
         if i < 1:
             raise DomainError(f"branch index must be >= 1, got {i}")
         if self.alphabet_size is not None and i > self.alphabet_size:
             raise DomainError(f"branch {i} beyond alphabet of size {self.alphabet_size}")
-        b = self._branch_cache.get(i)
-        if b is None:
-            b = self._branch_fn(i)
-            self._branch_cache[i] = b
-        return b
+        if i <= len(self._explicit):
+            b = self._explicit[i - 1]
+            return b.left, b.right, b.slope
+        return self._edge_fn(i)
+
+    def branch(self, i: int) -> BranchSpec:
+        """Branch ``i``: a stored explicit branch, or one built from the closed form."""
+        if 1 <= i <= len(self._explicit):
+            return self._explicit[i - 1]
+        return make_branch(i, *self.edges(i))
 
     def log_slope(self, i: int) -> float:
-        return self.branch(i).log_slope
+        """``branch(i).log_slope``; a closed-form branch is not built for it."""
+        if 1 <= i <= len(self._explicit):
+            return self._explicit[i - 1].log_slope
+        return math.log(self.edges(i)[2])
 
     # -- transition structure ---------------------------------------------
     def transition(self, i: int, j: int) -> bool:
@@ -190,7 +202,7 @@ class MarkovMapModel:
         if self.rule is not None:
             # rule rows cover every branch from the first target on, which accumulate
             # at 0: image = (0, right endpoint of first target]
-            return (0.0, self.branch(self._first_target(i)).right)
+            return (0.0, self.edges(self._first_target(i))[1])
         targets = [j + 1 for j in range(self.alphabet_size) if self._explicit_matrix[i - 1, j]]
         lo = min(self.branch(j).left for j in targets)
         hi = max(self.branch(j).right for j in targets)
@@ -221,7 +233,7 @@ class MarkovMapModel:
         def near(x, edge):
             return abs(x - edge) <= ENDPOINT_TOL * max(abs(edge), abs(x))
 
-        for b in self._explicit_branches:
+        for b in self._explicit:
             if near(x, b.left) or near(x, b.right):
                 raise BoundaryError(f"point {x!r} within relative {ENDPOINT_TOL} of a "
                                     f"branch endpoint")
@@ -231,30 +243,24 @@ class MarkovMapModel:
             t = self.tail
             u = math.log(x / t.anchor) / math.log(t.ratio)
             n = t.from_index + int(math.floor(u))
-            while x <= t.branch(n).left:
+            while x <= t.edges(n)[0]:
                 n += 1
-            while n > t.from_index and x > t.branch(n).right:
+            while n > t.from_index and x > t.edges(n)[1]:
                 n -= 1
-            b = t.branch(n)
-            if near(x, b.left) or near(x, b.right):
+            left, right, _ = t.edges(n)
+            if near(x, left) or near(x, right):
                 raise BoundaryError(f"point {x!r} within relative {ENDPOINT_TOL} of a "
                                     f"tail endpoint")
             return n
         raise BoundaryError(f"point {x!r} not interior to any branch")
 
     def apply(self, x: float) -> tuple[float, int]:
-        """One step of the map: returns (image, branch index)."""
+        """One step of the map: returns (image, branch index).  A rule row's
+        image starts at 0, so only an explicit row reads its image interval."""
         n = self.locate(x)
-        b = self.branch(n)
-        lo, _hi = self.image_interval(n)
-        y = lo + (x - b.left) * b.slope
-        return y, n
-
-    # -- custom-model helpers -----------------------------------------------
-    @property
-    def _explicit_branches(self) -> list[BranchSpec]:
-        n_explicit = self.alphabet_size if self.alphabet_size is not None else (self.tail.from_index - 1)
-        return [self.branch(i) for i in range(1, n_explicit + 1)]
+        left, _, slope = self.edges(n)
+        lo = 0.0 if self.rule is not None else self.image_interval(n)[0]
+        return lo + (x - left) * slope, n
 
     def __repr__(self) -> str:
         if self.family == "SV":
@@ -277,11 +283,10 @@ def build_sv_map(lam: float) -> MarkovMapModel:
     slope_1 = 1.0 / (1.0 - lam)
     slope_n = 1.0 / (lam * (1.0 - lam))
 
-    def branch_fn(n: int) -> BranchSpec:
-        s = slope_1 if n == 1 else slope_n
-        return make_branch(n, lam ** n, lam ** (n - 1), s)
+    def edge_fn(n: int) -> tuple[float, float, float]:
+        return lam ** n, lam ** (n - 1), slope_1 if n == 1 else slope_n
 
-    return MarkovMapModel(family="SV", branch_fn=branch_fn, rule="staircase",
+    return MarkovMapModel(family="SV", edge_fn=edge_fn, rule="staircase",
                           explicit_matrix=None, alphabet_size=None,
                           expansion_floor=min(slope_1, slope_n), lam=lam)
 
@@ -297,10 +302,11 @@ def build_custom_map(branches: Sequence[BranchSpec],
     A tail dict {"from_index": n0, "ratio": r, "slope": s?} appends the
     geometric continuation; rule-based transitions then extend to it.
 
-    The Markov image-consistency check runs on all explicit branches: the
-    image interval implied by slope and branch length must coincide (within
-    ``IMAGE_TOL``) with the union of the transition targets, and that union
-    must be a contiguous interval.  The violations of
+    The Markov image-consistency check runs on all explicit branches, under
+    a rule as under a matrix: the image interval implied by slope and branch
+    length must coincide (within ``IMAGE_TOL``) with the union of the
+    transition targets (under a rule, the tail's (0, anchor] among them), and
+    that union must be a contiguous interval.  The violations of
     :func:`validate_custom_branches` raise one ConfigError.
     """
     violations = validate_custom_branches(branches, transitions, tail)
@@ -312,32 +318,27 @@ def build_custom_map(branches: Sequence[BranchSpec],
 
 def _assemble_custom(branches, transitions, tail_cfg) -> MarkovMapModel:
     """The model of a configuration that passed :func:`validate_custom_branches`."""
-    by_index = {b.index: b for b in branches}
+    branches = sorted(branches, key=lambda b: b.index)
     n_explicit = len(branches)
 
     tail = None
     if tail_cfg is not None:
         n0, ratio = int(tail_cfg["from_index"]), float(tail_cfg["ratio"])
         tail = TailRule(n0, ratio, float(tail_cfg.get("slope", 1.0 / ratio)),
-                        by_index[n0 - 1].left)
-
-    def branch_fn(i: int) -> BranchSpec:
-        if i in by_index:
-            return by_index[i]
-        return tail.branch(i)
+                        branches[n0 - 2].left)
 
     floor = min(b.slope for b in branches)
     if tail is not None:
         floor = min(floor, tail.slope)
 
     if isinstance(transitions, str):
-        return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn,
+        return MarkovMapModel(family="CUSTOM", edge_fn=None if tail is None else tail.edges,
                               rule=transitions, explicit_matrix=None,
                               alphabet_size=None if tail is not None else n_explicit,
-                              expansion_floor=floor, tail=tail)
-    return MarkovMapModel(family="CUSTOM", branch_fn=branch_fn, rule=None,
+                              expansion_floor=floor, tail=tail, explicit=branches)
+    return MarkovMapModel(family="CUSTOM", edge_fn=None, rule=None,
                           explicit_matrix=np.asarray(transitions, dtype=bool),
-                          alphabet_size=n_explicit, expansion_floor=floor)
+                          alphabet_size=n_explicit, expansion_floor=floor, explicit=branches)
 
 
 def validate_custom_branches(branches: Sequence[BranchSpec],
@@ -382,22 +383,34 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
             out.append("transition matrix has an all-zero row")
         if not m.any(axis=0).all():
             out.append("transition matrix has an all-zero column")
-        if out:
-            return out
-        # Markov consistency: image of each branch == union of its targets
-        for b in branches:
-            targets = [branches[j] for j in range(n) if m[b.index - 1, j]]
-            targets.sort(key=lambda t: t.left)
-            for u, v in zip(targets, targets[1:]):
-                if abs(v.left - u.right) > IMAGE_TOL:
-                    out.append(f"branch {b.index}: targets do not form a contiguous interval")
-                    break
-            lo, hi = targets[0].left, targets[-1].right
-            implied = b.length * b.slope
-            if abs((hi - lo) - implied) > IMAGE_TOL:
-                out.append(f"branch {b.index}: image length {implied:.12g} != target union "
-                           f"length {hi - lo:.12g}")
+    if out or transitions is None:
+        return out
+    # Markov consistency: image of each branch == union of its targets; a rule's
+    # matrix over the explicit branches, each rule row also covering (0, anchor]
+    targets = [(b.left, b.right) for b in branches]
+    if not explicit:
+        m = _rule_matrix(transitions, n)
+        if tail is not None:
+            targets.append((0.0, branches[-1].left))
+            m = np.hstack([m, np.ones((n, 1), dtype=bool)])
+    for b, row in zip(branches, m):
+        union = sorted(t for t, hit in zip(targets, row) if hit)
+        for (_, u_right), (v_left, _) in zip(union, union[1:]):
+            if abs(v_left - u_right) > IMAGE_TOL:
+                out.append(f"branch {b.index}: targets do not form a contiguous interval")
+                break
+        lo, hi = union[0][0], union[-1][1]
+        implied = b.length * b.slope
+        if abs((hi - lo) - implied) > IMAGE_TOL:
+            out.append(f"branch {b.index}: image length {implied:.12g} != target union "
+                       f"length {hi - lo:.12g}")
     return out
+
+
+def _rule_matrix(rule: str, n: int) -> np.ndarray:
+    """The n x n boolean matrix of a transition rule."""
+    ones = np.ones((n, n), dtype=bool)
+    return np.triu(ones, -1) if rule == "staircase" else ones
 
 
 def read_config(path: str):
@@ -541,8 +554,7 @@ class TruncatedSubsystem:
             return self.dense
         if self.size > 4096:
             raise DomainError("refusing to densify a matrix with N > 4096")
-        ones = np.ones((self.size, self.size), dtype=bool)
-        return np.triu(ones, -1) if self.rule == "staircase" else ones
+        return _rule_matrix(self.rule, self.size)
 
     @cached_property
     def primitive(self) -> bool:

@@ -93,6 +93,11 @@ class TablePotential:
                 raise DomainError(
                     f"potential claims floor {positivity_floor} but takes value {min(bad)}")
 
+    @property
+    def head(self) -> int:
+        """Largest symbol whose value may differ from the default (0 for a constant)."""
+        return self._values.size - 1
+
     def value(self, word) -> float:
         w = _as_word(word)[:1]
         if not w:
@@ -118,7 +123,7 @@ class TablePotential:
         return vals.size > 0 and bool((vals == vals[0]).all())
 
     def __repr__(self) -> str:
-        return f"TablePotential(head={self._values.size - 1}, default={self.default})"
+        return f"TablePotential(head={self.head}, default={self.default})"
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,23 @@ class TestSimulateAndEscape:
         payload = json.loads(out)
         assert payload["result"]["fraction_escaping"] > 0.0
 
+    def test_escape_custom_sv_copy(self, capsys, tmp_path):
+        # a custom staircase copy of SV(0.9): branch 1 = (0.9, 1], then a tail of
+        # ratio 0.9; its deep orbits are certified escapers as SV's are
+        f = tmp_path / "copy.json"
+        f.write_text(json.dumps(
+            {"branches": [{"index": 1, "left": 0.9, "right": 1.0, "slope": 1 / (1 - 0.9)}],
+             "transitions": "staircase",
+             "tail": {"from_index": 2, "ratio": 0.9, "slope": 1 / (0.9 * 0.1)}}))
+        frac = {}
+        for spec in ("sv:0.9", str(f)):
+            code, out, _ = run(capsys, "escape", "--map", spec, "--samples", "1000",
+                               "--horizon", "1000", "--seed", "0")
+            assert code == EXIT_OK
+            frac[spec] = json.loads(out)["result"]["fraction_escaping"]
+        assert frac[str(f)] == pytest.approx(frac["sv:0.9"], abs=0.01)
+        assert frac["sv:0.9"] > 0.9
+
     def test_escape_csv_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for f in (f1, f2):

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 import markovdim as md
 from markovdim import empirics
 from markovdim.empirics import (BOUNDARY_ABORT, DEEP_FLOOR, ESCAPING, RECURRENT_WINDOW,
-                                BatchStats, _finite_tables, _scalar_batch, _sv_power_table,
-                                orbit_rng, simulate_batch)
+                                BatchStats, _branch_table, orbit_rng, simulate_batch)
 from markovdim.errors import DomainError, InsufficientSampleError
 from markovdim.markov import ENDPOINT_TOL
 
@@ -63,6 +63,22 @@ class TestSimulateOrbit:
         rec = md.simulate_orbit(md.build_sv_map(0.9), 0.5, 2000)
         assert rec.classification == ESCAPING
 
+    def test_deep_orbits_keep_no_branches(self):
+        # branches past a model's explicit ones are closed forms, never cached,
+        # so deep orbits leave nothing behind on the model
+        m = md.build_sv_map(0.9)
+        md.simulate_orbit(m, 0.5, 10)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            recs = [md.simulate_orbit(m, x0, 2000) for x0 in (0.5, 0.3, 0.7)]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(rec.itinerary.max() > 6000 for rec in recs)
+        assert kept < sum(rec.points.nbytes + rec.itinerary.nbytes + rec.logt_steps.nbytes
+                          for rec in recs) + 20_000
+
     def test_potentials_recorded(self):
         m = md.build_sv_map(0.9)
         logt = md.builtin_log_derivative(m)
@@ -111,6 +127,22 @@ class TestBirkhoffQuotient:
             md.birkhoff_quotient(rec, self.logt, bare, 5)
 
 
+def sv_copy(lam):
+    """A custom staircase copy of SV(lam) with SV's slopes: branch 1 = (lam, 1],
+    then a tail of ratio lam from index 2."""
+    return md.build_custom_map([md.make_branch(1, lam, 1.0, 1.0 / (1.0 - lam))], "staircase",
+                               tail={"from_index": 2, "ratio": lam,
+                                     "slope": 1.0 / (lam * (1.0 - lam))})
+
+
+def two_branch_head_map():
+    """Staircase with branches (0.5, 1] and (0.4, 0.5], then a tail of ratio
+    0.8 from index 3: its branch index drifts up by 3 per step on average."""
+    return md.build_custom_map([md.make_branch(1, 0.5, 1.0, 2.0),
+                                md.make_branch(2, 0.4, 0.5, 10.0)], "staircase",
+                               tail={"from_index": 3, "ratio": 0.8, "slope": 6.25})
+
+
 class TestBatchVsScalar:
     @pytest.mark.parametrize("lam", [0.6, 0.9])
     def test_bitwise_identical(self, lam):
@@ -132,14 +164,63 @@ class TestBatchVsScalar:
             assert rec.steps == batch.steps[i]
             assert (rec.itinerary == batch.itineraries[i, :rec.steps]).all()
 
+    @pytest.mark.parametrize("model", [sv_copy(0.9), two_branch_head_map()],
+                             ids=["sv-copy", "head-2"])
+    def test_tail_maps(self, model):
+        # both go deep within the horizon; a scalar orbit stops at its crossing,
+        # where the batch continues a certified escaper with -1 steps
+        starts = 1.0 - orbit_rng(6).random(40)
+        n = 1500
+        batch = simulate_batch(model, starts, n, collect_itineraries=True)
+        cls = batch.classification()
+        went_deep = 0
+        for i, s in enumerate(starts):
+            rec = md.simulate_orbit(model, float(s), n)
+            k = rec.steps
+            assert (batch.itineraries[i, :k] == rec.itinerary).all()
+            if rec.classification == ESCAPING and k < n:
+                went_deep += 1
+                assert batch.steps[i] == n and (batch.itineraries[i, k:] == -1).all()
+            else:
+                assert batch.steps[i] == k
+            assert cls[i] == rec.classification
+        assert went_deep > 20
+
+    def test_full_rule_tail_deep_orbits_abort(self):
+        # from the tail every step lands deeper, and on a "full" rule nothing
+        # certifies the crossing: scalar and batch orbits abort there alike
+        model = md.build_custom_map([md.make_branch(1, 0.5, 1.0, 2.0),
+                                     md.make_branch(2, 0.25, 0.5, 4.0)], "full",
+                                    tail={"from_index": 3, "ratio": 0.6})
+        starts = 1.0 - orbit_rng(5).random(40)
+        n = 2000
+        batch = simulate_batch(model, starts, n, collect_itineraries=True)
+        aborted_deep = 0
+        for i, s in enumerate(starts):
+            rec = md.simulate_orbit(model, float(s), n)
+            assert rec.steps == batch.steps[i]
+            assert (batch.itineraries[i, :rec.steps] == rec.itinerary).all()
+            if rec.points[-1] < DEEP_FLOOR:
+                aborted_deep += 1
+                assert rec.classification == BOUNDARY_ABORT and batch.aborted[i]
+        assert aborted_deep > 20 and not (batch.itineraries == -1).any()
+
+    def test_sv_copy_escapes_as_sv(self):
+        # the copy with SV(0.9)'s own slopes reproduces its counts and tail mean
+        want = md.escape_statistics(md.build_sv_map(0.9), 2000, 1000, seed=0)
+        got = md.escape_statistics(sv_copy(0.9), 2000, 1000, seed=0)
+        assert got.counts == want.counts and want.counts[ESCAPING] > 1900
+        assert got.mean_tail_logt_escapers == want.mean_tail_logt_escapers
+
 
 # ---------------------------------------------------------------------------
 # Reference batch: every lane is stepped on every step of the horizon, with
 # masks for the lanes that stopped or went deep
 # ---------------------------------------------------------------------------
-def _ref_sv_step(model, x, active, table):
+def _ref_sv_step(model, x, active, tab):
     lam = model.lam
     loglam = math.log(lam)
+    table = tab.rights
     kmax = len(table) - 1
     ax = np.where(active, x, 0.5)  # placeholder keeps log() quiet
     u = np.log(ax) / loglam
@@ -159,8 +240,8 @@ def _ref_sv_step(model, x, active, table):
     return new_x, idx, aborted
 
 
-def _ref_finite_step(model, x, active, tables):
-    lefts, slopes, img_lo, order, lefts_s, rights_s = tables
+def _ref_finite_step(model, x, active, tab):
+    lefts_s, rights_s, order = tab.lefts_s, tab.rights_s, tab.order
     pos = np.searchsorted(lefts_s, x, side="right") - 1
     pos = np.clip(pos, 0, len(order) - 1)
     inside = (x > lefts_s[pos]) & (x < rights_s[pos])
@@ -170,7 +251,8 @@ def _ref_finite_step(model, x, active, tables):
     aborted = active & (~inside | near_edge)
     stepping = active & ~aborted
     branch_ids = order[pos] + 1
-    y = img_lo[branch_ids - 1] + (x - lefts[branch_ids - 1]) * slopes[branch_ids - 1]
+    y = (tab.img_lo[branch_ids - 1]
+         + (x - tab.lefts[branch_ids - 1]) * tab.slopes[branch_ids - 1])
     new_x = np.where(stepping, y, x)
     idx = np.where(stepping, branch_ids, 0)
     return new_x, idx, aborted
@@ -179,8 +261,6 @@ def _ref_finite_step(model, x, active, tables):
 def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itineraries=False):
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
-    if model.family != "SV" and model.tail is not None:
-        return _scalar_batch(model, x0, n, phi, psi, collect_itineraries)
     x = np.asarray(x0, dtype=float).copy()
     m = len(x)
     active = np.ones(m, dtype=bool)
@@ -198,29 +278,35 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
     phi_sum = np.zeros(m) if phi is not None else None
     psi_sum = np.zeros(m) if psi is not None else None
     its = np.zeros((m, n), dtype=np.int32) if collect_itineraries else None
-    is_sv = model.family == "SV"
-    if is_sv:
-        step_fn, step_tables = _ref_sv_step, _sv_power_table(model.lam)
-    else:
-        step_fn, step_tables = _ref_finite_step, _finite_tables(model)
+    tab = _branch_table(model)
     starts = x.copy()
-    deep_supported = is_sv
-    logt_deep = -math.log(model.lam * (1.0 - model.lam)) if is_sv else 0.0
+    # deep lanes exist on infinite staircases only; a deep step counts while its bound
+    # exceeds every symbol on which log|T'|, phi or psi leaves its tail value
+    deep_supported = model.rule == "staircase" and model.alphabet_size is None
+    if model.family == "SV":
+        step_fn = _ref_sv_step
+        logt_1 = -math.log(1.0 - model.lam)
+        logt_deep = -math.log(model.lam * (1.0 - model.lam))
+        logt_head = 1
+
+        def logt_of(idx):
+            return np.where(idx == 1, logt_1, logt_deep)
+    else:
+        step_fn = _ref_finite_step
+        table = np.array([0.0] + [model.log_slope(i) for i in range(1, len(tab.lefts) + 1)])
+        logt_deep = math.log(model.tail.slope) if model.tail is not None else 0.0
+        logt_head = model.tail.from_index - 1 if model.tail is not None else None
+
+        def logt_of(idx):
+            return table[idx]
+    head = max([logt_head if logt_head is not None else 0]
+               + [p.head for p in (phi, psi) if p is not None])
     phi_deep = phi.tail_limit if phi is not None else None
     psi_deep = psi.tail_limit if psi is not None else None
 
-    if not is_sv:
-        table = np.array([0.0] + [b.log_slope for b in model._explicit_branches])
-
-    def logt_of(idx):
-        if is_sv:
-            v1 = -math.log(1.0 - model.lam)
-            return np.where(idx == 1, v1, logt_deep)
-        return table[idx]
-
     for k in range(n):
         stepping_lanes = active & ~deep
-        x, idx, newly_aborted = step_fn(model, x, stepping_lanes, step_tables)
+        x, idx, newly_aborted = step_fn(model, x, stepping_lanes, tab)
         aborted |= newly_aborted
         moved = stepping_lanes & ~newly_aborted
         idx = np.where(deep & active, deep_bound, idx)
@@ -254,7 +340,7 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
                 deep_bound[crossing] = idx[crossing] - 1
                 deep[crossing] = True
             deep_bound[deep & active] -= 1
-            exhausted = deep & active & (deep_bound < 2)
+            exhausted = deep & active & (deep_bound <= head)
             if exhausted.any():
                 aborted |= exhausted
                 deep &= ~exhausted
@@ -343,6 +429,42 @@ class TestBatchAgainstReference:
         assert exhausted.any() and (want.steps[exhausted] < 4000).any()
         assert_batches_identical(simulate_batch(m, starts, 4000, collect_itineraries=True),
                                  want)
+
+    def test_deep_steps_stop_at_potential_head(self):
+        # phi leaves its tail value on symbol 1000, so a deep step may count
+        # only while the lane's certified branch bound exceeds 1000
+        m = md.build_sv_map(0.6)
+        starts = 1.0 - orbit_rng(3).random(300)
+        phi = md.builtin_tail_potential(0.0, {1000: 100.0})
+        n = 3000
+        got = simulate_batch(m, starts, n, phi=phi, collect_itineraries=True)
+        its = got.itineraries
+        deep = np.flatnonzero((its == -1).any(axis=1))
+        assert len(deep) > 100
+        stopped = 0
+        for lane in deep:
+            cross = int(np.argmax(its[lane] == -1)) - 1
+            last = int(got.steps[lane]) - 1
+            assert (its[lane, cross + 1:last + 1] == -1).all()
+            bound = int(its[lane, cross]) - 1 - (last - cross)
+            assert bound > 1000
+            stopped += bool(got.aborted[lane]) and bound == 1001
+        assert stopped > 100
+        assert_batches_identical(got, reference_simulate_batch(m, starts, n, phi=phi,
+                                                               collect_itineraries=True))
+
+    @pytest.mark.parametrize("model", [sv_copy(0.9), two_branch_head_map()],
+                             ids=["sv-copy", "head-2"])
+    def test_tail_map_bit_identical(self, model):
+        starts = np.concatenate([1.0 - orbit_rng(7).random(150), [0.4, 0.5, 0.9]])
+        logt = md.builtin_log_derivative(model)
+        phi = md.builtin_tail_potential(2.0, {1: 0.5, 3: 1.25})
+        for n in (1, 60, 1500):
+            want = reference_simulate_batch(model, starts, n, phi=phi, psi=logt,
+                                            collect_itineraries=True)
+            assert (want.itineraries == -1).any() == (n == 1500)
+            assert_batches_identical(simulate_batch(model, starts, n, phi=phi, psi=logt,
+                                                    collect_itineraries=True), want)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dense_custom_bit_identical(self, seed):

@@ -334,6 +334,30 @@ class TestCustomModels:
                             "transitions": [[True, True], [True, True]]})
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("rule,bad", [("staircase", [3, 4]), ("full", [])])
+    def test_rule_images_checked(self, rule, bad):
+        # four slope-4 quarter branches, left to right: each image has length 1,
+        # but under "staircase" branch i >= 3 covers only (1/4 (i - 2), 1]
+        branches = [md.make_branch(i, (i - 1) / 4, i / 4, 4.0) for i in range(1, 5)]
+        out = md.validate_custom_branches(branches, rule)
+        assert [int(v.split(":")[0].split()[1]) for v in out] == bad
+        assert all("image length" in v for v in out)
+        if not bad:
+            assert md.build_custom_map(branches, rule).apply(0.9) == (pytest.approx(0.6), 4)
+
+    @pytest.mark.parametrize("rule", ["staircase", "full"])
+    def test_tail_is_a_rule_target(self, rule):
+        # (0.5, 1] and (0.25, 0.5] map onto (0, 1] only with the tail below them
+        branches = [md.make_branch(1, 0.5, 1.0, 2.0), md.make_branch(2, 0.25, 0.5, 4.0)]
+        tail = {"from_index": 3, "ratio": 0.5, "slope": 4.0}
+        assert md.validate_custom_branches(branches, rule, tail) == []
+        without = md.validate_custom_branches(branches, rule)
+        assert len(without) == 2 and all("image length 1 != target union length 0.75" in v
+                                         for v in without)
+        short = [branches[0], md.make_branch(2, 0.25, 0.5, 2.0)]
+        assert md.validate_custom_branches(short, rule, tail) == [
+            "branch 2: image length 0.5 != target union length 1"]
+
     def test_tail_needs_rule_transitions(self):
         branches = [md.make_branch(1, 0.5, 1.0, 2.0), md.make_branch(2, 0.25, 0.5, 4.0)]
         with pytest.raises(ConfigError):

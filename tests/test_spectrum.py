@@ -61,7 +61,7 @@ def karp_finish_loop(table):
 
 def explicit_model(mat):
     """A model over an arbitrary transition matrix; only its graph is used."""
-    return md.MarkovMapModel(family="CUSTOM", branch_fn=None, rule=None,
+    return md.MarkovMapModel(family="CUSTOM", edge_fn=None, rule=None,
                              explicit_matrix=mat, alphabet_size=mat.shape[0],
                              expansion_floor=2.0)
 
