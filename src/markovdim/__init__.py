@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 from .errors import (BoundaryError, CompositionError, ConfigError, ConvergenceError,
                      DegenerateError, DomainError, InsufficientSampleError,
                      MarkovDimError, MixingError, UnboundedError, WorkLimitError)
-from .markov import (BranchSpec, MarkovMapModel, TruncatedSubsystem, apply_map,
-                     build_custom_map, build_sv_map, is_primitive, load_map_config,
-                     make_branch, truncate, validate_custom_branches)
+from .markov import (BranchSpec, MarkovMapModel, TruncatedSubsystem, build_custom_map,
+                     build_sv_map, is_primitive, load_map_config, make_branch, truncate,
+                     validate_custom_branches)
 from .potentials import (TablePotential, builtin_log_derivative, builtin_tail_potential,
                          combine, constant_potential, potential_from_config)
 from .pressure import (PressureResult, closed_form_pressure_sv, gurevich_pressure,

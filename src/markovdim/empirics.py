@@ -10,8 +10,9 @@ Randomness comes from a counter-based generator (Philox) keyed by an
 explicit seed; per-stream derivation uses jumps, so results are bit-for-bit
 reproducible.
 
-Every model steps through the one vectorized loop of :func:`simulate_batch`;
-only the kernel that finds each lane's branch depends on the map's shape.
+Every model steps through the one vectorized loop of :func:`simulate_batch`
+and its one kernel, which guesses a lane's branch from log x in a geometric
+tail and searches the explicit branches above it.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, DomainError, InsufficientSampleError
-from .markov import ENDPOINT_TOL, MarkovMapModel
+from .markov import ENDPOINT_TOL, MarkovMapModel, TailRule
 from .potentials import TablePotential, builtin_log_derivative
 
 #: an orbit whose final-quarter branch indices never drop below this is a
@@ -112,7 +113,8 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
     it is a certified escaper (ESCAPING) while the remaining horizon is
     shorter than its branch index less the escape threshold; otherwise, and
     always on a finite map or a "full" rule, it is BOUNDARY_ABORT.
-    Potentials passed in are evaluated along the itinerary and their
+    Log|T'| (:func:`builtin_log_derivative`, as in the batch) and the
+    potentials passed in are evaluated along the itinerary and their
     per-step values recorded.
     """
     if n < 1:
@@ -136,11 +138,9 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
             went_deep = True
             break
     it = np.asarray(itinerary, dtype=np.int64)
-    logt = np.array([model.log_slope(i) for i in itinerary])
-    phi_steps = phi.eval_symbols(it) if (phi is not None and len(it)) else (
-        np.empty(0) if phi is not None else None)
-    psi_steps = psi.eval_symbols(it) if (psi is not None and len(it)) else (
-        np.empty(0) if psi is not None else None)
+    logt = builtin_log_derivative(model).eval_symbols(it)
+    phi_steps = phi.eval_symbols(it) if phi is not None else None
+    psi_steps = psi.eval_symbols(it) if psi is not None else None
     if went_deep:
         # escape is certified only on an infinite staircase, and only while the
         # remaining horizon cannot bring the branch index back down
@@ -172,8 +172,10 @@ def birkhoff_quotient(rec: OrbitRecord, phi: TablePotential, psi: TablePotential
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _BranchTable:
-    """Branches 1..K of a model as arrays, row n - 1 for branch n, and the
-    rows in the order of their left endpoints."""
+    """Branches 1..K of a model as arrays, row n - 1 for branch n; the
+    explicit rows in the order of their left endpoints; and the geometric
+    rows ``first``.. at or below ``top`` (-inf without a tail), where row k
+    of ``rights`` is the left end of branch k."""
 
     lefts: np.ndarray
     rights: np.ndarray
@@ -182,68 +184,82 @@ class _BranchTable:
     order: np.ndarray
     lefts_s: np.ndarray
     rights_s: np.ndarray
+    tail: TailRule | None
+    first: int
+    top: float
 
 
 def _branch_table(model: MarkovMapModel) -> _BranchTable:
     """Rows of branches 1..K from ``model.edges``, the scalar path's own
     expressions, so batch and scalar orbits see bitwise-identical endpoints.
-    K is a finite model's alphabet; a geometric part (SV: anchor 1 from
-    branch 1; a tail: from ``from_index``) runs nine rows past the first
-    branch whose left end is below the deep floor."""
+    K is a finite model's alphabet; a tail runs nine rows past the first
+    branch whose left end is below the deep floor.  The geometric rows are
+    the tail's and every explicit row just above it whose edges the tail's
+    formula gives bitwise (for SV all of them, from branch 1)."""
     t = model.tail
-    if model.alphabet_size is not None:
+    if t is None:
         count = model.alphabet_size
     else:
-        first, anchor, ratio = (t.from_index, t.anchor, t.ratio) if t else (1, 1.0, model.lam)
-        count = first - 1 + int(math.log(DEEP_FLOOR / anchor) / math.log(ratio)) + 10
+        count = t.base + int(math.log(DEEP_FLOOR / t.scale) / math.log(t.ratio)) + 10
     rows = np.fromiter((v for i in range(1, count + 1) for v in model.edges(i)),
                        dtype=float, count=3 * count).reshape(count, 3)
     lefts, rights, slopes = (np.ascontiguousarray(col) for col in rows.T)
     img_lo = np.zeros(count) if model.rule is not None else np.array(
         [model.image_interval(i)[0] for i in range(1, count + 1)])
-    order = np.argsort(lefts)
-    return _BranchTable(lefts, rights, slopes, img_lo, order, lefts[order], rights[order])
+    order = np.argsort(lefts[:len(model.explicit)])
+    first, top = count + 1, -math.inf
+    if t is not None:
+        first = t.from_index
+        while first > 1 and (lefts[first - 2], rights[first - 2]) == (t.left(first - 1),
+                                                                     t.left(first - 2)):
+            first -= 1
+        top = rights[first - 1]
+    return _BranchTable(lefts, rights, slopes, img_lo, order, lefts[order], rights[order],
+                        t, first, top)
 
 
-def _sv_step(model: MarkovMapModel, x: np.ndarray, tab: _BranchTable):
-    """One vectorized map step of every lane of ``x`` for the built-in family.
+def _step(x: np.ndarray, tab: _BranchTable):
+    """One vectorized map step of every lane of ``x``.
 
     Returns (new x, branch indices, aborted mask); the new x and index of
-    an aborted lane mean nothing.  A log-based guess of the index is
-    corrected against ``tab.rights``, whose entry k is lam**k, so that
-    decisions match the scalar path exactly (vectorized pow differs from
-    libm pow in the last ulp).
+    an aborted lane mean nothing.  Lanes above ``tab.top`` take a sorted
+    search of the explicit rows, the others :func:`_guess_rows`.  Both
+    compare ``x`` with the floats of ``model.edges`` by the endpoint test of
+    ``MarkovMapModel.locate``, so decisions match the scalar path exactly.
     """
-    table = tab.rights
-    loglam = math.log(model.lam)
-    kmax = len(table) - 1
-    u = np.log(x) / loglam
-    k = np.minimum(np.maximum(np.rint(u), 0), kmax).astype(np.int64)
-    edge = table[k]
-    hit = np.abs(x - edge) <= ENDPOINT_TOL * edge
-    n = np.minimum(np.maximum(np.floor(u).astype(np.int64) + 1, 1), kmax - 2)
-    # correct the log-based guess against the exact endpoint table (the
-    # guess is off by at most one except inside the excluded endpoint zone)
-    for _ in range(2):
-        n = np.where((n > 1) & (x > table[n - 1]), n - 1, n)
-        n = np.where(x <= table[n], n + 1, n)
-    aborted = hit | (x <= 0.0) | (x > 1.0)
-    # same arithmetic as the scalar path (slope multiply), so batch and
-    # scalar orbits agree bitwise
-    return (x - table[n]) * tab.slopes[n - 1], n, aborted
-
-
-def _finite_step(model: MarkovMapModel, x: np.ndarray, tab: _BranchTable):
-    """Vectorized step of every lane by a sorted search of the left endpoints."""
+    low = x <= tab.top
+    if low.all():
+        return _guess_rows(x, tab)
     pos = np.maximum(np.searchsorted(tab.lefts_s, x, side="right") - 1, 0)
-    inside = (x > tab.lefts_s[pos]) & (x < tab.rights_s[pos])
-    scale = np.maximum(np.abs(x), 1e-300)
-    near_edge = (np.abs(x - tab.lefts_s[pos]) <= ENDPOINT_TOL * scale) | \
-                (np.abs(x - tab.rights_s[pos]) <= ENDPOINT_TOL * scale)
-    aborted = ~inside | near_edge
+    left, right = tab.lefts_s[pos], tab.rights_s[pos]
+    near_edge = (np.abs(x - left) <= ENDPOINT_TOL * left) | \
+                (np.abs(x - right) <= ENDPOINT_TOL * right)
     rows = tab.order[pos]
     y = tab.img_lo[rows] + (x - tab.lefts[rows]) * tab.slopes[rows]
-    return y, rows + 1, aborted
+    n, hit = rows + 1, ~((x > left) & (x < right)) | near_edge
+    if low.any():
+        y[low], n[low], hit[low] = _guess_rows(x[low], tab)
+    return y, n, hit
+
+
+def _guess_rows(x: np.ndarray, tab: _BranchTable):
+    """Lanes in the geometric rows: a log-based guess of the index,
+    corrected against ``tab.rights`` (vectorized log and pow differ from
+    libm in the last ulp, so only the table decides)."""
+    table = tab.rights
+    kmax = len(table) - 1
+    u = tab.tail.position(np.log(x))
+    k = np.minimum(np.maximum(np.rint(u), tab.first - 1), kmax).astype(np.int64)
+    edge = table[k]
+    hit = np.abs(x - edge) <= ENDPOINT_TOL * edge
+    n = np.minimum(np.maximum(np.floor(u).astype(np.int64) + 1, tab.first), kmax - 2)
+    # the guess is off by at most one except inside the excluded endpoint zone
+    for _ in range(2):
+        n = np.where((n > tab.first) & (x > table[n - 1]), n - 1, n)
+        n = np.where(x <= table[n], n + 1, n)
+    # same arithmetic as the scalar path (slope multiply; a rule row's image
+    # starts at 0), so batch and scalar orbits agree bitwise
+    return (x - table[n]) * tab.slopes[n - 1], n, hit | (x <= 0.0)
 
 
 @dataclass
@@ -297,9 +313,9 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                    collect_itineraries: bool = False) -> BatchStats:
     """Vectorized orbit batch; semantics per-orbit match simulate_orbit.
 
-    Every model takes the same setup: one branch table, log|T'| from
-    :func:`builtin_log_derivative`, and a kernel picked by shape
-    (``_sv_step`` for SV, ``_finite_step`` for every custom map).
+    Every model takes the same setup and kernel: one branch table, log|T'|
+    from :func:`builtin_log_derivative`, and :func:`_step`, a log guess
+    over the geometric rows and a sorted search over the explicit ones.
 
     Only live lanes are stepped.  Their lane indices and running state
     (position, Birkhoff sums, quarter minima, the branch-1 flag) sit in
@@ -308,7 +324,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     lane's step count is the step number, so it needs no update per step.
     Stepping stops once no live lane is left.
 
-    On an infinite staircase (SV, or a custom "staircase" rule with a tail)
+    On an infinite staircase (a "staircase" rule with a tail, as for SV)
     lanes that cross the deep floor retire from stepping: every later step
     sits in some branch with index above a certified lower bound (the index
     can drop by at most 1 per step).  A deep step counts while that bound
@@ -339,7 +355,6 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                      psi_sum=np.zeros(m) if psi is not None else None,
                      itineraries=_mapped_zeros(m, n) if collect_itineraries else None)
     its = out.itineraries
-    step_fn = _sv_step if model.family == "SV" else _finite_step
     tab = _branch_table(model)
     logt = builtin_log_derivative(model)
     tables = {key: pot for key, pot in (("logt", logt), ("phi", phi), ("psi", psi))
@@ -394,7 +409,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                 break
             continue
 
-        y, idx, hit = step_fn(model, live["x"], tab)
+        y, idx, hit = _step(live["x"], tab)
         if hit.any():
             lanes = retire(live, hit)
             out.steps[lanes] = k

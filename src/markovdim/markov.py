@@ -2,20 +2,24 @@
 
 A model is a countable collection of disjoint open branch intervals inside
 (0,1], an affine expanding map on each branch, and a 0-1 transition
-structure recording which branches each branch image covers.  The built-in
-``SV(lambda)`` family, for lambda in (1/2, 1), partitions (0,1] into
-X_n = (lambda^n, lambda^(n-1)) and maps
+structure recording which branches each branch image covers.  Every model
+is finitely many explicit branches plus an optional geometric tail, whose
+branch n has interval (s r^(n-b), s r^(n-b-1)) and one slope.  The
+built-in ``SV(lambda)`` family, for lambda in (1/2, 1), is the staircase
+config with branch 1 = (lambda, 1] and a tail of ratio lambda from index 2
+(s = 1, b = 0): it partitions (0,1] into X_n = (lambda^n, lambda^(n-1)) and
+maps
 
     x in X_1  ->  (x - lambda) / (1 - lambda),
     x in X_n  ->  (x - lambda^n) / (lambda (1 - lambda)),   n >= 2,
 
 so branch 1 covers everything and branch n covers exactly the branches
-j >= n - 1.  Custom models are finitely many explicit branches plus an
-optional geometric tail rule.
+j >= n - 1.  Only its log-slopes, -log(1 - lambda) and
+-log(lambda (1 - lambda)), are closed forms.
 
 Finite truncations to the sub-alphabet {1..N} are the compact mixing
 subsystems on which all pressure computations run.  A truncation of a
-rule-based model (the SV family, or a custom "staircase" or "full" rule)
+rule-based model (a "staircase" rule, as for SV, or a "full" rule)
 is that rule's name, which fixes its matrix at every N with no storage; a
 truncation of an explicit model holds a dense boolean matrix.
 """
@@ -100,62 +104,70 @@ def make_branch(index: int, left: float, right: float, slope: float) -> BranchSp
 
 
 # ---------------------------------------------------------------------------
-# Tail rule for custom models
+# Geometric tail
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class TailRule:
-    """Geometric continuation of a custom model beyond its explicit branches.
+    """Geometric continuation of a model beyond its explicit branches.
 
-    Branches with index n >= from_index have intervals
-    (anchor * ratio^(n - from_index + 1), anchor * ratio^(n - from_index)]
-    where ``anchor`` is the left endpoint of branch ``from_index - 1``, and
-    constant slope ``slope``.
+    Branch n >= ``from_index`` has interval (scale * ratio^(n - base),
+    scale * ratio^(n - base - 1)], slope ``slope`` and log-slope
+    ``log_slope``.
     """
 
     from_index: int
     ratio: float
     slope: float
-    anchor: float
+    log_slope: float
+    scale: float
+    base: int
 
-    def edges(self, n: int) -> tuple[float, float, float]:
-        """(left, right, slope) of tail branch ``n``."""
-        k = n - self.from_index
-        return self.anchor * self.ratio ** (k + 1), self.anchor * self.ratio ** k, self.slope
+    def left(self, n: int) -> float:
+        """Left end of branch ``n``, the right end of branch n + 1."""
+        return self.scale * self.ratio ** (n - self.base)
+
+    def position(self, log_x):
+        """u = log(x / (scale ratio^-base)) / log(ratio) from log x (a float or
+        an array): u is the integer k at the left end of branch k and lies in
+        (n - 1, n) on branch n.  With scale 1 and base 0 it is log x / log r."""
+        log_r = math.log(self.ratio)
+        return (log_x - (math.log(self.scale) - self.base * log_r)) / log_r
+
+
+def _near(x: float, edge: float) -> bool:
+    """The endpoint test: ``x`` within relative ENDPOINT_TOL of ``edge``."""
+    return abs(x - edge) <= ENDPOINT_TOL * edge
 
 
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
 class MarkovMapModel:
-    """An expanding Markov interval map with countably many affine branches.
+    """An expanding Markov interval map: explicit affine branches 1..K,
+    then an optional geometric tail, which makes the alphabet infinite.
 
-    Immutable after construction.  The explicit branches of a custom model
-    are stored; every other branch is the closed form ``edge_fn``, never
-    cached.
+    ``transitions`` is a rule name in ``_RULES`` or a boolean matrix over
+    the explicit branches.  Log|T'| is one table: the explicit branches'
+    ``log_slope`` and the tail's.  ``lam`` is the SV parameter (None for
+    other maps).  Immutable after construction.
 
     Use :func:`build_sv_map` or :func:`build_custom_map` instead of calling
     this constructor directly.
     """
 
-    def __init__(self, *, family: str,
-                 edge_fn: Callable[[int], tuple[float, float, float]] | None,
-                 rule: str | None,
-                 explicit_matrix: np.ndarray | None,
-                 alphabet_size: int | None,
-                 expansion_floor: float,
-                 lam: float | None = None,
-                 tail: TailRule | None = None,
-                 explicit: Sequence[BranchSpec] = ()):
-        self.family = family                    # "SV" or "CUSTOM"
-        self.lam = lam
-        self.alphabet_size = alphabet_size      # None => countably infinite
-        self.expansion_floor = expansion_floor  # xi > 1, uniform lower slope bound
+    def __init__(self, explicit: Sequence[BranchSpec], transitions: np.ndarray | str,
+                 tail: TailRule | None = None, lam: float | None = None):
+        self.explicit = tuple(explicit)         # branches 1..K, in index order
         self.tail = tail
-        self.rule = rule                        # a name in _RULES, or None for explicit_matrix
-        self._edge_fn = edge_fn                 # branches past the explicit ones
-        self._explicit = tuple(explicit)        # branches 1..len(explicit)
-        self._explicit_matrix = explicit_matrix
-        if expansion_floor <= 1.0:
+        self.lam = lam
+        # identity for the potentials built from the model
+        self.key = ("SV", lam) if lam is not None else ("CUSTOM", id(self))
+        self.rule = transitions if isinstance(transitions, str) else None  # a name in _RULES
+        self._explicit_matrix = None if self.rule else np.asarray(transitions, dtype=bool)
+        self.alphabet_size = None if tail is not None else len(self.explicit)
+        # xi > 1, uniform lower slope bound
+        self.expansion_floor = min(b.slope for b in self.explicit + ((tail,) if tail else ()))
+        if self.expansion_floor <= 1.0:
             raise DomainError("expansion floor must exceed 1")
 
     # -- alphabet ---------------------------------------------------------
@@ -164,24 +176,27 @@ class MarkovMapModel:
         without building a BranchSpec."""
         if i < 1:
             raise DomainError(f"branch index must be >= 1, got {i}")
-        if self.alphabet_size is not None and i > self.alphabet_size:
-            raise DomainError(f"branch {i} beyond alphabet of size {self.alphabet_size}")
-        if i <= len(self._explicit):
-            b = self._explicit[i - 1]
+        if i <= len(self.explicit):
+            b = self.explicit[i - 1]
             return b.left, b.right, b.slope
-        return self._edge_fn(i)
+        t = self.tail
+        if t is None:
+            raise DomainError(f"branch {i} beyond alphabet of size {self.alphabet_size}")
+        return t.left(i), t.left(i - 1), t.slope
 
     def branch(self, i: int) -> BranchSpec:
-        """Branch ``i``: a stored explicit branch, or one built from the closed form."""
-        if 1 <= i <= len(self._explicit):
-            return self._explicit[i - 1]
-        return make_branch(i, *self.edges(i))
+        """Branch ``i``: a stored explicit branch, or one built from the tail."""
+        if 1 <= i <= len(self.explicit):
+            return self.explicit[i - 1]
+        return BranchSpec(i, *self.edges(i), self.tail.log_slope)
 
     def log_slope(self, i: int) -> float:
-        """``branch(i).log_slope``; a closed-form branch is not built for it."""
-        if 1 <= i <= len(self._explicit):
-            return self._explicit[i - 1].log_slope
-        return math.log(self.edges(i)[2])
+        """``branch(i).log_slope``; a tail branch is not built for it."""
+        if 1 <= i <= len(self.explicit):
+            return self.explicit[i - 1].log_slope
+        if i < 1 or self.tail is None:
+            raise DomainError(f"branch {i} outside the alphabet of {self!r}")
+        return self.tail.log_slope
 
     # -- transition structure ---------------------------------------------
     def transition(self, i: int, j: int) -> bool:
@@ -210,60 +225,44 @@ class MarkovMapModel:
 
     # -- dynamics ----------------------------------------------------------
     def locate(self, x: float) -> int:
-        """Branch index containing ``x``; BoundaryError at endpoints."""
+        """Branch index containing ``x``; BoundaryError at endpoints.  Above
+        the tail, which fills (0, left end of the last explicit branch), the
+        explicit branches are scanned; in the tail a log guess finds it."""
         if not (0.0 < x <= 1.0):
             raise BoundaryError(f"point {x!r} outside (0, 1]")
-        if self.family == "SV":
-            lam = self.lam
-            u = math.log(x) / math.log(lam)
-            k = int(round(u))
-            if k >= 0 and abs(x - lam ** k) <= ENDPOINT_TOL * lam ** k:
-                raise BoundaryError(f"point {x!r} within relative {ENDPOINT_TOL} of "
-                                    f"endpoint lambda^{k}")
-            n = int(math.floor(u)) + 1
-            # float-guard: correct off-by-one from the log
-            while n > 1 and x > lam ** (n - 1):
-                n -= 1
-            while x <= lam ** n:
-                n += 1
-            return n
-        return self._locate_custom(x)
-
-    def _locate_custom(self, x: float) -> int:
-        def near(x, edge):
-            return abs(x - edge) <= ENDPOINT_TOL * max(abs(edge), abs(x))
-
-        for b in self._explicit:
-            if near(x, b.left) or near(x, b.right):
-                raise BoundaryError(f"point {x!r} within relative {ENDPOINT_TOL} of a "
-                                    f"branch endpoint")
-            if b.left < x < b.right:
-                return b.index
-        if self.tail is not None and x < self.tail.anchor:
-            t = self.tail
-            u = math.log(x / t.anchor) / math.log(t.ratio)
-            n = t.from_index + int(math.floor(u))
-            while x <= t.edges(n)[0]:
-                n += 1
-            while n > t.from_index and x > t.edges(n)[1]:
-                n -= 1
-            left, right, _ = t.edges(n)
-            if near(x, left) or near(x, right):
-                raise BoundaryError(f"point {x!r} within relative {ENDPOINT_TOL} of a "
-                                    f"tail endpoint")
-            return n
-        raise BoundaryError(f"point {x!r} not interior to any branch")
+        t = self.tail
+        if t is None or x >= self.explicit[-1].left:
+            for b in self.explicit:
+                if _near(x, b.left) or _near(x, b.right):
+                    raise BoundaryError(f"point {x!r} within relative {ENDPOINT_TOL} of a "
+                                        f"branch endpoint")
+                if b.left < x < b.right:
+                    return b.index
+            raise BoundaryError(f"point {x!r} not interior to any branch")
+        u = t.position(math.log(x))
+        k = max(round(u), t.from_index - 1)
+        if _near(x, t.left(k)):
+            raise BoundaryError(f"point {x!r} within relative {ENDPOINT_TOL} of the left "
+                                f"endpoint of branch {k}")
+        n = max(math.floor(u) + 1, t.from_index)
+        # float-guard: correct off-by-one from the log
+        while n > t.from_index and x > t.left(n - 1):
+            n -= 1
+        while x <= t.left(n):
+            n += 1
+        return n
 
     def apply(self, x: float) -> tuple[float, int]:
         """One step of the map: returns (image, branch index).  A rule row's
-        image starts at 0, so only an explicit row reads its image interval."""
+        image starts at 0, so only an explicit row reads its image interval.
+        BoundaryError (from :meth:`locate`) at endpoints and outside (0,1]."""
         n = self.locate(x)
         left, _, slope = self.edges(n)
         lo = 0.0 if self.rule is not None else self.image_interval(n)[0]
         return lo + (x - left) * slope, n
 
     def __repr__(self) -> str:
-        if self.family == "SV":
+        if self.lam is not None:
             return f"MarkovMapModel(SV, lambda={self.lam})"
         size = "inf" if self.alphabet_size is None else self.alphabet_size
         return f"MarkovMapModel(CUSTOM, branches={size})"
@@ -276,19 +275,14 @@ def build_sv_map(lam: float) -> MarkovMapModel:
     1/(1-lambda) on branch 1 and 1/(lambda(1-lambda)) on branches n >= 2.
     Branch 1 maps onto (0,1]; branch n >= 2 maps onto (0, lambda^(n-2)],
     so the transition structure is t(1,j) = 1 for all j and
-    t(n,j) = 1 iff j >= n-1.
+    t(n,j) = 1 iff j >= n-1: the staircase config with branch 1 and a tail
+    of ratio lambda from index 2, assembled as one, with closed-form log-slopes.
     """
     if not (0.5 < lam < 1.0):
         raise DomainError(f"lambda must lie in (1/2, 1), got {lam}")
-    slope_1 = 1.0 / (1.0 - lam)
-    slope_n = 1.0 / (lam * (1.0 - lam))
-
-    def edge_fn(n: int) -> tuple[float, float, float]:
-        return lam ** n, lam ** (n - 1), slope_1 if n == 1 else slope_n
-
-    return MarkovMapModel(family="SV", edge_fn=edge_fn, rule="staircase",
-                          explicit_matrix=None, alphabet_size=None,
-                          expansion_floor=min(slope_1, slope_n), lam=lam)
+    branch_1 = BranchSpec(1, lam, 1.0, 1.0 / (1.0 - lam), -math.log(1.0 - lam))
+    tail = {"from_index": 2, "ratio": lam, "slope": 1.0 / (lam * (1.0 - lam))}
+    return _assemble([branch_1], "staircase", tail, -math.log(lam * (1.0 - lam)), lam)
 
 
 def build_custom_map(branches: Sequence[BranchSpec],
@@ -313,32 +307,26 @@ def build_custom_map(branches: Sequence[BranchSpec],
     if violations:
         raise ConfigError("invalid custom model: " + "; ".join(violations),
                           violations=violations)
-    return _assemble_custom(branches, transitions, tail)
+    return _assemble(branches, transitions, tail)
 
 
-def _assemble_custom(branches, transitions, tail_cfg) -> MarkovMapModel:
-    """The model of a configuration that passed :func:`validate_custom_branches`."""
+def _assemble(branches, transitions, tail_cfg, tail_log_slope: float | None = None,
+              lam: float | None = None) -> MarkovMapModel:
+    """The model of a configuration that passed :func:`validate_custom_branches`.
+    The tail's anchor is the left end of branch ``from_index - 1``; if it is
+    exactly ratio^(from_index - 1), (scale, base) = (1, 0), else (anchor,
+    from_index - 1).  The tail's log-slope defaults to log(slope)."""
     branches = sorted(branches, key=lambda b: b.index)
-    n_explicit = len(branches)
-
     tail = None
     if tail_cfg is not None:
         n0, ratio = int(tail_cfg["from_index"]), float(tail_cfg["ratio"])
-        tail = TailRule(n0, ratio, float(tail_cfg.get("slope", 1.0 / ratio)),
-                        branches[n0 - 2].left)
-
-    floor = min(b.slope for b in branches)
-    if tail is not None:
-        floor = min(floor, tail.slope)
-
-    if isinstance(transitions, str):
-        return MarkovMapModel(family="CUSTOM", edge_fn=None if tail is None else tail.edges,
-                              rule=transitions, explicit_matrix=None,
-                              alphabet_size=None if tail is not None else n_explicit,
-                              expansion_floor=floor, tail=tail, explicit=branches)
-    return MarkovMapModel(family="CUSTOM", edge_fn=None, rule=None,
-                          explicit_matrix=np.asarray(transitions, dtype=bool),
-                          alphabet_size=n_explicit, expansion_floor=floor, explicit=branches)
+        slope = float(tail_cfg.get("slope", 1.0 / ratio))
+        anchor = branches[n0 - 2].left
+        scale, base = (1.0, 0) if anchor == ratio ** (n0 - 1) else (anchor, n0 - 1)
+        tail = TailRule(n0, ratio, slope,
+                        math.log(slope) if tail_log_slope is None else tail_log_slope,
+                        scale, base)
+    return MarkovMapModel(branches, transitions, tail, lam)
 
 
 def validate_custom_branches(branches: Sequence[BranchSpec],
@@ -352,7 +340,8 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
     n = len(branches)
     indices = [b.index for b in branches]
     if indices != list(range(1, n + 1)):
-        return [f"branch indices must be 1..{n} without gaps, got {indices}"]
+        return ([f"branch indices must be 1..{n} without gaps, got {indices}"]
+                + _layout_violations(n, transitions, tail))
     out: list[str] = []
 
     # pairwise disjoint interiors
@@ -360,7 +349,38 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
     for a, b in zip(by_pos, by_pos[1:]):
         if b.left < a.right - IMAGE_TOL:
             out.append(f"branches {a.index} and {b.index} have overlapping interiors")
+    out += _layout_violations(n, transitions, tail)
+    if out or transitions is None:
+        return out
+    # Markov consistency: image of each branch == union of its targets; a rule's
+    # matrix over the explicit branches, each rule row also covering (0, anchor]
+    targets = [(b.left, b.right) for b in branches]
+    if not isinstance(transitions, str):
+        m = np.asarray(transitions, dtype=bool)
+    else:
+        m = _rule_matrix(transitions, n)
+        if tail is not None:
+            targets.append((0.0, branches[-1].left))
+            m = np.hstack([m, np.ones((n, 1), dtype=bool)])
+    for b, row in zip(branches, m):
+        union = sorted(t for t, hit in zip(targets, row) if hit)
+        for (_, u_right), (v_left, _) in zip(union, union[1:]):
+            if abs(v_left - u_right) > IMAGE_TOL:
+                out.append(f"branch {b.index}: targets do not form a contiguous interval")
+                break
+        lo, hi = union[0][0], union[-1][1]
+        implied = b.length * b.slope
+        if abs((hi - lo) - implied) > IMAGE_TOL:
+            out.append(f"branch {b.index}: image length {implied:.12g} != target union "
+                       f"length {hi - lo:.12g}")
+    return out
 
+
+def _layout_violations(n: int, transitions: np.ndarray | str | None,
+                       tail: dict | None) -> list[str]:
+    """The checks of the transitions and the tail, which need only the count
+    ``n`` of explicit branches (``transitions=None`` skips the former)."""
+    out: list[str] = []
     explicit = transitions is not None and not isinstance(transitions, str)
     if isinstance(transitions, str) and transitions not in _RULES:
         out.append(f"unknown transition rule {transitions!r}")
@@ -383,27 +403,6 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
             out.append("transition matrix has an all-zero row")
         if not m.any(axis=0).all():
             out.append("transition matrix has an all-zero column")
-    if out or transitions is None:
-        return out
-    # Markov consistency: image of each branch == union of its targets; a rule's
-    # matrix over the explicit branches, each rule row also covering (0, anchor]
-    targets = [(b.left, b.right) for b in branches]
-    if not explicit:
-        m = _rule_matrix(transitions, n)
-        if tail is not None:
-            targets.append((0.0, branches[-1].left))
-            m = np.hstack([m, np.ones((n, 1), dtype=bool)])
-    for b, row in zip(branches, m):
-        union = sorted(t for t, hit in zip(targets, row) if hit)
-        for (_, u_right), (v_left, _) in zip(union, union[1:]):
-            if abs(v_left - u_right) > IMAGE_TOL:
-                out.append(f"branch {b.index}: targets do not form a contiguous interval")
-                break
-        lo, hi = union[0][0], union[-1][1]
-        implied = b.length * b.slope
-        if abs((hi - lo) - implied) > IMAGE_TOL:
-            out.append(f"branch {b.index}: image length {implied:.12g} != target union "
-                       f"length {hi - lo:.12g}")
     return out
 
 
@@ -462,8 +461,8 @@ def load_map_config(source) -> MarkovMapModel:
     number (not a bool or a string), and ``index`` and ``from_index`` are
     integers; ``transitions`` is "full", "staircase" or a square list of
     lists of JSON booleans; a ``tail`` needs rule transitions and
-    ``from_index`` = len(branches) + 1; then :func:`validate_custom_branches`
-    and the branch and SV range checks.
+    ``from_index`` = len(branches) + 1, checked even when a branch fails;
+    then :func:`validate_custom_branches` and the branch and SV range checks.
     """
     path = source if isinstance(source, str) else None
     cfg = read_config(path) if path is not None else source
@@ -508,19 +507,10 @@ def _custom_from_config(cfg: dict, out: list[str]) -> MarkovMapModel | None:
                   ok=lambda v: v is None or isinstance(v, dict))
     if branches_ok:
         out += validate_custom_branches(branches, transitions, tail)
-    return None if out else _assemble_custom(branches, transitions, tail)
-
-
-def apply_map(model: MarkovMapModel, x: float) -> tuple[float, int]:
-    """One application of the map: (image, branch index).
-
-    Raises
-    ------
-    BoundaryError
-        If ``x`` is outside (0,1] or within ``ENDPOINT_TOL`` of a branch
-        endpoint (endpoints are excluded from the domain).
-    """
-    return model.apply(x)
+    elif specs:
+        # the branch count is known even where a branch failed
+        out += _layout_violations(len(specs), transitions, tail)
+    return None if out else _assemble(branches, transitions, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ forms q*(phi - alpha*psi) - delta*log|T'| as another table.  The
 pressures, Bowen roots and Birkhoff quotients the package computes are
 all taken of such tables.
 
-For the built-in family, log|T'| is -log(1-lambda) on symbol 1 and
+:func:`builtin_log_derivative` reads log|T'| off the model's one log-slope
+table: the explicit branches, then the tail value, which is the default.
+For the built-in family that is -log(1-lambda) on symbol 1 and
 -log(lambda(1-lambda)) everywhere else.  Every symbol of a staircase
 truncation has a self-loop, so with psi = 1 these two values are the exact
 Lyapunov bounds that ``alpha_bounds`` reads off the extreme node ratios.
@@ -130,28 +132,19 @@ class TablePotential:
 # Built-ins
 # ---------------------------------------------------------------------------
 def builtin_log_derivative(model: MarkovMapModel) -> TablePotential:
-    """The potential log|T'|: value log_slope(i) on symbol i.
+    """The potential log|T'|: value ``model.log_slope(i)`` on symbol i.
 
-    For the built-in SV family the value is -log(1-lambda) on symbol 1 and
-    -log(lambda(1-lambda)) on every other symbol, which is also the tail
-    limit.  The positivity floor is log of the uniform expansion bound.
+    The explicit branches' log-slopes are the overrides, and the tail's is
+    the default and tail limit (a finite model has none; for the built-in
+    SV family they are -log(1-lambda) on symbol 1 and -log(lambda(1-lambda))
+    on every other symbol).  The positivity floor is log of the uniform
+    expansion bound.
     """
-    floor = math.log(model.expansion_floor)
-    if model.family == "SV":
-        lam = model.lam
-        v1 = -math.log(1.0 - lam)
-        vtail = -math.log(lam * (1.0 - lam))
-        return TablePotential({(1,): v1}, default=vtail, positivity_floor=floor,
-                              model_key=("SV", lam))
-    n = model.alphabet_size
-    if n is None:
-        overrides = {(i,): model.log_slope(i) for i in range(1, model.tail.from_index)}
-        default = math.log(model.tail.slope)
-    else:
-        overrides = {(i,): model.log_slope(i) for i in range(1, n + 1)}
-        default = None
-    return TablePotential(overrides, default=default, positivity_floor=floor,
-                          model_key=("CUSTOM", id(model)))
+    t = model.tail
+    return TablePotential({b.index: b.log_slope for b in model.explicit},
+                          default=None if t is None else t.log_slope,
+                          positivity_floor=math.log(model.expansion_floor),
+                          model_key=model.key)
 
 
 def builtin_tail_potential(a: float, overrides: Mapping[int, float] | None = None) -> TablePotential:

@@ -201,7 +201,7 @@ class TestCriterion8Properties:
         b1 = simulate_batch(model, starts, horizon, collect_itineraries=True)
         full = b1.steps == horizon
         assert full.mean() > 0.99
-        shifted = np.array([md.apply_map(model, float(s))[0]
+        shifted = np.array([model.apply(float(s))[0]
                             for s in starts[full][:2000]])
         b2 = simulate_batch(model, shifted, horizon - 1, collect_itineraries=True)
         assert (b1.itineraries[full][:2000, 1:] == b2.itineraries).all()

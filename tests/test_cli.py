@@ -473,8 +473,24 @@ class TestValidateIsLoad:
         f.write_text(json.dumps(cfg))
         code, out, _ = run(capsys, "validate", "--config", str(f))
         violations = json.loads(out)["violations"]
-        assert code == EXIT_DOMAIN and len(violations) == 2
+        assert code == EXIT_DOMAIN and len(violations) == 4
         assert "branch 1: slope" in violations[0] and "branch 2: left" in violations[1]
+        assert "unknown transition rule 'yes'" in violations[2]
+        assert "tail from_index must be the integer 3" in violations[3]
+
+    def test_tail_checked_when_a_branch_fails(self, capsys, tmp_path):
+        # the tail's checks need only the branch count, not parsed branches
+        cfg = {"branches": [{"index": 1, "left": 0.9, "right": 1.0, "slope": "x"}],
+               "transitions": "staircase", "tail": {"from_index": 5, "ratio": 1.5}}
+        f = tmp_path / "map.json"
+        f.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["violations"] == [
+            "branch 1: slope must be a number, got 'x'",
+            "tail from_index must be the integer 2, one past the last branch, got 5",
+            "tail ratio must be a number in (0, 1), got 1.5"]
+        assert_validate_is_load(f, cfg, "map")
 
     def test_dense_64_branch_config(self, capsys, tmp_path):
         # shaped like the benchmark's dense map: equal branches, integer slopes

@@ -1,5 +1,6 @@
 """Orbit simulation, escape statistics, and box counting."""
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -144,6 +145,23 @@ def two_branch_head_map():
 
 
 class TestBatchVsScalar:
+    @pytest.mark.parametrize("model", [md.build_sv_map(0.9), two_branch_head_map()],
+                             ids=["sv", "head-2"])
+    def test_endpoint_zone(self, model):
+        # points on both sides of the relative ENDPOINT_TOL band around every edge
+        # of branches 1..60: one scalar step aborts iff the batch step does, and
+        # otherwise both take the same branch
+        edges = sorted({e for i in range(1, 61) for e in model.edges(i)[:2]})
+        k = np.arange(1, 21) * 1e-13
+        starts = np.concatenate([e * (1.0 + sign * k) for e in edges for sign in (-1.0, 1.0)])
+        starts = starts[starts <= 1.0]
+        batch = simulate_batch(model, starts, 1, collect_itineraries=True)
+        for i, s in enumerate(starts):
+            rec = md.simulate_orbit(model, float(s), 1)
+            assert (rec.classification == BOUNDARY_ABORT) == batch.aborted[i]
+            assert rec.itinerary.tolist() == batch.itineraries[i, :rec.steps].tolist()
+        assert 0 < batch.aborted.sum() < len(starts)
+
     @pytest.mark.parametrize("lam", [0.6, 0.9])
     def test_bitwise_identical(self, lam):
         m = md.build_sv_map(lam)
@@ -240,8 +258,8 @@ def _ref_sv_step(model, x, active, tab):
     return new_x, idx, aborted
 
 
-def _ref_finite_step(model, x, active, tab):
-    lefts_s, rights_s, order = tab.lefts_s, tab.rights_s, tab.order
+def _ref_finite_step(model, x, active, tab, order):
+    lefts_s, rights_s = tab.lefts[order], tab.rights[order]
     pos = np.searchsorted(lefts_s, x, side="right") - 1
     pos = np.clip(pos, 0, len(order) - 1)
     inside = (x > lefts_s[pos]) & (x < rights_s[pos])
@@ -283,7 +301,7 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
     # deep lanes exist on infinite staircases only; a deep step counts while its bound
     # exceeds every symbol on which log|T'|, phi or psi leaves its tail value
     deep_supported = model.rule == "staircase" and model.alphabet_size is None
-    if model.family == "SV":
+    if model.lam is not None:
         step_fn = _ref_sv_step
         logt_1 = -math.log(1.0 - model.lam)
         logt_deep = -math.log(model.lam * (1.0 - model.lam))
@@ -292,7 +310,8 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
         def logt_of(idx):
             return np.where(idx == 1, logt_1, logt_deep)
     else:
-        step_fn = _ref_finite_step
+        # a sorted search over every row of the table, tail rows included
+        step_fn = functools.partial(_ref_finite_step, order=np.argsort(tab.lefts))
         table = np.array([0.0] + [model.log_slope(i) for i in range(1, len(tab.lefts) + 1)])
         logt_deep = math.log(model.tail.slope) if model.tail is not None else 0.0
         logt_head = model.tail.from_index - 1 if model.tail is not None else None
@@ -508,13 +527,13 @@ class TestBatchAgainstReference:
         leave = np.where(deep, live_steps - 1,
                          np.where(want.aborted, live_steps, n - 1))
         calls = []
-        real = empirics._sv_step
+        real = empirics._step
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(empirics, "_sv_step", counting)
+        monkeypatch.setattr(empirics, "_step", counting)
         got = simulate_batch(m, starts, n, collect_itineraries=True)
         assert_batches_identical(got, want)
         assert len(calls) == leave.max() + 1 < n

@@ -34,3 +34,47 @@ def test_checker_finds_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Private names a module defines: module-level functions, classes and
+    constants, and the methods of its module-level classes (dunders aside)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unreferenced_private_names(sources: list[str]) -> list[str]:
+    """Private names defined in ``sources`` that none of them reads: as a
+    name, as an attribute, or in a ``from ... import``."""
+    trees = [ast.parse(src) for src in sources]
+    defined = set().union(*(private_definitions(t) for t in trees))
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return sorted(defined - read)
+
+
+def test_checker_finds_unreferenced_private_name():
+    src = ("_USED = 1\n_LEFT = 2\n\ndef _step():\n    return _USED\n\n"
+           "class A:\n    def _locate(self):\n        pass\n\n    def __repr__(self):\n"
+           "        return ''\n")
+    assert unreferenced_private_names([src, "from m import _step\n"]) == ["_LEFT", "_locate"]
+
+
+def test_no_unreferenced_private_names():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_names(sources) == []

@@ -47,6 +47,19 @@ class TestSvMap:
         assert m.image_interval(1) == pytest.approx((0.0, 1.0))
         assert m.image_interval(4) == pytest.approx((0.0, 0.9 ** 2), rel=1e-12)
 
+    def test_one_log_slope_table(self):
+        # the scalar orbit, the branch and the batch's log|T'| read one table, and
+        # the staircase config with SV's branch 1 and tail has SV's endpoints
+        for lam in (round(0.51 + 0.01 * k, 2) for k in range(49)):
+            m = md.build_sv_map(lam)
+            logt = md.builtin_log_derivative(m)
+            for i in (1, 2, 3, 400):
+                assert m.log_slope(i) == m.branch(i).log_slope == logt.value(i)
+            copy = md.build_custom_map([md.make_branch(1, lam, 1.0, 1.0 / (1.0 - lam))],
+                                       "staircase", tail={"from_index": 2, "ratio": lam,
+                                                          "slope": 1.0 / (lam * (1.0 - lam))})
+            assert all(m.edges(i)[:2] == copy.edges(i)[:2] for i in range(1, 401))
+
     def test_expansion_floor(self):
         m = md.build_sv_map(0.9)
         assert m.expansion_floor > 1.0
@@ -58,20 +71,20 @@ class TestSvMap:
 class TestApplyMap:
     def test_branch1_point(self):
         m = md.build_sv_map(0.9)
-        y, idx = md.apply_map(m, 0.95)
+        y, idx = m.apply(0.95)
         assert idx == 1
         assert y == pytest.approx(0.5, abs=1e-12)
 
     def test_endpoint_rejected(self):
         m = md.build_sv_map(0.9)
         with pytest.raises(BoundaryError):
-            md.apply_map(m, 0.9)
+            m.apply(0.9)
         with pytest.raises(BoundaryError):
-            md.apply_map(m, 1.0)
+            m.apply(1.0)
 
     def test_branch2_point(self):
         m = md.build_sv_map(0.9)
-        y, idx = md.apply_map(m, 0.85)
+        y, idx = m.apply(0.85)
         assert idx == 2
         assert y == pytest.approx((0.85 - 0.81) / 0.09, rel=1e-12)
         assert 0.0 < y <= 1.0
@@ -80,14 +93,14 @@ class TestApplyMap:
         m = md.build_sv_map(0.9)
         for x in (0.0, -0.5, 1.5):
             with pytest.raises(BoundaryError):
-                md.apply_map(m, x)
+                m.apply(x)
 
     def test_relative_endpoint_tolerance(self):
         m = md.build_sv_map(0.9)
         edge = 0.9 ** 40
         with pytest.raises(BoundaryError):
-            md.apply_map(m, edge * (1.0 + 2e-13))
-        y, idx = md.apply_map(m, edge * (1.0 + 1e-9))
+            m.apply(edge * (1.0 + 2e-13))
+        y, idx = m.apply(edge * (1.0 + 1e-9))
         assert idx == 40
 
     def test_coding_shift(self):
@@ -286,7 +299,7 @@ class TestCustomModels:
         p = tmp_path / "sv.json"
         p.write_text(json.dumps({"sv_lambda": 0.75}))
         m = md.load_map_config(str(p))
-        assert m.family == "SV" and m.lam == 0.75
+        assert m.lam == 0.75 and repr(m) == "MarkovMapModel(SV, lambda=0.75)"
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -61,9 +61,9 @@ def karp_finish_loop(table):
 
 def explicit_model(mat):
     """A model over an arbitrary transition matrix; only its graph is used."""
-    return md.MarkovMapModel(family="CUSTOM", edge_fn=None, rule=None,
-                             explicit_matrix=mat, alphabet_size=mat.shape[0],
-                             expansion_floor=2.0)
+    n = mat.shape[0]
+    return md.MarkovMapModel([md.make_branch(i, (i - 1) / n, i / n, 2.0)
+                              for i in range(1, n + 1)], mat)
 
 
 @st.composite
