@@ -166,18 +166,23 @@ def _cmd_dimension(args) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum_lyapunov(args) -> int:
-    curve = lyapunov_spectrum_curve(args.lam, points=args.points, t_max=args.t_max)
-    meta = _meta(args, {"command": args.command, "lambda": args.lam,
-                        "points": args.points, "t_max": args.t_max})
+def _emit_curve(args, meta: dict, curve, N: int | None = None, tol: float | None = None) -> int:
+    """Write a spectrum curve as JSON or as CSV (with ``N`` and ``tol`` columns)."""
     if args.format == "json":
         result = {"points": [[p.alpha, p.dimension, p.source] for p in curve.points],
                   "alpha_min": curve.alpha_min, "alpha_max": curve.alpha_max,
                   "discontinuities": [list(d) for d in curve.discontinuities]}
         _emit(args, _json_out(meta, result))
     else:
-        _emit(args, curve_to_csv(curve, header_lines=_header_lines(meta)))
+        _emit(args, curve_to_csv(curve, N=N, tol=tol, header_lines=_header_lines(meta)))
     return EXIT_OK
+
+
+def _cmd_spectrum_lyapunov(args) -> int:
+    curve = lyapunov_spectrum_curve(args.lam, points=args.points, t_max=args.t_max)
+    meta = _meta(args, {"command": args.command, "lambda": args.lam,
+                        "points": args.points, "t_max": args.t_max})
+    return _emit_curve(args, meta, curve)
 
 
 def _cmd_spectrum_birkhoff(args) -> int:
@@ -195,15 +200,7 @@ def _cmd_spectrum_birkhoff(args) -> int:
     curve = full_birkhoff_spectrum_sv(args.lam, phi, grid, N=args.nmax, tol=args.tol)
     meta = _meta(args, {**m1, **m2, "command": "spectrum-birkhoff",
                         "grid": [lo, hi, args.grid_points]})
-    if args.format == "json":
-        result = {"points": [[p.alpha, p.dimension, p.source] for p in curve.points],
-                  "alpha_min": curve.alpha_min, "alpha_max": curve.alpha_max,
-                  "discontinuities": [list(d) for d in curve.discontinuities]}
-        _emit(args, _json_out(meta, result))
-    else:
-        _emit(args, curve_to_csv(curve, N=args.nmax, tol=args.tol,
-                                 header_lines=_header_lines(meta)))
-    return EXIT_OK
+    return _emit_curve(args, meta, curve, N=args.nmax, tol=args.tol)
 
 
 def _cmd_simulate(args) -> int:

@@ -23,12 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, DomainError, InsufficientSampleError
-from .markov import ENDPOINT_TOL, MarkovMapModel, TailRule
+from .markov import MarkovMapModel, TailRule, _near
 from .potentials import TablePotential, builtin_log_derivative
 
-#: an orbit whose final-quarter branch indices never drop below this is a
-#: candidate escaper (see OrbitRecord.classification)
-DEFAULT_ESCAPE_THRESHOLD = 5
+#: an orbit escapes when the minimum of its final-quarter branch indices
+#: exceeds that of its first quarter and is at least this
+ESCAPE_THRESHOLD = 5
+
+#: bootstrap resamples behind the percentile band of a box-count slope
+BOX_COUNT_BOOTSTRAP = 200
 
 #: below this the position is no longer resolvable in doubles; on an
 #: infinite staircase an orbit that crosses it sits in branch index
@@ -45,7 +48,10 @@ BOUNDARY_ABORT = "BOUNDARY_ABORT"
 
 
 def orbit_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream); streams are independent."""
+    """Counter-based generator for (seed, stream); streams are independent.
+    The seed is the Philox key, an integer in [0, 2^128)."""
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"seed must lie in [0, 2^128), got {seed}")
     bg = np.random.Philox(key=seed)
     if stream:
         bg = bg.jumped(stream)
@@ -64,8 +70,6 @@ class OrbitRecord:
     points: np.ndarray               # x_0 .. x_k (one longer than itinerary)
     logt_steps: np.ndarray           # log|T'| at each step
     classification: str
-    phi_steps: np.ndarray | None = None
-    psi_steps: np.ndarray | None = None
 
     @property
     def steps(self) -> int:
@@ -73,16 +77,11 @@ class OrbitRecord:
 
     @property
     def birkhoff_sums(self) -> dict:
-        """Running sums S_k of each recorded potential (index k = steps)."""
-        out = {"logT": np.concatenate([[0.0], np.cumsum(self.logt_steps)])}
-        if self.phi_steps is not None:
-            out["phi"] = np.concatenate([[0.0], np.cumsum(self.phi_steps)])
-        if self.psi_steps is not None:
-            out["psi"] = np.concatenate([[0.0], np.cumsum(self.psi_steps)])
-        return out
+        """Running sums S_k of log|T'| (index k = steps)."""
+        return {"logT": np.concatenate([[0.0], np.cumsum(self.logt_steps)])}
 
 
-def _classify(itinerary: np.ndarray, aborted: bool, threshold: int) -> str:
+def _classify(itinerary: np.ndarray, aborted: bool) -> str:
     if aborted:
         return BOUNDARY_ABORT
     n = len(itinerary)
@@ -91,7 +90,7 @@ def _classify(itinerary: np.ndarray, aborted: bool, threshold: int) -> str:
         return RECURRENT_WINDOW
     first_min = int(itinerary[:q].min())
     last_min = int(itinerary[n - q:].min())
-    if last_min > first_min and last_min >= threshold:
+    if last_min > first_min and last_min >= ESCAPE_THRESHOLD:
         return ESCAPING
     return RECURRENT_WINDOW
 
@@ -102,9 +101,7 @@ def _certifies_deep(model: MarkovMapModel) -> bool:
     return model.rule == "staircase" and model.alphabet_size is None
 
 
-def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
-                   phi: TablePotential | None = None, psi: TablePotential | None = None,
-                   escape_threshold: int = DEFAULT_ESCAPE_THRESHOLD) -> OrbitRecord:
+def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
     """Apply the map up to ``n`` times from ``x0``.
 
     An endpoint hit aborts the orbit with classification BOUNDARY_ABORT
@@ -113,9 +110,8 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
     it is a certified escaper (ESCAPING) while the remaining horizon is
     shorter than its branch index less the escape threshold; otherwise, and
     always on a finite map or a "full" rule, it is BOUNDARY_ABORT.
-    Log|T'| (:func:`builtin_log_derivative`, as in the batch) and the
-    potentials passed in are evaluated along the itinerary and their
-    per-step values recorded.
+    Log|T'| (:func:`builtin_log_derivative`, as in the batch) is evaluated
+    along the itinerary and its per-step values recorded.
     """
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
@@ -139,19 +135,16 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int,
             break
     it = np.asarray(itinerary, dtype=np.int64)
     logt = builtin_log_derivative(model).eval_symbols(it)
-    phi_steps = phi.eval_symbols(it) if phi is not None else None
-    psi_steps = psi.eval_symbols(it) if psi is not None else None
     if went_deep:
         # escape is certified only on an infinite staircase, and only while the
         # remaining horizon cannot bring the branch index back down
         certified = (_certifies_deep(model)
-                     and n - len(itinerary) < int(itinerary[-1]) - escape_threshold)
+                     and n - len(itinerary) < int(itinerary[-1]) - ESCAPE_THRESHOLD)
         cls = ESCAPING if certified else BOUNDARY_ABORT
     else:
-        cls = _classify(it, aborted, escape_threshold)
+        cls = _classify(it, aborted)
     return OrbitRecord(start=x0, itinerary=it, points=np.asarray(xs),
-                       logt_steps=logt, classification=cls,
-                       phi_steps=phi_steps, psi_steps=psi_steps)
+                       logt_steps=logt, classification=cls)
 
 
 def birkhoff_quotient(rec: OrbitRecord, phi: TablePotential, psi: TablePotential,
@@ -204,8 +197,7 @@ def _branch_table(model: MarkovMapModel) -> _BranchTable:
     rows = np.fromiter((v for i in range(1, count + 1) for v in model.edges(i)),
                        dtype=float, count=3 * count).reshape(count, 3)
     lefts, rights, slopes = (np.ascontiguousarray(col) for col in rows.T)
-    img_lo = np.zeros(count) if model.rule is not None else np.array(
-        [model.image_interval(i)[0] for i in range(1, count + 1)])
+    img_lo = np.zeros(count) if model.rule is not None else np.array(model.image_lo)
     order = np.argsort(lefts[:len(model.explicit)])
     first, top = count + 1, -math.inf
     if t is not None:
@@ -232,8 +224,7 @@ def _step(x: np.ndarray, tab: _BranchTable):
         return _guess_rows(x, tab)
     pos = np.maximum(np.searchsorted(tab.lefts_s, x, side="right") - 1, 0)
     left, right = tab.lefts_s[pos], tab.rights_s[pos]
-    near_edge = (np.abs(x - left) <= ENDPOINT_TOL * left) | \
-                (np.abs(x - right) <= ENDPOINT_TOL * right)
+    near_edge = _near(x, left) | _near(x, right)
     rows = tab.order[pos]
     y = tab.img_lo[rows] + (x - tab.lefts[rows]) * tab.slopes[rows]
     n, hit = rows + 1, ~((x > left) & (x < right)) | near_edge
@@ -251,7 +242,7 @@ def _guess_rows(x: np.ndarray, tab: _BranchTable):
     u = tab.tail.position(np.log(x))
     k = np.minimum(np.maximum(np.rint(u), tab.first - 1), kmax).astype(np.int64)
     edge = table[k]
-    hit = np.abs(x - edge) <= ENDPOINT_TOL * edge
+    hit = _near(x, edge)
     n = np.minimum(np.maximum(np.floor(u).astype(np.int64) + 1, tab.first), kmax - 2)
     # the guess is off by at most one except inside the excluded endpoint zone
     for _ in range(2):
@@ -274,14 +265,13 @@ class BatchStats:
     logt_sum: np.ndarray
     logt_tail_sum: np.ndarray
     tail_steps: np.ndarray
-    tail_has_branch1: np.ndarray
     phi_sum: np.ndarray | None = None
     psi_sum: np.ndarray | None = None
     itineraries: np.ndarray | None = None
 
-    def classification(self, threshold: int = DEFAULT_ESCAPE_THRESHOLD) -> np.ndarray:
+    def classification(self) -> np.ndarray:
         esc = ((self.last_quarter_min > self.first_quarter_min)
-               & (self.last_quarter_min >= threshold) & ~self.aborted)
+               & (self.last_quarter_min >= ESCAPE_THRESHOLD) & ~self.aborted)
         out = np.where(self.aborted, BOUNDARY_ABORT,
                        np.where(esc, ESCAPING, RECURRENT_WINDOW))
         return out
@@ -318,7 +308,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     over the geometric rows and a sorted search over the explicit ones.
 
     Only live lanes are stepped.  Their lane indices and running state
-    (position, Birkhoff sums, quarter minima, the branch-1 flag) sit in
+    (position, Birkhoff sums, quarter minima) sit in
     compact arrays; a lane writes its state back to the output only when it
     leaves, by a boundary abort, a deep crossing or the horizon.  A live
     lane's step count is the step number, so it needs no update per step.
@@ -350,7 +340,6 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                      first_quarter_min=np.full(m, big), last_quarter_min=np.full(m, big),
                      logt_sum=np.zeros(m), logt_tail_sum=np.zeros(m),
                      tail_steps=np.zeros(m, dtype=np.int64),
-                     tail_has_branch1=np.zeros(m, dtype=bool),
                      phi_sum=np.zeros(m) if phi is not None else None,
                      psi_sum=np.zeros(m) if psi is not None else None,
                      itineraries=_mapped_zeros(m, n) if collect_itineraries else None)
@@ -368,7 +357,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     head = max(pot.head for pot in tables.values()) if _certifies_deep(model) else None
     sink = {"logt": out.logt_sum, "tail": out.logt_tail_sum, "phi": out.phi_sum,
             "psi": out.psi_sum, "fqm": out.first_quarter_min,
-            "lqm": out.last_quarter_min, "tb1": out.tail_has_branch1}
+            "lqm": out.last_quarter_min}
 
     def retire(state: dict, sel) -> np.ndarray:
         """Write the selected lanes' running state to the output."""
@@ -392,8 +381,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
             out.first_quarter_min[live["lane"]] = live.pop("fqm")
         if k == tail_start:
             count = len(live["lane"])
-            live.update(tail=np.zeros(count), lqm=np.full(count, big),
-                        tb1=np.zeros(count, dtype=bool))
+            live.update(tail=np.zeros(count), lqm=np.full(count, big))
         if deep_end < k:
             gone = deep["last"] < k
             retire(deep, gone)
@@ -428,7 +416,6 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
         if k >= tail_start:
             live["tail"] += vals["logt"]
             live["lqm"] = np.minimum(live["lqm"], idx)
-            live["tb1"] |= idx == 1
 
         low = y < DEEP_FLOOR
         if not low.any():
@@ -504,15 +491,14 @@ def _uniform_starts(rng: np.random.Generator, samples: int) -> np.ndarray:
     return 1.0 - rng.random(samples)  # uniform on (0, 1]
 
 
-def escape_statistics(model: MarkovMapModel, samples: int, n: int, seed: int,
-                      escape_threshold: int = DEFAULT_ESCAPE_THRESHOLD) -> EscapeStats:
+def escape_statistics(model: MarkovMapModel, samples: int, n: int, seed: int) -> EscapeStats:
     """Classify uniformly sampled orbits and report the escaping fraction
     plus the mean final-window Lyapunov average among escapers."""
     if samples < 1000:
         raise DomainError(f"need >= 1000 samples, got {samples}")
     starts = _uniform_starts(orbit_rng(seed), samples)
     stats = simulate_batch(model, starts, n)
-    cls = stats.classification(escape_threshold)
+    cls = stats.classification()
     esc = cls == ESCAPING
     counts = {RECURRENT_WINDOW: int((cls == RECURRENT_WINDOW).sum()),
               ESCAPING: int(esc.sum()),
@@ -527,19 +513,19 @@ def escape_statistics(model: MarkovMapModel, samples: int, n: int, seed: int,
 
 
 def orbit_summaries_csv(model: MarkovMapModel, samples: int, n: int, seed: int,
-                        escape_threshold: int = DEFAULT_ESCAPE_THRESHOLD,
                         header_lines: list[str] | None = None) -> str:
     """Per-orbit CSV: start,classification,steps,avg_logT_tail,quotient."""
     starts = _uniform_starts(orbit_rng(seed), samples)
     stats = simulate_batch(model, starts, n)
-    cls = stats.classification(escape_threshold)
+    cls = stats.classification()
     out = [f"# {line}" for line in header_lines or []]
     out.append("start,classification,steps,avg_logT_tail,quotient")
     tail_avg = stats.logt_tail_sum / np.maximum(stats.tail_steps, 1)
     quot = stats.logt_sum / np.maximum(stats.steps, 1)
-    for i in range(samples):
-        out.append(f"{stats.starts[i]!r},{cls[i]},{stats.steps[i]},"
-                   f"{tail_avg[i]!r},{quot[i]!r}")
+    # Python floats and ints, so the cells are plain numbers, not numpy reprs
+    cols = (stats.starts.tolist(), cls.tolist(), stats.steps.tolist(),
+            tail_avg.tolist(), quot.tolist())
+    out += [f"{x!r},{c},{k},{t!r},{v!r}" for x, c, k, t, v in zip(*cols)]
     return "\n".join(out) + "\n"
 
 
@@ -567,13 +553,13 @@ class BoxCountResult:
 
 def box_count_level_set(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
                         alpha: float, eps_window: float, samples: int, n: int,
-                        grid_levels, seed: int, bootstrap: int = 200) -> BoxCountResult:
+                        grid_levels, seed: int) -> BoxCountResult:
     """Crude (upward-biased) dimension estimate of a level set.
 
     Uniform start points whose horizon-n Birkhoff quotient lies within
     ``eps_window`` of ``alpha`` are retained; occupied boxes are counted at
     each level size and the log-log regression slope reported, with a
-    bootstrap percentile band.  The retained set strictly contains the true
+    percentile band over ``BOX_COUNT_BOOTSTRAP`` bootstrap resamples.  The retained set strictly contains the true
     level set's sample, so the slope is an upper-level surrogate only.
     """
     if samples < 1000:
@@ -609,7 +595,7 @@ def box_count_level_set(model: MarkovMapModel, phi: TablePotential, psi: TablePo
     slope = slope_of(counts)
     boot_rng = orbit_rng(seed, stream=1)
     bs = []
-    for _ in range(bootstrap):
+    for _ in range(BOX_COUNT_BOOTSTRAP):
         pick = boot_rng.integers(0, len(retained), len(retained))
         bs.append(slope_of([np.count_nonzero(np.bincount(ids[pick])) for ids in box_ids]))
     lo, hi = np.percentile(bs, [2.5, 97.5])

@@ -4,6 +4,7 @@ Every failure mode that callers are expected to branch on gets its own
 class; all inherit from :class:`MarkovDimError` so blanket handling stays
 possible at the CLI boundary.
 """
+import math
 
 
 class MarkovDimError(Exception):
@@ -54,3 +55,10 @@ class ConfigError(MarkovDimError):
         self.path = path
         self.violations = [message] if violations is None else violations
         super().__init__(message + (f" [file={path}]" if path else ""))
+
+
+def require_above(name: str, value: float, bound: float) -> None:
+    """DomainError unless ``value`` is a finite number above ``bound``; NaN and
+    infinities fail every comparison-based guard silently, so they are named."""
+    if not (math.isfinite(value) and value > bound):
+        raise DomainError(f"{name} must be a finite number above {bound:.6g}, got {value!r}")

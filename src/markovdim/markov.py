@@ -134,8 +134,9 @@ class TailRule:
         return (log_x - (math.log(self.scale) - self.base * log_r)) / log_r
 
 
-def _near(x: float, edge: float) -> bool:
-    """The endpoint test: ``x`` within relative ENDPOINT_TOL of ``edge``."""
+def _near(x, edge):
+    """The endpoint test: ``x`` within relative ENDPOINT_TOL of ``edge`` (floats,
+    or arrays elementwise)."""
     return abs(x - edge) <= ENDPOINT_TOL * edge
 
 
@@ -147,7 +148,9 @@ class MarkovMapModel:
     then an optional geometric tail, which makes the alphabet infinite.
 
     ``transitions`` is a rule name in ``_RULES`` or a boolean matrix over
-    the explicit branches.  Log|T'| is one table: the explicit branches'
+    the explicit branches.  Under a matrix ``image_lo`` holds the lower end
+    of each row's image, the least left end among its targets; under a rule
+    every image starts at 0.  Log|T'| is one table: the explicit branches'
     ``log_slope`` and the tail's.  ``lam`` is the SV parameter (None for
     other maps).  Immutable after construction.
 
@@ -164,6 +167,8 @@ class MarkovMapModel:
         self.key = ("SV", lam) if lam is not None else ("CUSTOM", id(self))
         self.rule = transitions if isinstance(transitions, str) else None  # a name in _RULES
         self._explicit_matrix = None if self.rule else np.asarray(transitions, dtype=bool)
+        self.image_lo = None if self.rule else tuple(np.where(
+            self._explicit_matrix, [b.left for b in self.explicit], math.inf).min(axis=1).tolist())
         self.alphabet_size = None if tail is not None else len(self.explicit)
         # xi > 1, uniform lower slope bound
         self.expansion_floor = min(b.slope for b in self.explicit + ((tail,) if tail else ()))
@@ -190,14 +195,6 @@ class MarkovMapModel:
             return self.explicit[i - 1]
         return BranchSpec(i, *self.edges(i), self.tail.log_slope)
 
-    def log_slope(self, i: int) -> float:
-        """``branch(i).log_slope``; a tail branch is not built for it."""
-        if 1 <= i <= len(self.explicit):
-            return self.explicit[i - 1].log_slope
-        if i < 1 or self.tail is None:
-            raise DomainError(f"branch {i} outside the alphabet of {self!r}")
-        return self.tail.log_slope
-
     # -- transition structure ---------------------------------------------
     def transition(self, i: int, j: int) -> bool:
         """Whether the image of branch ``i`` covers branch ``j``."""
@@ -218,10 +215,8 @@ class MarkovMapModel:
             # rule rows cover every branch from the first target on, which accumulate
             # at 0: image = (0, right endpoint of first target]
             return (0.0, self.edges(self._first_target(i))[1])
-        targets = [j + 1 for j in range(self.alphabet_size) if self._explicit_matrix[i - 1, j]]
-        lo = min(self.branch(j).left for j in targets)
-        hi = max(self.branch(j).right for j in targets)
-        return (lo, hi)
+        row = self._explicit_matrix[i - 1]
+        return (self.image_lo[i - 1], max(b.right for b, hit in zip(self.explicit, row) if hit))
 
     # -- dynamics ----------------------------------------------------------
     def locate(self, x: float) -> int:
@@ -254,11 +249,11 @@ class MarkovMapModel:
 
     def apply(self, x: float) -> tuple[float, int]:
         """One step of the map: returns (image, branch index).  A rule row's
-        image starts at 0, so only an explicit row reads its image interval.
+        image starts at 0, an explicit row's at its ``image_lo``.
         BoundaryError (from :meth:`locate`) at endpoints and outside (0,1]."""
         n = self.locate(x)
         left, _, slope = self.edges(n)
-        lo = 0.0 if self.rule is not None else self.image_interval(n)[0]
+        lo = 0.0 if self.rule is not None else self.image_lo[n - 1]
         return lo + (x - left) * slope, n
 
     def __repr__(self) -> str:

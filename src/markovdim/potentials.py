@@ -30,29 +30,22 @@ import numpy as np
 from .errors import CompositionError, ConfigError, DomainError
 from .markov import MarkovMapModel, is_json_number, read_config
 
-Word = tuple[int, ...]
-
 #: largest symbol a :class:`TablePotential` may override; the head array is
 #: sized by the largest override, so this caps it at 8 MiB
 MAX_OVERRIDE_SYMBOL = 1 << 20
 
 
-def _as_word(w) -> Word:
-    if isinstance(w, int):
-        return (w,)
-    return tuple(int(s) for s in w)
-
-
 class TablePotential:
     """Finitely many overrides on symbols, plus an optional default value.
 
-    Stored as one float array: the values on symbols 1..K, where K is the
-    largest overridden symbol (at most ``MAX_OVERRIDE_SYMBOL``), followed by
-    the default.  The default is the value on every non-overridden symbol
-    and the ``tail_limit`` (the value on words whose leading symbol is
-    large).  ``default=None`` restricts the potential to the overridden
-    symbols (finite custom models); undefined symbols are NaN in the array.
-    Every given value must be finite.
+    Override keys are symbols, or one-symbol tuples.  Stored as one float
+    array: the values on symbols 1..K, where K is the largest overridden
+    symbol (at most ``MAX_OVERRIDE_SYMBOL``), followed by the default.  The
+    default is the value on every non-overridden symbol and is kept as the
+    ``tail_limit`` (the value on words whose leading symbol is large).
+    ``default=None`` restricts the potential to the overridden symbols
+    (finite custom models); undefined symbols are NaN in the array.  Every
+    given value must be finite.
 
     Attributes
     ----------
@@ -67,24 +60,27 @@ class TablePotential:
 
     def __init__(self, overrides: Mapping, default: float | None = None, *,
                  positivity_floor: float | None = None, model_key: tuple | None = None):
-        words = {_as_word(k): float(v) for k, v in overrides.items()}
-        for w in words:
-            if len(w) != 1:
-                raise DomainError(f"override word {w} is not a single symbol")
-            if w[0] < 1:
-                raise DomainError(f"override word {w} contains a symbol < 1")
-            if w[0] > MAX_OVERRIDE_SYMBOL:
-                raise DomainError(f"override symbol {w[0]} exceeds {MAX_OVERRIDE_SYMBOL}")
-        self.default = None if default is None else float(default)
-        given = list(words.values()) + ([] if self.default is None else [self.default])
+        values = {}
+        for key, v in overrides.items():
+            if isinstance(key, tuple):
+                if len(key) != 1:
+                    raise DomainError(f"override word {key} is not a single symbol")
+                key = key[0]
+            s = int(key)
+            if s < 1:
+                raise DomainError(f"override symbol {s} is below 1")
+            if s > MAX_OVERRIDE_SYMBOL:
+                raise DomainError(f"override symbol {s} exceeds {MAX_OVERRIDE_SYMBOL}")
+            values[s] = float(v)
+        self.tail_limit = None if default is None else float(default)
+        given = list(values.values()) + ([] if self.tail_limit is None else [self.tail_limit])
         for v in given:
             if not math.isfinite(v):
                 raise DomainError(f"potential value {v} is not finite")
-        self._values = np.full(max((w[0] for w in words), default=0) + 1,
-                               math.nan if self.default is None else self.default)
-        for (s,), v in words.items():
+        self._values = np.full(max(values, default=0) + 1,
+                               math.nan if self.tail_limit is None else self.tail_limit)
+        for s, v in values.items():
             self._values[s - 1] = v
-        self.tail_limit = self.default
         self.positivity_floor = positivity_floor
         self.model_key = model_key
         if positivity_floor is not None:
@@ -100,11 +96,9 @@ class TablePotential:
         """Largest symbol whose value may differ from the default (0 for a constant)."""
         return self._values.size - 1
 
-    def value(self, word) -> float:
-        w = _as_word(word)[:1]
-        if not w:
-            raise DomainError("potential evaluated on the empty word")
-        return float(self.eval_symbols(np.array(w))[0])
+    def value(self, symbol: int) -> float:
+        """The value on ``symbol``."""
+        return float(self.eval_symbols(np.array([symbol]))[0])
 
     def eval_symbols(self, symbols: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of leading symbols."""
@@ -112,7 +106,7 @@ class TablePotential:
         if symbols.size and symbols.min() < 1:
             raise DomainError("potential evaluated on a symbol < 1")
         out = self._values.take(symbols - 1, mode="clip")
-        if self.default is None and np.isnan(out).any():
+        if self.tail_limit is None and np.isnan(out).any():
             raise DomainError("potential undefined on some requested symbols (no default)")
         return out
 
@@ -125,14 +119,14 @@ class TablePotential:
         return vals.size > 0 and bool((vals == vals[0]).all())
 
     def __repr__(self) -> str:
-        return f"TablePotential(head={self.head}, default={self.default})"
+        return f"TablePotential(head={self.head}, tail_limit={self.tail_limit})"
 
 
 # ---------------------------------------------------------------------------
 # Built-ins
 # ---------------------------------------------------------------------------
 def builtin_log_derivative(model: MarkovMapModel) -> TablePotential:
-    """The potential log|T'|: value ``model.log_slope(i)`` on symbol i.
+    """The potential log|T'|: value ``model.branch(i).log_slope`` on symbol i.
 
     The explicit branches' log-slopes are the overrides, and the tail's is
     the default and tail limit (a finite model has none; for the built-in
@@ -157,7 +151,7 @@ def builtin_tail_potential(a: float, overrides: Mapping[int, float] | None = Non
     overrides = dict(overrides or {})
     vals = [float(a)] + [float(v) for v in overrides.values()]
     floor = min(vals) if min(vals) > 0 else None
-    return TablePotential({(int(k),): float(v) for k, v in overrides.items()},
+    return TablePotential({int(k): float(v) for k, v in overrides.items()},
                           default=float(a), positivity_floor=floor)
 
 

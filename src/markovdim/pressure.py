@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, MixingError, WorkLimitError
+from .errors import ConvergenceError, DomainError, MixingError, WorkLimitError, require_above
 from .markov import MarkovMapModel, TruncatedSubsystem, truncate
 from .potentials import TablePotential
 
@@ -198,8 +198,7 @@ def perron_pressure(sub: TruncatedSubsystem, p: TablePotential, tol: float) -> f
     ``tol`` is the relative eigenvalue tolerance.  Deterministic given its
     inputs.  Raises MixingError on non-primitive subsystems.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
+    require_above("tol", tol, 0.0)
     if not sub.primitive:
         raise MixingError("subsystem is not primitive")
     return _log_rho_solver(sub)(p.values_vector(sub.size), tol)
@@ -291,8 +290,7 @@ def _exhaust(model: MarkovMapModel, N_max: int, tol: float, level_value,
     set when the last two values differ by less than ``tol``, or when the
     last level is the whole finite alphabet.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
+    require_above("tol", tol, 0.0)
     if N_max < 2:
         raise DomainError(f"N_max must be >= 2, got {N_max}")
     if model.alphabet_size is not None:
@@ -322,8 +320,8 @@ def gurevich_pressure(model: MarkovMapModel, p: TablePotential, tol: float,
     levels differ by less than ``tol``; otherwise the final value is a
     certified lower bound (the sequence increases to the true pressure).
     """
-    eig_tol = min(tol * 1e-2, 1e-11)
-    res = _exhaust(model, N_max, tol, lambda sub: perron_pressure(sub, p, eig_tol), "PERRON")
+    rel_tol = min(tol * 1e-2, 1e-11)
+    res = _exhaust(model, N_max, tol, lambda sub: perron_pressure(sub, p, rel_tol), "PERRON")
     for (_, a), (_, b) in zip(res.per_level, res.per_level[1:]):
         if b < a - 1e-9:  # larger subsystems can only gain pressure
             raise ConvergenceError(f"per-level pressures not monotone: {a} -> {b}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, MixingError, UnboundedError
+from .errors import DegenerateError, DomainError, MixingError, UnboundedError, require_above
 from .markov import MarkovMapModel, TruncatedSubsystem, build_sv_map, truncate
 from .potentials import TablePotential, builtin_log_derivative, constant_potential
 from .pressure import (PressureResult, _exhaust, _log_rho_solver, closed_form_pressure_sv,
@@ -32,6 +32,8 @@ from .pressure import (PressureResult, _exhaust, _log_rho_solver, closed_form_pr
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _Q_LIMIT = 1e6
+#: relative Perron-root tolerance of every pressure in a (q, delta) search
+_EIG_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +72,6 @@ class SpectrumCurve:
     alpha_min: float
     alpha_max: float
     discontinuities: list[tuple[float, float, float]] = field(default_factory=list)
-    hypothesis_unverified: bool = False
 
     def __post_init__(self):
         alphas = [p.alpha for p in self.points]
@@ -122,8 +123,7 @@ def derivative_identity_check(lam: float, t: float, h: float) -> tuple[float, fl
     Returns (finite_difference, alpha_t); the caller asserts their sum is
     O(h^2).  The stencil must stay inside the validity region.
     """
-    if h <= 0:
-        raise DomainError(f"step must be > 0, got {h}")
+    require_above("h", h, 0.0)
     t_c = sv_critical_exponent(lam)
     if t - h <= t_c:
         raise DomainError(f"stencil leaves validity region: t-h = {t - h} <= {t_c:.6f}")
@@ -241,18 +241,16 @@ class _PressureEvaluator:
     """Caches the truncation and component value vectors for repeated
     evaluations of q (phi - alpha psi) - delta log|T'| pressures."""
 
-    def __init__(self, model: MarkovMapModel, phi: TablePotential, psi: TablePotential, N: int,
-                 eig_tol: float = 1e-12):
+    def __init__(self, model: MarkovMapModel, phi: TablePotential, psi: TablePotential, N: int):
         self.sub = truncate(model, N)
         self.phi_v = phi.values_vector(N)
         self.psi_v = psi.values_vector(N)
         self.logt_v = builtin_log_derivative(model).values_vector(N)
-        self.eig_tol = eig_tol
         self._log_rho = _log_rho_solver(self.sub)
 
     def pressure(self, q: float, alpha: float, delta: float) -> float:
         logw = q * (self.phi_v - alpha * self.psi_v) - delta * self.logt_v
-        return self._log_rho(logw, self.eig_tol)
+        return self._log_rho(logw, _EIG_TOL)
 
 
 def _minimize_over_q(h, tol: float) -> tuple[float, float]:
@@ -301,8 +299,7 @@ def inf_pressure_over_q(model: MarkovMapModel, phi: TablePotential, psi: TablePo
     ``tol``.  An UnboundedError signals that alpha sits at or beyond the
     edge of the truncated spectrum.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
+    require_above("tol", tol, 0.0)
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     if psi.positivity_floor is None:
@@ -319,8 +316,7 @@ def variational_dimension(model: MarkovMapModel, phi: TablePotential, psi: Table
     The expansion bound makes that infimum strictly decreasing in delta, so
     the threshold is well-defined; it is approached from below as N grows.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
+    require_above("tol", tol, 0.0)
     bounds = alpha_bounds(model, phi, psi, N)
     return _variational_point(_PressureEvaluator(model, phi, psi, N), bounds, alpha, tol)
 
@@ -367,14 +363,14 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
     primitive.  The result has ``method`` BOWEN.
     """
     logt = builtin_log_derivative(model)
-    eig_tol = min(tol * 1e-3, 1e-12)
+    rel_tol = min(tol * 1e-3, 1e-12)
 
     def root(sub: TruncatedSubsystem) -> float:
         logt_v = logt.values_vector(sub.size)
         log_rho = _log_rho_solver(sub)
 
         def pressure_at(s: float) -> float:
-            return log_rho(-s * logt_v, eig_tol)
+            return log_rho(-s * logt_v, rel_tol)
 
         if pressure_at(0.0) <= 0.0:
             raise DegenerateError(f"pressure at s=0 is nonpositive at level N={sub.size}")
@@ -408,8 +404,7 @@ def full_birkhoff_spectrum_sv(lam: float, phi: TablePotential, grid,
     """
     if phi.tail_limit is None:
         raise DomainError("potential must declare a tail limit")
-    if tol <= 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
+    require_above("tol", tol, 0.0)
     model = build_sv_map(lam)
     psi = constant_potential(1.0)
     a = phi.tail_limit
@@ -432,8 +427,7 @@ def full_birkhoff_spectrum_sv(lam: float, phi: TablePotential, grid,
     if abs(1.0 - left_limit) > 10.0 * tol:
         disc.append((a, left_limit, 1.0))
     return SpectrumCurve(points=points, alpha_min=lo_a, alpha_max=hi_a,
-                         discontinuities=disc,
-                         hypothesis_unverified=not psi.is_constant())
+                         discontinuities=disc)
 
 
 def lyapunov_spectrum_curve(lam: float, points: int = 200,
@@ -447,8 +441,7 @@ def lyapunov_spectrum_curve(lam: float, points: int = 200,
     if points < 2:
         raise DomainError(f"need at least 2 points, got {points}")
     t_c = sv_critical_exponent(lam)
-    if t_max <= t_c + 1.0:
-        raise DomainError(f"t_max must exceed t_c + 1 = {t_c + 1.0:.4f}")
+    require_above("t_max", t_max, t_c + 1.0)
     n_geo = points // 2
     n_lin = points - n_geo
     offsets = np.geomspace(1e-6, 1.0, n_geo)
@@ -484,7 +477,4 @@ def curve_to_csv(curve: SpectrumCurve, N: int | None = None,
                    f"{'' if N is None else N},{'' if tol is None else repr(tol)}")
     for alpha, left, value in curve.discontinuities:
         out.append(f"# discontinuity,{alpha!r},{left!r},{value!r}")
-    if curve.hypothesis_unverified:
-        out.append("# hypothesis-unverified: bounded-average hypothesis not checked "
-                   "for non-constant denominator")
     return "\n".join(out) + "\n"

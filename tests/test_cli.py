@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import markovdim
 from markovdim.cli import EXIT_DOMAIN, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
+from markovdim.empirics import orbit_rng, simulate_batch
 from markovdim.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -244,6 +245,22 @@ class TestSimulateAndEscape:
                          "--out", str(f)])
             assert code == EXIT_OK
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_per_orbit_csv_plain_numbers(self, capsys):
+        code, out, _ = run(capsys, "escape", "--map", "sv:0.9", "--samples", "40",
+                           "--horizon", "60", "--seed", "5", "--per-orbit")
+        assert code == EXIT_OK and "np." not in out
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert lines[0] == "start,classification,steps,avg_logT_tail,quotient"
+        rows = [line.split(",") for line in lines[1:]]
+        stats = simulate_batch(markovdim.build_sv_map(0.9), 1.0 - orbit_rng(5).random(40), 60)
+        tail = stats.logt_tail_sum / np.maximum(stats.tail_steps, 1)
+        quot = stats.logt_sum / np.maximum(stats.steps, 1)
+        assert len(rows) == 40
+        for i, (start, cls, steps, avg, q) in enumerate(rows):
+            assert float(start) == stats.starts[i] and int(steps) == stats.steps[i]
+            assert cls == stats.classification()[i]
+            assert float(avg) == tail[i] and float(q) == quot[i]
 
     @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda a: "-".join(a[:2]))
     def test_json_config_has_no_threads(self, argv, capsys):
@@ -535,6 +552,28 @@ class TestValidateIsLoad:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("name,argv", [
+        ("tol", ["pressure", "--map", "sv:0.9", "--potential", "zero", "--nmax", "16"]),
+        ("tol", ["dimension", "hyperbolic", "--lambda", "0.9", "--nmax", "64"]),
+        ("tol", ["dimension", "variational", "--lambda", "0.9", "--alpha", "2.3992",
+                 "--nmax", "64"]),
+        ("tol", ["spectrum-birkhoff", "--lambda", "0.9", "--nmax", "16", "--grid-points", "3"]),
+        ("t_max", ["spectrum-lyapunov", "--lambda", "0.9", "--points", "4"]),
+    ], ids=["pressure", "hyperbolic", "variational", "spectrum-birkhoff", "spectrum-lyapunov"])
+    def test_bad_tolerance_exits_2(self, capsys, name, argv, value):
+        flag = "--t-max" if name == "t_max" else "--tol"
+        code, out, err = run(capsys, *argv, f"{flag}={value}")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith(f"error: {name} must be a finite number above")
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2^128"])
+    def test_seed_out_of_range_exits_2(self, capsys, seed):
+        code, out, err = run(capsys, "escape", "--map", "sv:0.9", "--samples", "1000",
+                             "--horizon", "10", "--seed", str(seed))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: seed must lie in [0, 2^128)")
+
     @pytest.mark.parametrize("spec,argv", [
         ("sv:abc", ["pressure", "--map", "sv:abc", "--potential", "logT"]),
         ("const:x", ["pressure", "--map", "sv:0.9", "--potential", "const:x"]),
@@ -564,17 +603,43 @@ class TestExitCodes:
         assert exc.value.code == EXIT_USAGE
 
 
+#: CSV columns that hold words, not numbers
+TEXT_COLUMNS = {"source", "classification"}
+
+
+def assert_csv_numeric(text: str):
+    """Every non-empty cell of a CSV artifact outside TEXT_COLUMNS parses as a
+    float; an empty cell is a value the row does not have (a closed-form
+    point's q_star, for one).  Lines starting with '#' are comments."""
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    assert len(lines) > 1
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == len(header), line
+        for col, cell in zip(header, cells):
+            if col not in TEXT_COLUMNS and cell:
+                float(cell)
+
+
 class TestReadmeCommands:
     @pytest.mark.parametrize("argv", readme_commands(),
-                             ids=lambda a: "-".join(a[:2] if a[0] == "dimension" else a[:1]))
+                             ids=lambda a: "-".join(a[:2] if a[0] == "dimension" else a[:1])
+                             + ("-per-orbit" if "--per-orbit" in a else ""))
     def test_command_exits_ok(self, argv, capsys, tmp_path, monkeypatch):
         # relative paths in the README (--out files, my_map.json) resolve in tmp_path
         monkeypatch.chdir(tmp_path)
         (tmp_path / "my_map.json").write_text(readme_json("branches"))
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_OK, err
+        artifacts = [out]
         if "--out" in argv:
-            assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+            artifacts.append((tmp_path / argv[argv.index("--out") + 1]).read_text())
+            assert artifacts[-1]
+        for text in filter(None, artifacts):
+            assert "np." not in text
+            if not text.startswith("{"):
+                assert_csv_numeric(text)
 
     def test_library_tour(self):
         ns: dict = {}

@@ -60,6 +60,23 @@ class TestSimulateOrbit:
         assert sums[40] - sums[15] == pytest.approx(rec2.birkhoff_sums["logT"][25],
                                                     rel=1e-12)
 
+    def test_dense_step_reads_stored_image_ends(self, monkeypatch):
+        # an explicit row's image lower end is stored at assembly, so stepping
+        # never rebuilds the image interval
+        cm = dense_custom_map(np.random.default_rng(3))
+        calls = []
+        real = md.MarkovMapModel.image_interval
+
+        def counting(self, i):
+            calls.append(i)
+            return real(self, i)
+
+        monkeypatch.setattr(md.MarkovMapModel, "image_interval", counting)
+        recs = [md.simulate_orbit(cm, x0, 50) for x0 in (0.123, 0.456, 0.789)]
+        assert sum(rec.steps for rec in recs) > 100 and calls == []
+        assert all(cm.image_lo[i - 1] == min(cm.branch(j).left for j in range(1, 65)
+                                             if cm.transition(i, j)) for i in range(1, 65))
+
     def test_deep_orbit_certified_escaping(self):
         rec = md.simulate_orbit(md.build_sv_map(0.9), 0.5, 2000)
         assert rec.classification == ESCAPING
@@ -79,14 +96,6 @@ class TestSimulateOrbit:
         assert all(rec.itinerary.max() > 6000 for rec in recs)
         assert kept < sum(rec.points.nbytes + rec.itinerary.nbytes + rec.logt_steps.nbytes
                           for rec in recs) + 20_000
-
-    def test_potentials_recorded(self):
-        m = md.build_sv_map(0.9)
-        logt = md.builtin_log_derivative(m)
-        one = md.constant_potential(1.0)
-        rec = md.simulate_orbit(m, 0.61, 20, phi=logt, psi=one)
-        assert (rec.phi_steps == rec.logt_steps).all()
-        assert (rec.psi_steps == 1.0).all()
 
 
 class TestBirkhoffQuotient:
@@ -292,7 +301,6 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
     logt_sum = np.zeros(m)
     logt_tail = np.zeros(m)
     tail_steps = np.zeros(m, dtype=np.int64)
-    tail_b1 = np.zeros(m, dtype=bool)
     phi_sum = np.zeros(m) if phi is not None else None
     psi_sum = np.zeros(m) if psi is not None else None
     its = np.zeros((m, n), dtype=np.int32) if collect_itineraries else None
@@ -312,7 +320,8 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
     else:
         # a sorted search over every row of the table, tail rows included
         step_fn = functools.partial(_ref_finite_step, order=np.argsort(tab.lefts))
-        table = np.array([0.0] + [model.log_slope(i) for i in range(1, len(tab.lefts) + 1)])
+        table = np.array([0.0] + [model.branch(i).log_slope
+                                  for i in range(1, len(tab.lefts) + 1)])
         logt_deep = math.log(model.tail.slope) if model.tail is not None else 0.0
         logt_head = model.tail.from_index - 1 if model.tail is not None else None
 
@@ -352,7 +361,6 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
             lq_min[counted] = np.minimum(lq_min[counted], idx[counted])
             logt_tail[counted] += lt[counted]
             tail_steps[counted] += 1
-            tail_b1[counted] |= idx[counted] == 1
         if deep_supported:
             crossing = moved & (x < DEEP_FLOOR) & ~deep
             if crossing.any():
@@ -373,7 +381,7 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
     return BatchStats(starts=starts, steps=steps, aborted=aborted,
                       first_quarter_min=fq, last_quarter_min=lq,
                       logt_sum=logt_sum, logt_tail_sum=logt_tail,
-                      tail_steps=tail_steps, tail_has_branch1=tail_b1,
+                      tail_steps=tail_steps,
                       phi_sum=phi_sum, psi_sum=psi_sum, itineraries=its)
 
 
@@ -539,6 +547,12 @@ class TestBatchAgainstReference:
         assert len(calls) == leave.max() + 1 < n
 
 class TestEscapeStatistics:
+    def test_seed_range(self):
+        for seed in (-1, 2 ** 128):
+            with pytest.raises(DomainError, match="seed"):
+                orbit_rng(seed)
+        assert orbit_rng(0).random() != orbit_rng(2 ** 128 - 1).random()
+
     def test_positive_fraction_and_tail(self):
         st = md.escape_statistics(md.build_sv_map(0.9), samples=2000, n=400, seed=3)
         assert st.fraction_escaping > 0.0
@@ -564,9 +578,12 @@ class TestEscapeStatistics:
     def test_escaper_tail_exact_when_no_branch1(self):
         m = md.build_sv_map(0.9)
         starts = 1.0 - orbit_rng(17).random(2000)
-        stats = simulate_batch(m, starts, 200)
+        n = 200
+        stats = simulate_batch(m, starts, n, collect_itineraries=True)
         cls = stats.classification()
-        esc = (cls == ESCAPING) & ~stats.tail_has_branch1
+        # deep steps are recorded as -1, never as branch 1
+        tail_has_branch1 = (stats.itineraries[:, n - n // 4:] == 1).any(axis=1)
+        esc = (cls == ESCAPING) & ~tail_has_branch1
         assert esc.any()
         avg = stats.logt_tail_sum[esc] / stats.tail_steps[esc]
         assert np.abs(avg - ALPHA_MAX_09).max() < 0.02

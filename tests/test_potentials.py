@@ -39,7 +39,7 @@ def table_triples(draw):
         return md.TablePotential({k: draw(VALUES) for k in range(1, n + 1)})
 
     pots = [table() for _ in range(3)]
-    return pots, (n if any(p.default is None for p in pots) else 40)
+    return pots, (n if any(p.tail_limit is None for p in pots) else 40)
 
 
 class TestLogDerivative:
@@ -125,10 +125,6 @@ class TestCombine:
             p2 = md.combine(q2, phi, a, self.one, d2, self.logt)
             for n in (1, 2, 3, 11):
                 assert both.value(n) == pytest.approx(p1.value(n) + p2.value(n), abs=1e-12)
-
-    def test_depth_coherence(self):
-        c = md.combine(2.0, self.logt, 0.5, self.one, 0.25, self.logt)
-        assert c.value((2, 7, 1)) == c.value((2, 1, 4))  # depends on first symbol only
 
     def test_incompatible_models(self):
         other = md.builtin_log_derivative(md.build_sv_map(0.8))
@@ -256,7 +252,7 @@ class TestConfig:
                                      {"default": 0.0, "overrides": {"2": 3.0}}])
     def test_depth_one_or_absent_loads(self, cfg):
         p = md.potential_from_config(cfg)
-        assert p.value(2) == 3.0 and p.value((2, 1)) == 3.0 and p.value(1) == 0.0
+        assert p.value(2) == 3.0 and p.value(1) == 0.0
 
     def test_word_override_rejected(self):
         with pytest.raises(ConfigError, match="'1,2' is not a single symbol"):
