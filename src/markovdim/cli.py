@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .empirics import escape_statistics, orbit_summaries_csv, simulate_orbit
-from .errors import ConfigError, ConvergenceError, MarkovDimError
+from .errors import ConfigError, ConvergenceError, DomainError, MarkovDimError
 from .markov import build_sv_map, load_map_config, read_config
 from .potentials import (builtin_log_derivative, builtin_tail_potential, combine,
                          constant_potential, potential_from_config)
@@ -188,6 +188,8 @@ def _cmd_spectrum_lyapunov(args) -> int:
 def _cmd_spectrum_birkhoff(args) -> int:
     model, m1 = _parse_map(f"sv:{args.lam}")
     phi, m2 = _parse_potential(args.phi, model)
+    if args.grid_points < 1:
+        raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
     lo, hi = args.grid_min, args.grid_max
     if lo is None or hi is None:
         a_lo, a_hi = sv_alpha_bounds(args.lam) if args.phi == "logT" else (None, None)

@@ -515,6 +515,8 @@ def escape_statistics(model: MarkovMapModel, samples: int, n: int, seed: int) ->
 def orbit_summaries_csv(model: MarkovMapModel, samples: int, n: int, seed: int,
                         header_lines: list[str] | None = None) -> str:
     """Per-orbit CSV: start,classification,steps,avg_logT_tail,quotient."""
+    if samples < 1:
+        raise DomainError(f"need >= 1 samples, got {samples}")
     starts = _uniform_starts(orbit_rng(seed), samples)
     stats = simulate_batch(model, starts, n)
     cls = stats.classification()

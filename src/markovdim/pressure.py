@@ -76,6 +76,23 @@ class PressureResult:
 # ---------------------------------------------------------------------------
 # Perron roots
 # ---------------------------------------------------------------------------
+def _bisect(at_or_above, lo: float, hi: float, width) -> tuple[float, int]:
+    """(midpoint, halvings) of the bracket [lo, hi] of the threshold where the
+    monotone ``at_or_above`` turns True, halved until ``hi - lo <= width(hi)``
+    or until the midpoint rounds onto an end (one ulp)."""
+    steps = 0
+    while hi - lo > width(hi):
+        mid = 0.5 * lo + 0.5 * hi     # 0.5 * (lo + hi) without its overflow
+        if not lo < mid < hi:
+            break
+        if at_or_above(mid):
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return 0.5 * lo + 0.5 * hi, steps
+
+
 def _staircase_tail(w_tail: float, rho: float, m: int) -> float:
     """Ratio after m back-substitution rows of constant weight ``w_tail``.
 
@@ -152,15 +169,7 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
             break
     while not at_or_above(hi):  # row-sum bound is exact; guard roundoff only
         hi *= 2.0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if at_or_above(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return math.log(0.5 * (lo + hi)) + shift
+    return math.log(_bisect(at_or_above, lo, hi, lambda h: rel_tol * h)[0]) + shift
 
 
 def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) -> float:

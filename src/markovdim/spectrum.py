@@ -27,8 +27,8 @@ import numpy as np
 from .errors import DegenerateError, DomainError, MixingError, UnboundedError, require_above
 from .markov import MarkovMapModel, TruncatedSubsystem, build_sv_map, truncate
 from .potentials import TablePotential, builtin_log_derivative, constant_potential
-from .pressure import (PressureResult, _exhaust, _log_rho_solver, closed_form_pressure_sv,
-                       sv_critical_exponent)
+from .pressure import (PressureResult, _bisect, _exhaust, _log_rho_solver,
+                       closed_form_pressure_sv, sv_critical_exponent)
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _Q_LIMIT = 1e6
@@ -139,7 +139,7 @@ def _karp_min_cycle_mean(sub: TruncatedSubsystem, cost: np.ndarray) -> float:
 
     Karp's formula on shortest k-edge walk weights from node 1, relaxed
     over the dense transition matrix (rule subsystems are densified).
-    ``alpha_bounds`` needs it only when an extreme node has no self-loop,
+    ``_beyond`` needs it only when no node beyond its level has a self-loop,
     which never happens on rule-based truncations.
     """
     return _karp_finish(_karp_table(sub.matrix, cost))
@@ -172,14 +172,28 @@ def _karp_finish(table: np.ndarray) -> float:
     return float(worst.min())
 
 
+def _beyond(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray, alpha: float,
+            above: bool) -> bool:
+    """Whether some cycle quotient sum(phi)/sum(psi) lies above ``alpha`` (below
+    it unless ``above``).  Quotients are psi-weighted averages of the node
+    ratios, so a node must lie beyond alpha, and one with a self-loop settles
+    it; otherwise Karp's min cycle mean of -/+(phi - alpha psi) must be negative."""
+    ratios = phi_v / psi_v
+    beyond = ratios > alpha if above else ratios < alpha
+    if not beyond.any():
+        return False
+    if sub.self_loops[beyond].any():
+        return True
+    sign = -1.0 if above else 1.0
+    return _karp_min_cycle_mean(sub, sign * (phi_v - alpha * psi_v)) < 0.0
+
+
 def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray,
                          maximize: bool) -> float:
     """Extreme of (sum phi / sum psi) over cycles.
 
-    A cycle's quotient is a psi-weighted average of the node ratios
-    phi_i/psi_i, so it lies between their min and max; a self-loop at an
-    extreme node attains that end exactly.  Otherwise parametric bisection:
-    the min cycle mean of phi - alpha psi crosses zero at the minimal ratio."""
+    It lies between the extreme node ratios, and a self-loop at an extreme
+    node attains that end exactly.  Otherwise :func:`_beyond` is bisected."""
     ratios = phi_v / psi_v
     lo, hi = float(ratios.min()), float(ratios.max())
     if hi - lo <= 1e-15:
@@ -187,25 +201,9 @@ def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.n
     end = hi if maximize else lo
     if sub.self_loops[ratios == end].any():
         return end
-    sign = -1.0 if maximize else 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        # min cycle mean of phi - mid*psi (or its negation when maximizing):
-        # a negative value certifies a cycle on the far side of mid
-        mcm = _karp_min_cycle_mean(sub, sign * (phi_v - mid * psi_v))
-        if maximize:
-            if mcm < 0:      # some cycle has ratio above mid
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if mcm > 0:      # every cycle has ratio above mid
-                lo = mid
-            else:
-                hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    # a is at or above the extreme when no cycle lies above it (max) or some lies below (min)
+    return _bisect(lambda a: _beyond(sub, phi_v, psi_v, a, above=maximize) != maximize,
+                   lo, hi, lambda h: 1e-13 * max(1.0, abs(h)))[0]
 
 
 def alpha_bounds(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
@@ -224,14 +222,11 @@ def alpha_bounds(model: MarkovMapModel, phi: TablePotential, psi: TablePotential
     """
     if psi.positivity_floor is None:
         raise DomainError("denominator potential must carry a positivity floor")
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
     sub = truncate(model, N)
     phi_v = phi.values_vector(N)
     psi_v = psi.values_vector(N)
-    lo = _extreme_cycle_ratio(sub, phi_v, psi_v, maximize=False)
-    hi = _extreme_cycle_ratio(sub, phi_v, psi_v, maximize=True)
-    return (lo, hi)
+    return (_extreme_cycle_ratio(sub, phi_v, psi_v, maximize=False),
+            _extreme_cycle_ratio(sub, phi_v, psi_v, maximize=True))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +237,8 @@ class _PressureEvaluator:
     evaluations of q (phi - alpha psi) - delta log|T'| pressures."""
 
     def __init__(self, model: MarkovMapModel, phi: TablePotential, psi: TablePotential, N: int):
+        if psi.positivity_floor is None:
+            raise DomainError("denominator potential must carry a positivity floor")
         self.sub = truncate(model, N)
         self.phi_v = phi.values_vector(N)
         self.psi_v = psi.values_vector(N)
@@ -302,8 +299,6 @@ def inf_pressure_over_q(model: MarkovMapModel, phi: TablePotential, psi: TablePo
     require_above("tol", tol, 0.0)
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
-    if psi.positivity_floor is None:
-        raise DomainError("denominator potential must carry a positivity floor")
     ev = _PressureEvaluator(model, phi, psi, N)
     return _minimize_over_q(lambda q: ev.pressure(q, alpha, delta), tol)
 
@@ -315,36 +310,33 @@ def variational_dimension(model: MarkovMapModel, phi: TablePotential, psi: Table
     Bisects delta in [0, 1] on the sign of the q-infimum of the pressure.
     The expansion bound makes that infimum strictly decreasing in delta, so
     the threshold is well-defined; it is approached from below as N grows.
+    Two :func:`_beyond` tests check that alpha is interior; the bounds are
+    computed only to name them in the DomainError.
     """
     require_above("tol", tol, 0.0)
-    bounds = alpha_bounds(model, phi, psi, N)
-    return _variational_point(_PressureEvaluator(model, phi, psi, N), bounds, alpha, tol)
-
-
-def _variational_point(ev: _PressureEvaluator, bounds: tuple[float, float],
-                       alpha: float, tol: float) -> SpectrumPoint:
-    """``variational_dimension`` with the truncation's evaluator and alpha
-    bounds supplied, so a scan computes both once for all its points."""
-    lo_a, hi_a = bounds
-    if not (lo_a < alpha < hi_a):
+    ev = _PressureEvaluator(model, phi, psi, N)
+    if not (_beyond(ev.sub, ev.phi_v, ev.psi_v, alpha, above=False)
+            and _beyond(ev.sub, ev.phi_v, ev.psi_v, alpha, above=True)):
+        lo_a, hi_a = alpha_bounds(model, phi, psi, N)
         raise DomainError(f"alpha = {alpha} outside the open interval ({lo_a}, {hi_a})")
+    return _variational_point(ev, alpha, tol)
+
+
+def _variational_point(ev: _PressureEvaluator, alpha: float, tol: float) -> SpectrumPoint:
+    """``variational_dimension`` at an alpha known to be interior, with the
+    truncation's evaluator supplied, so a scan builds it once for all its points."""
     q_tol = max(min(tol * 1e-1, 1e-5), 1e-8)
-    lo, hi = 0.0, 1.0
-    value, q_star = _minimize_over_q(lambda q: ev.pressure(q, alpha, 0.0), q_tol)
-    iterations = 0
-    if value <= 0.0:
-        # level set invisible at this truncation: dimension estimate 0
-        return SpectrumPoint(alpha=alpha, dimension=0.0, q_star=q_star,
-                             delta_iterations=iterations, source="VARIATIONAL")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        value, q_star = _minimize_over_q(lambda q: ev.pressure(q, alpha, mid), q_tol)
-        if value > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return SpectrumPoint(alpha=alpha, dimension=0.5 * (lo + hi), q_star=q_star,
+    q_star = None
+
+    def at_or_above(delta: float) -> bool:
+        nonlocal q_star
+        value, q_star = _minimize_over_q(lambda q: ev.pressure(q, alpha, delta), q_tol)
+        return not value > 0.0
+
+    # a level set invisible at this truncation has the dimension estimate 0
+    dimension, iterations = (0.0, 0) if at_or_above(0.0) else \
+        _bisect(at_or_above, 0.0, 1.0, lambda h: tol)
+    return SpectrumPoint(alpha=alpha, dimension=dimension, q_star=q_star,
                          delta_iterations=iterations, source="VARIATIONAL")
 
 
@@ -376,14 +368,7 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
             raise DegenerateError(f"pressure at s=0 is nonpositive at level N={sub.size}")
         if pressure_at(1.0) > 0.0:
             return 1.0  # root clipped at the ambient dimension
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol * 1e-2:
-            mid = 0.5 * (lo + hi)
-            if pressure_at(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _bisect(lambda s: not pressure_at(s) > 0.0, 0.0, 1.0, lambda h: tol * 1e-2)[0]
 
     return _exhaust(model, N_max, tol, root, "BOWEN")
 
@@ -414,14 +399,16 @@ def full_birkhoff_spectrum_sv(lam: float, phi: TablePotential, grid,
         return lo_a + 1e-12 < x < hi_a - 1e-12 and abs(x - a) > 1e-12
 
     targets = sorted({float(x) for x in grid if interior(float(x))})
-    ev = _PressureEvaluator(model, phi, psi, N) if targets else None
-    points = [_variational_point(ev, (lo_a, hi_a), x, tol) for x in targets]
+    if not targets:
+        raise DomainError(f"no grid point lies inside ({lo_a}, {hi_a}) off the tail average")
+    ev = _PressureEvaluator(model, phi, psi, N)
+    points = [_variational_point(ev, x, tol) for x in targets]
 
     escape = SpectrumPoint(alpha=a, dimension=1.0, q_star=None,
                            delta_iterations=0, source="ESCAPE_VALUE")
     neighbors = [p.dimension for p in points
                  if abs(p.alpha - a) <= max(1e-9, 0.1 * (hi_a - lo_a))]
-    left_limit = max(neighbors) if neighbors else max((p.dimension for p in points), default=0.0)
+    left_limit = max(neighbors) if neighbors else max(p.dimension for p in points)
     points = sorted(points + [escape], key=lambda p: p.alpha)
     disc = []
     if abs(1.0 - left_limit) > 10.0 * tol:

@@ -587,6 +587,45 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN and out == ""
         assert err.startswith("error: ") and repr(spec) in err
 
+    @pytest.mark.parametrize("points", ["-2", "0"])
+    def test_grid_points_below_one_exits_2(self, capsys, points):
+        code, out, err = run(capsys, "spectrum-birkhoff", "--lambda", "0.9",
+                             "--grid-points", points)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"error: --grid-points must be >= 1, got {points}\n"
+
+    def test_grid_outside_bounds_exits_2(self, capsys):
+        # no grid point strictly inside (alpha_min, alpha_max): no curve and no footer
+        code, out, err = run(capsys, "spectrum-birkhoff", "--lambda", "0.9", "--nmax", "16",
+                             "--grid-min", "2.5", "--grid-max", "3.0", "--grid-points", "3")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: no grid point lies inside (2.302585092994046, "
+                              "2.4079456086518722)")
+
+    def test_per_orbit_samples_below_one_exits_2(self, capsys):
+        code, out, err = run(capsys, "escape", "--map", "sv:0.9", "--per-orbit",
+                             "--samples", "-3", "--horizon", "5")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == "error: need >= 1 samples, got -3\n"
+
+    @pytest.mark.parametrize("alpha", ["2.5", "2.4079456086518722"], ids=["beyond", "alpha_max"])
+    def test_alpha_outside_bounds_names_them(self, capsys, alpha):
+        code, out, err = run(capsys, "dimension", "variational", "--lambda", "0.9",
+                             "--alpha", alpha, "--nmax", "64")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == (f"error: alpha = {alpha} outside the open interval "
+                       "(2.302585092994046, 2.4079456086518722)\n")
+
+    def test_tiny_tolerance_returns(self, capsys):
+        # both bisections stop at one ulp when the tolerance is below it
+        code, _, err = run(capsys, "dimension", "hyperbolic", "--lambda", "0.9",
+                           "--tol", "1e-300", "--nmax", "4")
+        assert code == EXIT_NOT_CONVERGED and err.startswith("not converged: ")
+        code, out, _ = run(capsys, "dimension", "variational", "--lambda", "0.9",
+                           "--alpha", "2.3992", "--nmax", "8", "--tol", "1e-300")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["delta_iterations"] <= 60
+
     def test_usage(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

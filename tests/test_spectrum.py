@@ -1,6 +1,7 @@
 """Spectrum engine: bounds, variational dimensions, Bowen roots, closed forms."""
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,8 +121,9 @@ class TestAlphaBounds:
             checked += 1
 
     @settings(max_examples=150, deadline=None)
-    @given(case=dense_cycle_case())
-    def test_dense_bounds_against_cycle_enumeration(self, case):
+    @given(case=dense_cycle_case(), offsets=st.lists(st.floats(1e-6, 2.0), min_size=4,
+                                                     max_size=4))
+    def test_dense_bounds_against_cycle_enumeration(self, case, offsets):
         mat, phi_v, psi_v = case
         n = mat.shape[0]
         assume(psi_v.min() < psi_v.max())
@@ -137,6 +139,17 @@ class TestAlphaBounds:
         for cost in (phi_v, phi_v - mid * psi_v, mid * psi_v - phi_v):
             table = _karp_table(mat, cost)
             assert _karp_finish(table) == karp_finish_loop(table)
+        # the range check of a single point: DomainError exactly off the open interval
+        q_lo, q_hi = min(quotients), max(quotients)
+        alphas = [q_lo - offsets[0], q_lo + offsets[1], q_hi - offsets[2], q_hi + offsets[3]]
+        with mock.patch.object(spectrum, "_variational_point", return_value="point"):
+            for alpha in alphas:
+                if q_lo < alpha < q_hi:
+                    got = md.variational_dimension(explicit_model(mat), phi, psi, alpha, n, 0.1)
+                    assert got == "point"
+                else:
+                    with pytest.raises(DomainError, match="outside the open interval"):
+                        md.variational_dimension(explicit_model(mat), phi, psi, alpha, n, 0.1)
 
     def test_karp_finish_unreachable_cycle(self):
         # node 1 has no out-edge, so no walk from it reaches a cycle
@@ -253,6 +266,30 @@ class TestVariationalDimension:
         m, logt, _ = sv_setup(0.9)
         with pytest.raises(DomainError):
             md.variational_dimension(m, logt, logt, 1.0, 64, 1e-3)
+
+    def test_range_check_costs_two_cycle_sign_tests(self, monkeypatch):
+        # 64 branches, no self-loops: each side of the check needs one Karp table
+        rng = np.random.default_rng(13)
+        n = 64
+        mat = rng.random((n, n)) < 0.1
+        np.fill_diagonal(mat, False)
+        mat[np.arange(n), (np.arange(n) + 1) % n] = True      # one Hamiltonian cycle
+        model = explicit_model(mat)
+        phi = md.TablePotential({(i + 1,): v for i, v in enumerate(rng.uniform(0.5, 1.5, n))})
+        one = md.constant_potential(1.0)
+        lo, hi = md.alpha_bounds(model, phi, one, n)
+        calls = []
+
+        def counting(name):
+            real = getattr(spectrum, name)
+            return lambda *a: calls.append(name) or real(*a)
+
+        for name in ("alpha_bounds", "_extreme_cycle_ratio", "_karp_table"):
+            monkeypatch.setattr(spectrum, name, counting(name))
+        pt = md.variational_dimension(model, phi, one, 0.5 * (lo + hi), n, 1e-2)
+        assert 0.0 <= pt.dimension <= 1.0
+        assert "alpha_bounds" not in calls and "_extreme_cycle_ratio" not in calls
+        assert calls.count("_karp_table") <= 2
 
     def test_endpoint_rejected(self):
         m, logt, one = sv_setup(0.9)
