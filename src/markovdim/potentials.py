@@ -216,10 +216,10 @@ def validate_potential_config(cfg) -> list[str]:
     """Schema checks; returns human-readable violations."""
     if not isinstance(cfg, dict):
         return [f"potential config must be a JSON object, got {type(cfg).__name__}"]
+    out: list[str] = []
     depth = cfg.get("depth", 1)
     if type(depth) is not int or depth != 1:
-        return [f"depth must be 1 (potentials are constant on 1-cylinders), got {depth!r}"]
-    out: list[str] = []
+        out.append(f"depth must be 1 (potentials are constant on 1-cylinders), got {depth!r}")
     overrides = cfg.get("overrides", {})
     if not isinstance(overrides, dict):
         out.append(f"overrides must be a JSON object, got {type(overrides).__name__}")

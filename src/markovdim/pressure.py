@@ -15,7 +15,8 @@ these finite values along any increasing exhaustion.  Three routes coexist:
   K being the index of the last weight that differs from the constant
   tail (the tail rows are closed in one step); "full" ones take the weight
   sum of their rank-one matrix; general subsystems use power iteration
-  with residual stopping and a dense-eigensolver fallback.
+  whose steps are repeatedly squared powers of the matrix, with the
+  residual stopping test of a single step and a dense-eigensolver fallback.
 * ``orbit_sum_pressure``: (1/n) log of the weighted count of period-n
   orbits through a base cylinder, an independent finite-n oracle.
 * ``closed_form_pressure_sv``: the exact formula for the built-in family.
@@ -172,33 +173,69 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
     return math.log(_bisect(at_or_above, lo, hi, lambda h: rel_tol * h)[0]) + shift
 
 
-def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) -> float:
-    """Log Perron root by power iteration with residual stopping.
+def _positive(total: float) -> float:
+    """``total`` itself when it is a positive finite number; anything else
+    means the iteration collapsed."""
+    if not 0.0 < total < math.inf:
+        raise ConvergenceError("power iteration collapsed to zero vector")
+    return total
 
-    The residual's product ``a @ y`` is the next iterate's product, so each
-    iteration does one matrix-vector product.  Falls back to a dense eigensolver if the iteration cap is reached
-    (possible when the spectral gap is tiny); raises ConvergenceError when
-    even that is unavailable.
+
+def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) -> float:
+    """Log Perron root by power iteration in squared steps, with residual stopping.
+
+    Each round tests the iterate y (unit L1 norm) against lam, the L1
+    quotient of the single A-step that produced it, and stops once
+    max|A y - lam y| <= rel_tol * lam.  Otherwise y advances by P = A^s,
+    scaled to largest entry 1, and one more A-step.  P starts as A, and while
+    s = 1 the residual's product ``a @ y`` is the next iterate's product.  P
+    is squared (s doubles) while the last two rounds each lowered the
+    residual and their decay per A-step, kept up for n more steps, still
+    leaves it above the tolerance: a square costs n^3 flops, as n
+    matrix-vector products do.  Work is counted in products, a square
+    counting n, and s doubles only while below the budget.  Once
+    ``_POWER_MAX_ITER`` products are spent (a tiny spectral gap, or a
+    tolerance below roundoff) a dense eigensolver takes over, and
+    ConvergenceError is raised when even that is unavailable.
     """
     shift = float(np.max(log_weights))
     w = np.exp(log_weights - shift)
     a = matrix.astype(float) * w[:, None]
     n = a.shape[0]
+    log_tol = math.log(rel_tol)
+    p, s = a, 1
+    steps = work = 0                        # A-steps advanced, products spent
+    trail: list[tuple[int, float]] = []     # (steps, log relative residual), last 3 rounds
     y = a @ np.full(n, 1.0 / n)
-    for _ in range(_POWER_MAX_ITER):
-        lam = float(y.sum())            # L1 Rayleigh quotient for x >= 0, |x|_1 = 1
-        if lam <= 0.0:
-            raise ConvergenceError("power iteration collapsed to zero vector")
+    while work < _POWER_MAX_ITER:
+        lam = _positive(float(y.sum()))     # L1 Rayleigh quotient for x >= 0, |x|_1 = 1
         y /= lam
         ay = a @ y
-        if float(np.max(np.abs(ay - lam * y))) <= rel_tol * lam:
+        res = float(np.max(np.abs(ay - lam * y)))
+        if res <= rel_tol * lam:
             return math.log(lam) + shift
-        y = ay
+        trail = [*trail[-2:], (steps, math.log(res / lam))]
+        if len(trail) == 3 and s < _POWER_MAX_ITER and work + n < _POWER_MAX_ITER:
+            (t0, r0), (_, r1), (t2, r2) = trail
+            if r0 > r1 > r2 and r2 + n * (r2 - r0) / (t2 - t0) > log_tol:
+                p = p @ p
+                p /= _positive(float(p.max()))
+                s *= 2
+                work += n
+        if s == 1:
+            y = ay
+            steps += 1
+            work += 1
+        else:
+            x = p @ y
+            y = a @ (x / _positive(float(x.sum())))
+            steps += s + 1
+            work += 3
     if n <= _DENSE_FALLBACK_MAX_N:
         rho = float(np.max(np.abs(np.linalg.eigvals(a))))
         return math.log(rho) + shift
-    raise ConvergenceError(f"power iteration did not reach tol={rel_tol} in "
-                           f"{_POWER_MAX_ITER} iterations (N={n})")
+    raise ConvergenceError(f"power iteration did not reach tol={rel_tol} within "
+                           f"{_POWER_MAX_ITER} matrix-vector products (N={n})")
 
 
 def perron_pressure(sub: TruncatedSubsystem, p: TablePotential, tol: float) -> float:

@@ -307,6 +307,16 @@ class TestValidateCommand:
         code, _, err = run(capsys, "pressure", "--map", "sv:0.9", "--potential", str(f))
         assert code == EXIT_DOMAIN and "depth" in err
 
+    def test_potential_violations_listed_together(self, capsys, tmp_path):
+        f = tmp_path / "pot.json"
+        f.write_text(json.dumps({"depth": 2, "overrides": {"x": 1}, "default": "a"}))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        violations = json.loads(out)["violations"]
+        assert len(violations) == 3
+        for word in ("depth", "'x'", "default"):
+            assert any(word in v for v in violations), word
+
     @pytest.mark.parametrize("cfg,field", [
         ({"default": 1.0, "positivity_floor": "a"}, "positivity_floor"),
         ({"default": "x"}, "default"),

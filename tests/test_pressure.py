@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import markovdim as md
 from markovdim import pressure
-from markovdim.errors import DomainError, MixingError, WorkLimitError
+from markovdim.errors import ConvergenceError, DomainError, MixingError, WorkLimitError
 from markovdim.pressure import _bisect, _power_log_rho, _staircase_log_rho, _staircase_tail
 
 LOG2 = 0.6931471805599453
@@ -66,24 +66,30 @@ def reference_staircase_log_rho(log_weights, rel_tol):
     return math.log(0.5 * (lo + hi)) + shift
 
 
-def reference_power_log_rho(matrix, log_weights, rel_tol):
-    """Oracle for _power_log_rho: the same power iteration with two products
-    per step, y = a @ x and the residual's a @ y, which the next step forms
-    again as a @ x."""
-    shift = float(np.max(log_weights))
-    w = np.exp(log_weights - shift)
-    a = matrix.astype(float) * w[:, None]
-    n = a.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(pressure._POWER_MAX_ITER):
-        y = a @ x
-        lam = float(y.sum())
-        assert lam > 0.0
-        y /= lam
-        if float(np.max(np.abs(a @ y - lam * y))) <= rel_tol * lam:
-            return math.log(lam) + shift
-        x = y
-    return math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + shift
+def perron_log_rho_and_condition(mat: np.ndarray, logw: np.ndarray) -> tuple[float, float]:
+    """(log Perron root, kappa) of the weighted matrix from a dense eigensolver.
+
+    With u, v the left and right Perron vectors, |v|_1 = 1, kappa is
+    |u|_1 / (u . v).  A unit-L1 y >= 0 with max|A y - lam y| <= tol lam has
+    |rho / lam - 1| = |u . (A y - lam y)| / (lam u . y) <= tol |u|_1 / (u . y),
+    which is tol kappa at y = v.
+    """
+    a = mat.astype(float) * np.exp(logw)[:, None]
+    vals, right = np.linalg.eig(a)
+    lvals, left = np.linalg.eig(a.T)
+    v = np.abs(right[:, np.argmax(np.abs(vals))].real)
+    u = np.abs(left[:, np.argmax(np.abs(lvals))].real)
+    return math.log(np.max(np.abs(vals))), float(u.sum() * v.sum() / (u @ v))
+
+
+def cycle_with_chord(length: int) -> np.ndarray:
+    """The cycle 1 -> 2 -> ... -> length -> 1 plus the chord 1 -> 3: cycles of
+    coprime lengths ``length`` and ``length - 1``, so primitive, with every
+    eigenvalue close to the Perron circle."""
+    mat = np.zeros((length, length), dtype=bool)
+    mat[np.arange(length), (np.arange(length) + 1) % length] = True
+    mat[0, 2] = True
+    return mat
 
 
 def tail_by_loop(w_tail, rho, m):
@@ -94,6 +100,31 @@ def tail_by_loop(w_tail, rho, m):
         if not (r < 1.0):
             return math.inf
     return r
+
+
+class CountingMatrix(np.ndarray):
+    """A matrix that appends to ``log`` each product it takes part in:
+    "vector" for a matrix-vector product, "square" for a matrix-matrix one.
+    Arrays computed from it keep the type and the log, so the weighted
+    matrix and its powers log too."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __matmul__(self, other):
+        out = np.matmul(np.asarray(self), np.asarray(other))
+        self.log.append("square" if out.ndim == 2 else "vector")
+        if out.ndim == 1:
+            return out
+        out = out.view(CountingMatrix)
+        out.log = self.log
+        return out
+
+
+def counted(mat: np.ndarray, log: list) -> CountingMatrix:
+    out = mat.view(CountingMatrix)
+    out.log = log
+    return out
 
 
 def seeded_primitive(rng, n):
@@ -324,9 +355,9 @@ def brute_orbit_sum(mat, logw, n, base):
 
 
 class TestPowerIteration:
-    # a cap of 3 iterations sends most cases to the dense eigvals fallback
+    # a cap of 3 products sends most cases to the dense eigvals fallback
     @pytest.mark.parametrize("max_iter", [pressure._POWER_MAX_ITER, 3])
-    def test_matches_two_product_loop(self, max_iter, monkeypatch):
+    def test_matches_eigvals(self, max_iter, monkeypatch):
         monkeypatch.setattr(pressure, "_POWER_MAX_ITER", max_iter)
         rng = np.random.default_rng(77)
         for _ in range(60):
@@ -338,7 +369,74 @@ class TestPowerIteration:
                     break
             logw = rng.normal(0.0, rng.uniform(0.0, 3.0), n)
             tol = 10.0 ** rng.uniform(-12.0, -4.0)
-            assert _power_log_rho(mat, logw, tol) == reference_power_log_rho(mat, logw, tol)
+            want, kappa = perron_log_rho_and_condition(mat, logw)
+            # the residual test bounds the error by tol * kappa at y = v; the
+            # factor 2 covers the stopped iterate being near v, not at it
+            assert abs(_power_log_rho(mat, logw, tol) - want) <= 2.0 * tol * kappa
+
+    def test_slow_gap_converges_by_squaring(self, monkeypatch):
+        mat = cycle_with_chord(48)
+        logw = np.zeros(48)
+        mods = np.sort(np.abs(np.linalg.eigvals(mat.astype(float))))
+        assert mods[-2] / mods[-1] > 0.99
+        # plain steps would need log(1e-12) / log|lambda_2 / lambda_1|, about
+        # 6e5 of them, more than twice the budget: without the eigvals fallback
+        # only squared steps can reach the tolerance
+        assert math.log(1e-12) / math.log(mods[-2] / mods[-1]) > 2 * pressure._POWER_MAX_ITER
+        monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
+        want, kappa = perron_log_rho_and_condition(mat, logw)
+        products = []
+        assert abs(_power_log_rho(counted(mat, products), logw, 1e-12) - want) <= 2e-12 * kappa
+        assert products.count("square") >= 5
+
+    def test_budget_reaches_fallback(self, monkeypatch):
+        mat = cycle_with_chord(48)
+        logw = np.linspace(-1.0, 1.0, 48)
+        monkeypatch.setattr(pressure, "_POWER_MAX_ITER", 3)
+        a = mat.astype(float) * np.exp(logw - 1.0)[:, None]
+        want = math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + 1.0
+        assert _power_log_rho(mat, logw, 1e-12) == want
+        monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
+        with pytest.raises(ConvergenceError, match="did not reach"):
+            _power_log_rho(mat, logw, 1e-12)
+
+    def test_tolerance_below_roundoff_reaches_fallback(self, monkeypatch):
+        # the slow residual decay calls for squares, then the residual stalls
+        # at roundoff and never meets 1e-20: squares stay within the budget,
+        # and the budget ends in the fallback
+        mat = cycle_with_chord(40)
+        logw = np.linspace(-1.0, 1.0, 40)
+        budget = 2000
+        monkeypatch.setattr(pressure, "_POWER_MAX_ITER", budget)
+        a = mat.astype(float) * np.exp(logw - logw.max())[:, None]
+        want = math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + logw.max()
+        products = []
+        assert _power_log_rho(counted(mat, products), logw, 1e-20) == want
+        # a square costs 40 products; the last round may pass the budget by
+        # its 3 products, and the start vector's product precedes the count
+        squares = products.count("square")
+        assert 0 < squares <= math.log2(2 * budget)     # s stops doubling once past the budget
+        assert products.count("vector") + 40 * squares <= budget + 4
+        monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
+        with pytest.raises(ConvergenceError, match="did not reach"):
+            _power_log_rho(mat, logw, 1e-20)
+
+    def test_collapse_raises(self):
+        # the weights of symbols 2 and 3 underflow, so A^2 = 0
+        mat = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)
+        with pytest.raises(ConvergenceError, match="collapsed"):
+            _power_log_rho(mat, np.array([0.0, -1000.0, -1000.0]), 1e-12)
+
+    def test_nilpotent_collapse_raises(self):
+        # strictly triangular up to relabelling: every product eventually
+        # vanishes, after squares on some of these
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(3, 200))
+            mat = np.triu(rng.random((n, n)) < rng.uniform(0.01, 0.5), 1)
+            perm = rng.permutation(n)
+            with pytest.raises(ConvergenceError, match="collapsed"):
+                _power_log_rho(mat[perm][:, perm], rng.normal(0.0, 2.0, n), 1e-12)
 
 
 class TestOrbitSums:

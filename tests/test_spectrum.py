@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import markovdim as md
-from markovdim import spectrum
+from markovdim import pressure, spectrum
 from markovdim.errors import DomainError, MixingError, UnboundedError
 from markovdim.spectrum import _karp_finish, _karp_min_cycle_mean, _karp_table
 
@@ -65,6 +65,39 @@ def explicit_model(mat):
     n = mat.shape[0]
     return md.MarkovMapModel([md.make_branch(i, (i - 1) / n, i / n, 2.0)
                               for i in range(1, n + 1)], mat)
+
+
+def dense_variational_case():
+    """(model, phi, alpha) on a seeded explicit map of 64 equal branches.
+
+    Branch i has integer slope k_i and maps onto the k_i adjacent branches
+    from a start; the starts are spread over the interval, so every branch
+    is some image's target.  phi is drawn in [0.5, 1.5] and alpha sits 40%
+    of the way into its cycle-quotient interval.
+    """
+    rng = np.random.default_rng(0)
+    m = 64
+    while True:
+        k = rng.integers(2, 5, size=m)
+        start = np.minimum(rng.permutation(np.round(np.linspace(0, m - 2, m)).astype(np.int64)),
+                           m - k)
+        adj = np.zeros((m, m), dtype=bool)
+        for i in range(m):
+            adj[i, start[i]:start[i] + k[i]] = True
+        if md.is_primitive(md.TruncatedSubsystem(size=m, dense=adj)):
+            break
+    model = md.build_custom_map([md.make_branch(i + 1, i / m, (i + 1) / m, float(k[i]))
+                                 for i in range(m)], adj)
+    phi = md.TablePotential({(i + 1,): float(v) for i, v in enumerate(rng.uniform(0.5, 1.5, m))})
+    lo, hi = md.alpha_bounds(model, phi, md.constant_potential(1.0), m)
+    return model, phi, lo + 0.4 * (hi - lo)
+
+
+def eigvals_log_rho(matrix, log_weights, rel_tol):
+    """Dense-eigensolver stand-in for the power iteration."""
+    shift = float(np.max(log_weights))
+    a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
+    return math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + shift
 
 
 @st.composite
@@ -290,6 +323,33 @@ class TestVariationalDimension:
         assert 0.0 <= pt.dimension <= 1.0
         assert "alpha_bounds" not in calls and "_extreme_cycle_ratio" not in calls
         assert calls.count("_karp_table") <= 2
+
+    def test_dense_point_matches_eigvals_search(self, monkeypatch):
+        model, phi, alpha = dense_variational_case()
+        one = md.constant_potential(1.0)
+        tol = 1e-3
+        got = md.variational_dimension(model, phi, one, alpha, 64, tol).dimension
+        monkeypatch.setattr(pressure, "_power_log_rho", eigvals_log_rho)
+        want = md.variational_dimension(model, phi, one, alpha, 64, tol).dimension
+        bowen = md.bowen_dimension(model, 64, 1e-9).value
+        assert abs(got - want) <= tol
+        assert got <= bowen + tol / 2
+
+    def test_dense_pressure_convex_in_q(self):
+        model, phi, alpha = dense_variational_case()
+        sub = md.truncate(model, 64)
+        logt = md.builtin_log_derivative(model)
+        one = md.constant_potential(1.0)
+        rng = np.random.default_rng(81)
+        for _ in range(100):
+            delta = rng.uniform(0.0, 1.0)
+            q1, q2 = np.sort(rng.uniform(-8.0, 8.0, 2))
+
+            def h(q):
+                return md.perron_pressure(
+                    sub, md.combine(q, phi, alpha, one, delta, logt), 1e-12)
+
+            assert h(0.5 * (q1 + q2)) <= 0.5 * (h(q1) + h(q2)) + 1e-9
 
     def test_endpoint_rejected(self):
         m, logt, one = sv_setup(0.9)
