@@ -5,6 +5,10 @@ Subcommands: pressure, dimension (hyperbolic|variational), spectrum-lyapunov
 CSV or JSON, deterministic given the config (timestamps only with --stamp),
 and every artifact embeds the resolved configuration and tool version.
 
+Each subcommand takes only the options it reads: ``--format`` only where
+the output has a CSV and a JSON form, and ``--phi``/``--psi``/``--alpha``
+only on ``dimension variational``.  ``dimension`` takes --lambda or --map.
+
 Exit codes: 0 success, 2 domain/config errors, 3 non-convergence (partial
 monotone results still written), 64 usage errors.
 """
@@ -25,8 +29,8 @@ from .markov import build_sv_map, load_map_config, read_config
 from .potentials import (builtin_log_derivative, builtin_tail_potential, combine,
                          constant_potential, potential_from_config)
 from .pressure import gurevich_pressure
-from .spectrum import (bowen_dimension, curve_to_csv, full_birkhoff_spectrum_sv,
-                       lyapunov_spectrum_curve, sv_alpha_bounds, variational_dimension)
+from .spectrum import (alpha_bounds, bowen_dimension, curve_to_csv, full_birkhoff_spectrum_sv,
+                       lyapunov_spectrum_curve, variational_dimension)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -54,25 +58,25 @@ def _spec_number(spec: str) -> float:
 
 def _parse_map(spec: str):
     if spec.startswith("sv:"):
-        return build_sv_map(_spec_number(spec)), {"map": spec}
-    return load_map_config(spec), {"map": spec}
+        return build_sv_map(_spec_number(spec))
+    return load_map_config(spec)
 
 
 def _parse_potential(spec: str, model):
     """Potential mini-language: logT | neg-t-logT:T | zero | const:V | tail:A | path.json"""
     if spec == "logT":
-        return builtin_log_derivative(model), {"potential": spec}
+        return builtin_log_derivative(model)
     if spec.startswith("neg-t-logT:"):
         t = _spec_number(spec)
         logt = builtin_log_derivative(model)
-        return combine(-t, logt, 0.0, constant_potential(1.0), 0.0, logt), {"potential": spec}
+        return combine(-t, logt, 0.0, constant_potential(1.0), 0.0, logt)
     if spec == "zero":
-        return constant_potential(0.0), {"potential": spec}
+        return constant_potential(0.0)
     if spec.startswith("const:"):
-        return constant_potential(_spec_number(spec)), {"potential": spec}
+        return constant_potential(_spec_number(spec))
     if spec.startswith("tail:"):
-        return builtin_tail_potential(_spec_number(spec)), {"potential": spec}
-    return potential_from_config(spec), {"potential": spec}
+        return builtin_tail_potential(_spec_number(spec))
+    return potential_from_config(spec)
 
 
 def _emit(args, payload: str):
@@ -123,10 +127,10 @@ def _not_converged(per_level, tol: float) -> int:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 def _cmd_pressure(args) -> int:
-    model, m1 = _parse_map(args.map)
-    pot, m2 = _parse_potential(args.potential, model)
+    model = _parse_map(args.map)
+    pot = _parse_potential(args.potential, model)
     res = gurevich_pressure(model, pot, args.tol, args.nmax)
-    meta = _meta(args, {**m1, **m2, "command": "pressure"})
+    meta = _meta(args, {"map": args.map, "potential": args.potential, "command": "pressure"})
     if args.format == "json":
         _emit(args, _json_out(meta, res.to_dict()))
     else:
@@ -138,26 +142,21 @@ def _cmd_pressure(args) -> int:
     return EXIT_OK if res.converged else _not_converged(res.per_level, args.tol)
 
 
-#: default truncation of ``dimension``: the Bowen root needs N = 4096 for the
-#: README's tol 1e-5, while each variational call runs ~600 roots per level
-_DIMENSION_NMAX = {"hyperbolic": 4096, "variational": 512}
+def _cmd_hyperbolic(args) -> int:
+    spec = args.map if args.lam is None else f"sv:{args.lam}"
+    rep = bowen_dimension(_parse_map(spec), args.nmax, args.tol)
+    meta = _meta(args, {"map": spec, "command": "dimension hyperbolic"})
+    _emit(args, _json_out(meta, rep.to_dict()))
+    return EXIT_OK if rep.converged else _not_converged(rep.per_level, args.tol)
 
 
-def _cmd_dimension(args) -> int:
-    if args.nmax is None:
-        args.nmax = _DIMENSION_NMAX[args.kind]
-    if args.kind == "hyperbolic":
-        model, m1 = _parse_map(args.map or f"sv:{args.lam}")
-        rep = bowen_dimension(model, args.nmax, args.tol)
-        meta = _meta(args, {**m1, "command": "dimension hyperbolic"})
-        _emit(args, _json_out(meta, rep.to_dict()))
-        return EXIT_OK if rep.converged else _not_converged(rep.per_level, args.tol)
-    # variational
-    model, m1 = _parse_map(args.map or f"sv:{args.lam}")
-    phi, m2 = _parse_potential(args.phi, model)
-    psi, m3 = _parse_potential(args.psi, model)
+def _cmd_variational(args) -> int:
+    spec = args.map if args.lam is None else f"sv:{args.lam}"
+    model = _parse_map(spec)
+    phi = _parse_potential(args.phi, model)
+    psi = _parse_potential(args.psi, model)
     pt = variational_dimension(model, phi, psi, args.alpha, args.nmax, args.tol)
-    meta = _meta(args, {**m1, "phi": args.phi, "psi": args.psi, "alpha": args.alpha,
+    meta = _meta(args, {"map": spec, "phi": args.phi, "psi": args.psi, "alpha": args.alpha,
                         "command": "dimension variational"})
     result = {"alpha": pt.alpha, "dimension": pt.dimension, "q_star": pt.q_star,
               "delta_iterations": pt.delta_iterations, "source": pt.source,
@@ -186,29 +185,27 @@ def _cmd_spectrum_lyapunov(args) -> int:
 
 
 def _cmd_spectrum_birkhoff(args) -> int:
-    model, m1 = _parse_map(f"sv:{args.lam}")
-    phi, m2 = _parse_potential(args.phi, model)
+    model = _parse_map(f"sv:{args.lam}")
+    phi = _parse_potential(args.phi, model)
     if args.grid_points < 1:
         raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
     lo, hi = args.grid_min, args.grid_max
     if lo is None or hi is None:
-        a_lo, a_hi = sv_alpha_bounds(args.lam) if args.phi == "logT" else (None, None)
-        if a_lo is None:
-            raise MarkovDimError("--grid-min/--grid-max required for custom potentials")
+        a_lo, a_hi = alpha_bounds(model, phi, constant_potential(1.0), args.nmax)
         span = a_hi - a_lo
         lo = a_lo + 0.02 * span if lo is None else lo
         hi = a_hi - 0.02 * span if hi is None else hi
     grid = np.linspace(lo, hi, args.grid_points)
     curve = full_birkhoff_spectrum_sv(args.lam, phi, grid, N=args.nmax, tol=args.tol)
-    meta = _meta(args, {**m1, **m2, "command": "spectrum-birkhoff",
+    meta = _meta(args, {"map": f"sv:{args.lam}", "potential": args.phi,
+                        "command": "spectrum-birkhoff",
                         "grid": [lo, hi, args.grid_points]})
     return _emit_curve(args, meta, curve, N=args.nmax, tol=args.tol)
 
 
 def _cmd_simulate(args) -> int:
-    model, m1 = _parse_map(args.map)
-    rec = simulate_orbit(model, args.x0, args.horizon)
-    meta = _meta(args, {**m1, "command": "simulate", "x0": args.x0})
+    rec = simulate_orbit(_parse_map(args.map), args.x0, args.horizon)
+    meta = _meta(args, {"map": args.map, "command": "simulate", "x0": args.x0})
     result = {"start": rec.start, "classification": rec.classification,
               "steps": rec.steps, "itinerary": rec.itinerary.tolist(),
               "birkhoff_logT": rec.birkhoff_sums["logT"].tolist()}
@@ -217,8 +214,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_escape(args) -> int:
-    model, m1 = _parse_map(args.map)
-    meta = _meta(args, {**m1, "command": "escape"})
+    model = _parse_map(args.map)
+    meta = _meta(args, {"map": args.map, "command": "escape"})
     if args.per_orbit:
         _emit(args, orbit_summaries_csv(model, args.samples, args.horizon, args.seed,
                                         header_lines=_header_lines(meta)))
@@ -253,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"markovdim {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_default="json"):
+    def common(sp, fmt_default=None):  # --format only where fmt_default is given
         sp.add_argument("--out", default="-", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+        if fmt_default is not None:
+            sp.add_argument("--format", choices=("csv", "json"), default=fmt_default)
         sp.add_argument("--stamp", action="store_true",
                         help="include a timestamp header (off by default; outputs are "
                              "deterministic without it)")
@@ -266,21 +264,27 @@ def build_parser() -> argparse.ArgumentParser:
                     help="logT | neg-t-logT:T | zero | const:V | tail:A | config path")
     sp.add_argument("--nmax", type=int, default=1024)
     sp.add_argument("--tol", type=float, default=1e-8)
-    common(sp)
+    common(sp, fmt_default="json")
     sp.set_defaults(fn=_cmd_pressure)
 
-    sp = sub.add_parser("dimension", help="hyperbolic (Bowen) or variational dimension")
-    sp.add_argument("kind", choices=("hyperbolic", "variational"))
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--map", default=None)
-    sp.add_argument("--phi", default="logT")
-    sp.add_argument("--psi", default="const:1")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--nmax", type=int, default=None,
-                    help="truncation level (default 4096 hyperbolic, 512 variational)")
-    sp.add_argument("--tol", type=float, default=1e-5)
-    common(sp)
-    sp.set_defaults(fn=_cmd_dimension)
+    kinds = sub.add_parser("dimension", help="hyperbolic (Bowen) or variational dimension"
+                           ).add_subparsers(dest="kind", required=True)
+    # default --nmax: the Bowen root needs N = 4096 for the README's tol 1e-5,
+    # while each variational call runs ~600 roots per level
+    for kind, nmax, fn in (("hyperbolic", 4096, _cmd_hyperbolic),
+                           ("variational", 512, _cmd_variational)):
+        sp = kinds.add_parser(kind)
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--lambda", dest="lam", type=float)
+        source.add_argument("--map", help="sv:LAMBDA or a map-config path")
+        if kind == "variational":
+            sp.add_argument("--phi", default="logT")
+            sp.add_argument("--psi", default="const:1")
+            sp.add_argument("--alpha", type=float, required=True)
+        sp.add_argument("--nmax", type=int, default=nmax, help=f"truncation level (default {nmax})")
+        sp.add_argument("--tol", type=float, default=1e-5)
+        common(sp)
+        sp.set_defaults(fn=fn)
 
     # figure1 reproduces the paper's figure data under its own command name
     sp = sub.add_parser("spectrum-lyapunov", aliases=["figure1"],
@@ -327,13 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "dimension":
-        if args.kind == "hyperbolic" and args.lam is None and args.map is None:
-            parser.error("dimension hyperbolic needs --lambda or --map")
-        if args.kind == "variational" and args.alpha is None:
-            parser.error("dimension variational needs --alpha")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConvergenceError as exc:

@@ -146,7 +146,6 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
     counts = np.arange(n + 1, 1, -1)
     counts[0] = n
     hi = float(np.max(counts * w)) * (1.0 + 1e-12)
-    lo = float(np.max(w)) * 0.25
     differs = np.flatnonzero(w != w[-1])
     head = max(int(differs[-1]) + 1 if differs.size else 0, 1)
     w_tail = float(w[-1])
@@ -164,13 +163,13 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
                 return False
         return rho * (1.0 - r) - w0 >= 0.0
 
-    while at_or_above(lo):
-        lo *= 0.5
-        if lo < 1e-300:
-            break
     while not at_or_above(hi):  # row-sum bound is exact; guard roundoff only
         hi *= 2.0
-    return math.log(_bisect(at_or_above, lo, hi, lambda h: rel_tol * h)[0]) + shift
+    # the largest weight is 1 after the shift and the predicate is False at
+    # rho = 1/4 wherever it sits: a head row of weight 1 gives r >= 4, a
+    # first row of weight 1 gives 0.25 (1 - r) - 1 < 0, and a tail of weight
+    # 1 is infeasible (3 atan sqrt(15) > pi), so 0.25 needs no trial
+    return math.log(_bisect(at_or_above, 0.25, hi, lambda h: rel_tol * h)[0]) + shift
 
 
 def _positive(total: float) -> float:

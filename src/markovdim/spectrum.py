@@ -220,13 +220,13 @@ def alpha_bounds(model: MarkovMapModel, phi: TablePotential, psi: TablePotential
     phi = log|T'| and psi = 1 the node ratios are log|T'| itself, so the
     self-loop rule returns the exact endpoints ``sv_alpha_bounds(lam)``.
     """
-    if psi.positivity_floor is None:
-        raise DomainError("denominator potential must carry a positivity floor")
-    sub = truncate(model, N)
-    phi_v = phi.values_vector(N)
-    psi_v = psi.values_vector(N)
-    return (_extreme_cycle_ratio(sub, phi_v, psi_v, maximize=False),
-            _extreme_cycle_ratio(sub, phi_v, psi_v, maximize=True))
+    return _bounds(_PressureEvaluator(model, phi, psi, N))
+
+
+def _bounds(ev: _PressureEvaluator) -> tuple[float, float]:
+    """``alpha_bounds`` on the truncation and value vectors ``ev`` holds."""
+    return (_extreme_cycle_ratio(ev.sub, ev.phi_v, ev.psi_v, maximize=False),
+            _extreme_cycle_ratio(ev.sub, ev.phi_v, ev.psi_v, maximize=True))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def variational_dimension(model: MarkovMapModel, phi: TablePotential, psi: Table
     ev = _PressureEvaluator(model, phi, psi, N)
     if not (_beyond(ev.sub, ev.phi_v, ev.psi_v, alpha, above=False)
             and _beyond(ev.sub, ev.phi_v, ev.psi_v, alpha, above=True)):
-        lo_a, hi_a = alpha_bounds(model, phi, psi, N)
+        lo_a, hi_a = _bounds(ev)
         raise DomainError(f"alpha = {alpha} outside the open interval ({lo_a}, {hi_a})")
     return _variational_point(ev, alpha, tol)
 
@@ -393,7 +393,8 @@ def full_birkhoff_spectrum_sv(lam: float, phi: TablePotential, grid,
     model = build_sv_map(lam)
     psi = constant_potential(1.0)
     a = phi.tail_limit
-    lo_a, hi_a = alpha_bounds(model, phi, psi, N)
+    ev = _PressureEvaluator(model, phi, psi, N)
+    lo_a, hi_a = _bounds(ev)
 
     def interior(x: float) -> bool:
         return lo_a + 1e-12 < x < hi_a - 1e-12 and abs(x - a) > 1e-12
@@ -401,7 +402,6 @@ def full_birkhoff_spectrum_sv(lam: float, phi: TablePotential, grid,
     targets = sorted({float(x) for x in grid if interior(float(x))})
     if not targets:
         raise DomainError(f"no grid point lies inside ({lo_a}, {hi_a}) off the tail average")
-    ev = _PressureEvaluator(model, phi, psi, N)
     points = [_variational_point(ev, x, tol) for x in targets]
 
     escape = SpectrumPoint(alpha=a, dimension=1.0, q_star=None,

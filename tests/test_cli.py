@@ -1,4 +1,5 @@
 """Command-line interface: dispatch, exit codes, deterministic artifacts."""
+import argparse
 import contextlib
 import copy
 import io
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import markovdim
-from markovdim.cli import EXIT_DOMAIN, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
+from markovdim.cli import (EXIT_DOMAIN, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, build_parser,
+                           main)
 from markovdim.empirics import orbit_rng, simulate_batch
 from markovdim.errors import ConfigError
 
@@ -650,6 +652,92 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["escape", "--map", "sv:0.9", "--samples", "1000", "--threads", "2"])
         assert exc.value.code == EXIT_USAGE
+
+
+#: the options of every leaf command, -h/--help aside; a new option changes
+#: this table on purpose, and only with something it changes in the output
+OPTION_SURFACE = {
+    "pressure": ["--format", "--map", "--nmax", "--out", "--potential", "--stamp", "--tol"],
+    "dimension hyperbolic": ["--lambda", "--map", "--nmax", "--out", "--stamp", "--tol"],
+    "dimension variational": ["--alpha", "--lambda", "--map", "--nmax", "--out", "--phi",
+                              "--psi", "--stamp", "--tol"],
+    "spectrum-lyapunov": ["--format", "--lambda", "--out", "--points", "--stamp", "--t-max"],
+    "figure1": ["--format", "--lambda", "--out", "--points", "--stamp", "--t-max"],
+    "spectrum-birkhoff": ["--format", "--grid-max", "--grid-min", "--grid-points", "--lambda",
+                          "--nmax", "--out", "--phi", "--stamp", "--tol"],
+    "simulate": ["--horizon", "--map", "--out", "--stamp", "--x0"],
+    "escape": ["--horizon", "--map", "--out", "--per-orbit", "--samples", "--seed", "--stamp"],
+    "validate": ["--config"],
+}
+
+
+def option_surface(parser, prefix: str = "") -> dict[str, list[str]]:
+    """Sorted option strings of each leaf command under ``parser``."""
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        return {prefix: sorted(o for a in parser._actions for o in a.option_strings
+                               if o not in ("-h", "--help"))}
+    return {name: opts for action in nested for cmd, sp in action.choices.items()
+            for name, opts in option_surface(sp, f"{prefix} {cmd}".strip()).items()}
+
+
+class TestOptionSurface:
+    def test_surface_pinned(self):
+        assert option_surface(build_parser()) == OPTION_SURFACE
+
+    @pytest.mark.parametrize("argv", [
+        ["dimension", "hyperbolic", "--lambda", "0.9", "--phi", "logT"],
+        ["dimension", "hyperbolic", "--lambda", "0.9", "--psi", "const:1"],
+        ["dimension", "hyperbolic", "--lambda", "0.9", "--alpha", "2.3992"],
+        ["dimension", "hyperbolic", "--lambda", "0.9", "--format", "json"],
+        ["dimension", "variational", "--lambda", "0.9", "--alpha", "2.3992", "--format", "csv"],
+        ["simulate", "--map", "sv:0.9", "--x0", "0.95", "--format", "csv"],
+        ["escape", "--map", "sv:0.9", "--per-orbit", "--format", "json"],
+        ["dimension", "hyperbolic", "--lambda", "0.9", "--map", "sv:0.9"],
+        ["dimension", "variational", "--lambda", "0.9", "--map", "sv:0.9", "--alpha", "2.3992"],
+        ["dimension", "variational", "--alpha", "2.4"],
+        ["dimension", "hyperbolic"],
+    ], ids=["hyperbolic-phi", "hyperbolic-psi", "hyperbolic-alpha", "hyperbolic-format",
+            "variational-format", "simulate-format", "escape-format", "hyperbolic-lambda-map",
+            "variational-lambda-map", "variational-no-map", "hyperbolic-no-map"])
+    def test_option_not_taken_exits_64(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out.out == "" and out.err.startswith("usage: markovdim ")
+        assert "error: " in out.err and "sv:None" not in out.err
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda a: "-".join(a[:2]))
+    def test_config_records_format_only_where_taken(self, argv, capsys):
+        _, out, _ = run(capsys, *argv)
+        command = " ".join(argv[:2 if argv[0] == "dimension" else 1])
+        assert ("format" in json.loads(out)["config"]) == ("--format" in OPTION_SURFACE[command])
+
+    def test_birkhoff_default_grid_for_a_config_potential(self, capsys, tmp_path):
+        cfg = tmp_path / "phi.json"
+        cfg.write_text(json.dumps({"default": 2.0, "overrides": {"1": 1.0, "2": 1.5}}))
+        code, out, err = run(capsys, "spectrum-birkhoff", "--lambda", "0.9", "--phi", str(cfg),
+                             "--grid-points", "3", "--nmax", "32", "--tol", "1e-2",
+                             "--format", "json")
+        assert code == EXIT_OK, err
+        lo, hi = markovdim.alpha_bounds(markovdim.build_sv_map(0.9),
+                                        markovdim.potential_from_config(str(cfg)),
+                                        markovdim.constant_potential(1.0), 32)
+        span = hi - lo
+        assert json.loads(out)["config"]["grid"] == [lo + 0.02 * span, hi - 0.02 * span, 3]
+
+    def test_birkhoff_default_grid_for_logt_is_the_closed_form(self, capsys):
+        # the bounds alpha_bounds gives for log|T'| are exactly the closed form,
+        # so the default run is the run with the closed-form ends spelled out
+        lo, hi = markovdim.sv_alpha_bounds(0.9)
+        span = hi - lo
+        argv = ["spectrum-birkhoff", "--lambda", "0.9", "--grid-points", "3", "--nmax", "16",
+                "--tol", "1e-2"]
+        spelled = run(capsys, *argv, "--grid-min", repr(lo + 0.02 * span),
+                      "--grid-max", repr(hi - 0.02 * span))
+        assert run(capsys, *argv) == spelled
+        assert spelled[0] == EXIT_OK
 
 
 #: CSV columns that hold words, not numbers

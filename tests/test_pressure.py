@@ -284,6 +284,31 @@ class TestStaircaseRoot:
             assert abs(_staircase_log_rho(logw, rel_tol)
                        - reference_staircase_log_rho(logw, rel_tol)) <= 2 * rel_tol
 
+    @pytest.mark.parametrize("n", [2, 3, 128, 4096])
+    def test_one_trial_before_the_halvings(self, n, monkeypatch):
+        # the bracket's lower end is 1/4 of the largest weight with no trial
+        # of its own; only the row-sum guard at the upper end precedes the
+        # halvings, so each root costs one tail evaluation per halving plus one
+        trials, halvings = [], []
+        real_tail, real_bisect = pressure._staircase_tail, pressure._bisect
+
+        def bisect(*a):
+            mid, steps = real_bisect(*a)
+            halvings.append(steps)
+            return mid, steps
+
+        monkeypatch.setattr(pressure, "_staircase_tail",
+                            lambda *a: trials.append(1) or real_tail(*a))
+        monkeypatch.setattr(pressure, "_bisect", bisect)
+        logt = md.builtin_log_derivative(md.build_sv_map(0.9)).values_vector(n)
+        tail = md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5}).values_vector(n)
+        for logw in (-logt, -7.0 * logt, -3.0 * (tail - 1.7) - 0.5 * logt, 0.0 * logt):
+            trials.clear()
+            halvings.clear()
+            got = _staircase_log_rho(logw, 1e-12)
+            assert len(trials) == halvings[0] + 1
+            assert got == pytest.approx(reference_staircase_log_rho(logw, 1e-12), abs=2e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 256), default=st.floats(-3.0, 3.0),
            overrides=st.lists(st.tuples(st.integers(0, 255), st.floats(-4.0, 4.0)),

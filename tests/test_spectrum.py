@@ -519,20 +519,21 @@ class TestFullSpectrum:
         assert all(curve.alpha_min < p.alpha <= curve.alpha_max for p in curve.points)
 
     def test_scan_points_match_single_points(self, monkeypatch):
-        # the scan computes alpha bounds and its evaluator once; every point
-        # is still the one variational_dimension gives on its own
+        # the scan builds one evaluator (one truncation) and reads both alpha
+        # bounds off it; every point is still the one variational_dimension
+        # gives on its own
         phi = md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5})
         model, one = md.build_sv_map(0.9), md.constant_potential(1.0)
         grid = np.linspace(1.1, 1.9, 4)
         want = [md.variational_dimension(model, phi, one, float(x), 64, 1e-3) for x in grid]
-        bounds_calls, evaluators = [], []
-        real_bounds, real_evaluator = spectrum.alpha_bounds, spectrum._PressureEvaluator
-        monkeypatch.setattr(spectrum, "alpha_bounds",
-                            lambda *a: bounds_calls.append(1) or real_bounds(*a))
+        extremes, evaluators = [], []
+        real_extreme, real_evaluator = spectrum._extreme_cycle_ratio, spectrum._PressureEvaluator
+        monkeypatch.setattr(spectrum, "_extreme_cycle_ratio",
+                            lambda *a, **k: extremes.append(1) or real_extreme(*a, **k))
         monkeypatch.setattr(spectrum, "_PressureEvaluator",
                             lambda *a: evaluators.append(1) or real_evaluator(*a))
         curve = md.full_birkhoff_spectrum_sv(0.9, phi, grid, N=64, tol=1e-3)
-        assert len(bounds_calls) == 1 and len(evaluators) == 1
+        assert len(extremes) == 2 and len(evaluators) == 1
         got = [p for p in curve.points if p.source == "VARIATIONAL"]
         assert got == want
 
