@@ -10,11 +10,13 @@ and the pressure over the full countable system is the monotone limit of
 these finite values along any increasing exhaustion.  Three routes coexist:
 
 * ``perron_pressure``: Perron root of the weighted matrix.  Staircase
-  subsystems use an exact characteristic-function bisection
-  that is immune to spectral-gap collapse and costs O(K) per trial value,
-  K being the index of the last weight that differs from the constant
-  tail (the tail rows are closed in one step); "full" ones take the weight
-  sum of their rank-one matrix; general subsystems use power iteration
+  subsystems use an exact characteristic test that is immune to
+  spectral-gap collapse and costs O(K) per trial value, K being the index
+  of the last weight that differs from the constant tail (the tail rows are
+  closed in one step, and only the first K + 1 weights are read); a
+  warm-started Newton iteration brackets the root and a replay of the
+  halving returns the halving's midpoint bit for bit; "full" ones take the
+  weight sum of their rank-one matrix; general subsystems use power iteration
   whose steps are repeatedly squared powers of the matrix, with the
   residual stopping test of a single step and a dense-eigensolver fallback.
 * ``orbit_sum_pressure``: (1/n) log of the weighted count of period-n
@@ -94,8 +96,9 @@ def _bisect(at_or_above, lo: float, hi: float, width) -> tuple[float, int]:
     return 0.5 * lo + 0.5 * hi, steps
 
 
-def _staircase_tail(w_tail: float, rho: float, m: int) -> float:
-    """Ratio after m back-substitution rows of constant weight ``w_tail``.
+def _staircase_tail(w_tail: float, rho: float, m: int) -> tuple[float, float]:
+    """Ratio after m back-substitution rows of constant weight ``w_tail``, and
+    its derivative in rho.
 
     Starting from r = 0, each row applies the same Moebius map
     r <- c / (1 - r) with c = w_tail / rho, so r_j = c p_{j-1} / p_j for the
@@ -106,69 +109,162 @@ def _staircase_tail(w_tail: float, rho: float, m: int) -> float:
     4c - 1 is formed as (4 w_tail - rho) / rho, whose numerator is exact
     near c = 1/4, so the angle and the decay rate keep full relative
     precision where the two regimes meet.
+
+    For c > 1/4 the ratio is r = sqrt(c) sin(m theta) / sin((m + 1) theta)
+    with cos(theta) = 1 / (2 sqrt(c)), and differentiating its log gives
+
+        dr/drho = -(r / rho) (1/2 + (m cot(m theta) - (m + 1) cot((m + 1) theta)) / (2 tan theta)).
+
+    For c < 1/4, theta = i phi turns cot into coth and tan theta into
+    s = sqrt(1 - 4c); coth(k phi) = 1 - 2 e^(k ell) / expm1(k ell) reuses the
+    two expm1 values of the ratio.  At c = 1/4 both tend to -r (m + 2) / (3 rho).
     """
     c = w_tail / rho
     if m == 0 or c == 0.0:   # a ratio that underflows to 0 keeps r at 0, as row by row
-        return 0.0
+        return 0.0, 0.0
     d = 4.0 * w_tail - rho
     if d < 0.0:       # c < 1/4: real roots mu_1 > mu_2 of mu^2 - mu + c, every row feasible
-        mu1 = 0.5 * (1.0 + math.sqrt(-d / rho))
+        s = math.sqrt(-d / rho)
+        mu1 = 0.5 * (1.0 + s)
         mu2 = c / mu1
         ell = math.log(mu2 / mu1)
-        return mu2 * math.expm1(m * ell) / math.expm1((m + 1) * ell)
+        e_m, e_m1 = math.expm1(m * ell), math.expm1((m + 1) * ell)
+        r = mu2 * e_m / e_m1
+        coths = -1.0 - 2.0 * m * (1.0 + e_m) / e_m + 2.0 * (m + 1) * (1.0 + e_m1) / e_m1
+        return r, -r / rho * (0.5 - coths / (2.0 * s))
     if d == 0.0:      # c = 1/4: double root 1/2
-        return m / (2.0 * (m + 1))
+        r = m / (2.0 * (m + 1))
+        return r, -r * (m + 2) / (3.0 * rho)
     # c > 1/4: p_j = c^(j/2) sin((j+1) theta) / sin(theta) with tan(theta) = sqrt(4c - 1)
-    theta = math.atan(math.sqrt(d / rho))
+    t = math.sqrt(d / rho)
+    theta = math.atan(t)
     if not ((m + 2) * theta < math.pi):
-        return math.inf
-    return math.sqrt(c) * math.sin(m * theta) / math.sin((m + 1) * theta)
+        return math.inf, math.nan
+    r = math.sqrt(c) * math.sin(m * theta) / math.sin((m + 1) * theta)
+    cots = m / math.tan(m * theta) - (m + 1) / math.tan((m + 1) * theta)
+    return r, -r / rho * (0.5 + cots / (2.0 * t))
 
 
-def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
-    """Log Perron root of A[i,j] = w_i [j >= max(i-1, 1)] by bisection.
+def _staircase_residual(w_tail: float, m: int, head_w: list[float], w0: float,
+                        rho: float) -> tuple[float, float] | None:
+    """First-row residual rho (1 - r_1) - w_0 of a staircase at rho, and its
+    derivative in rho; None where some row leaves r < 1.
+
+    The m tail rows of weight ``w_tail`` are closed by :func:`_staircase_tail`,
+    then the rows of ``head_w`` (in substitution order, row 2 last) apply
+    r <- w_k / (rho (1 - r)), their derivatives carried along in forward
+    mode.  Eliminating the rows from the bottom up makes the pivots
+    rho (1 - r_k) of rows 2..n and the residual of row 1, so the residual is
+    det(rho I - A) over the product of the other pivots.
+    """
+    r, dr = _staircase_tail(w_tail, rho, m)
+    if not (r < 1.0):
+        return None
+    for wk in head_w:
+        den = rho * (1.0 - r)
+        dden = (1.0 - r) - rho * dr
+        r = wk / den
+        if not (r < 1.0):
+            return None
+        dr = -r * dden / den
+    return rho * (1.0 - r) - w0, (1.0 - r) - rho * dr
+
+
+def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float, n: int | None = None,
+                       guess: float | None = None) -> float:
+    """Log Perron root of the n x n staircase A[i,j] = w_i [j >= max(i-1, 1)].
+
+    ``log_weights`` holds the log weights of rows 1..k, and rows k+1..n
+    repeat the last of them (k = n, the default, or any k past the last
+    weight that differs from the constant tail).  The shift, the weights,
+    the row-sum bound (the tail's largest row sum is its first row) and the
+    head length K come from those k values alone, so a root costs O(K)
+    whatever n is.
 
     The matrix is upper Hessenberg, so a trial rho is tested by
-    back-substituting all rows but the first; the first-row residual changes
-    sign exactly at the Perron root, and the ratios r_k of consecutive
-    partial sums of a candidate eigenvector must stay below 1 above it.  The
-    predicate "trial >= Perron root" is therefore monotone and bisection is
-    exact up to the requested relative tolerance, independent of the
-    spectral gap.  Potentials are finitely many overrides plus a constant
-    default, so the rows past the last override share one weight
-    and are closed in one step (:func:`_staircase_tail`); only the K head
-    rows are substituted one by one, and a trial costs O(K).
+    back-substituting all rows but the first: the first-row residual
+    rho (1 - r_1) - w_0 changes sign exactly at the Perron root, and the
+    ratios r_k of consecutive partial sums of a candidate eigenvector must
+    stay below 1 above it.  The predicate "trial >= Perron root" is
+    therefore monotone, independent of the spectral gap.  The rows past K
+    share one weight and are closed in one step (:func:`_staircase_tail`);
+    only the K head rows are substituted one by one.
+
+    The root is the midpoint that halving [1/4, hi] down to width
+    ``rel_tol`` hi returns, found in two phases:
+
+    1. A safeguarded Newton iteration on the residual, with its derivative
+       carried through the rows in forward mode, looks for a tested False
+       point a and a tested True point b within ``rel_tol`` b of each other.
+       It starts from ``guess`` (a previous log root) when that lies in the
+       bracket, else from hi, and steps from its newest feasible trial,
+       aiming a quarter of the final width past the predicted root so that
+       the step after it lands on the other side.  A step that leaves the
+       bracket, or is not half the step before last, becomes a halving.
+    2. The halving itself is replayed exactly: a midpoint at or above b is
+       True, one at or below a is False, and only midpoints strictly
+       between them are tested, so the result is bit for bit the plain
+       halving's, whatever the guess.
     """
-    shift = float(np.max(log_weights))
-    w = np.exp(log_weights - shift)
-    n = len(w)
+    shift = max(log_weights.tolist())
+    w = np.exp(log_weights - shift).tolist()
+    n = len(w) if n is None else n
     # row 1 covers all n columns; row k >= 2 (1-based) covers n-k+2 of them
-    counts = np.arange(n + 1, 1, -1)
-    counts[0] = n
-    hi = float(np.max(counts * w)) * (1.0 + 1e-12)
-    differs = np.flatnonzero(w != w[-1])
-    head = max(int(differs[-1]) + 1 if differs.size else 0, 1)
-    w_tail = float(w[-1])
+    hi = max((n + 1 - max(i, 1)) * wi for i, wi in enumerate(w)) * (1.0 + 1e-12)
+    w_tail = w[-1]
+    head = len(w)
+    while head > 1 and w[head - 1] == w_tail:
+        head -= 1
     m = n - head
-    head_w = w[head - 1:0:-1].tolist()     # rows head-1 .. 1, in substitution order
-    w0 = float(w[0])
+    head_w = w[head - 1:0:-1]     # rows head-1 .. 1, in substitution order
+    w0 = w[0]
 
-    def at_or_above(rho: float) -> bool:
-        r = _staircase_tail(w_tail, rho, m)
-        if not (r < 1.0):
-            return False
-        for wk in head_w:
-            r = wk / (rho * (1.0 - r))
-            if not (r < 1.0):
-                return False
-        return rho * (1.0 - r) - w0 >= 0.0
+    trial = partial(_staircase_residual, w_tail, m, head_w, w0)
 
-    while not at_or_above(hi):  # row-sum bound is exact; guard roundoff only
-        hi *= 2.0
     # the largest weight is 1 after the shift and the predicate is False at
     # rho = 1/4 wherever it sits: a head row of weight 1 gives r >= 4, a
     # first row of weight 1 gives 0.25 (1 - r) - 1 < 0, and a tail of weight
     # 1 is infeasible (3 atan sqrt(15) > pi), so 0.25 needs no trial
+    a, b, top = 0.25, math.inf, hi   # False; least tested True; bracket top
+    start = math.inf if guess is None else math.exp(min(guess - shift, 709.0))
+    x = start if a < start < top else top      # a NaN guess fails the test too
+    newest = None                    # (rho, residual, slope) of the newest feasible trial
+    step = step_before = top - a
+    while True:
+        t = trial(x)
+        if t is not None and t[0] >= 0.0:
+            b = top = x
+        else:
+            a = x
+        if t is not None:
+            newest = (x, *t)
+        if b < math.inf and (b - a <= rel_tol * b or not a < 0.5 * a + 0.5 * b < b):
+            break
+        if a >= top:                 # the row-sum bound failed by roundoff: double it
+            top = x = 2.0 * top
+            continue
+        dx = math.inf                # the Newton step from the newest feasible trial
+        if newest is not None and newest[2] > 0.0:
+            dx = newest[1] / newest[2]
+            x = newest[0] - dx - math.copysign(0.25 * rel_tol * newest[0], newest[1])
+        if abs(dx) <= 0.5 * step_before and a < x < top:
+            step_before, step = step, abs(dx)
+        else:
+            x = 0.5 * a + 0.5 * top
+            if not a < x < top:      # one ulp left below an untested top: test the top
+                x = top
+            step_before, step = step, 0.5 * (top - a)
+
+    def at_or_above(rho: float) -> bool:
+        if rho >= b:
+            return True
+        if rho <= a:
+            return False
+        t = trial(rho)
+        return t is not None and t[0] >= 0.0
+
+    while not at_or_above(hi):  # row-sum bound is exact; guard roundoff only
+        hi *= 2.0
     return math.log(_bisect(at_or_above, 0.25, hi, lambda h: rel_tol * h)[0]) + shift
 
 
@@ -246,7 +342,8 @@ def perron_pressure(sub: TruncatedSubsystem, p: TablePotential, tol: float) -> f
     require_above("tol", tol, 0.0)
     if not sub.primitive:
         raise MixingError("subsystem is not primitive")
-    return _log_rho_solver(sub)(p.values_vector(sub.size), tol)
+    length, log_rho = _log_rho_solver(sub, p.head)
+    return log_rho(p.values_vector(length), tol)
 
 
 def _rank_one_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
@@ -255,20 +352,33 @@ def _rank_one_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
     return math.log(float(np.sum(np.exp(log_weights - shift)))) + shift
 
 
-def _log_rho_solver(sub: TruncatedSubsystem):
-    """Perron-root routine for the shape of ``sub``: (log_weights, rel_tol) -> log rho.
+def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = None):
+    """Perron-root routine for the shape of ``sub``, and how many leading
+    weights it reads: (length, routine), routine(log_weights, rel_tol) -> log rho.
 
-    Staircase subsystems take the characteristic bisection, "full" ones (and
-    a staircase of one symbol, or an all-true dense matrix) the rank-one sum,
-    everything else power iteration on the materialized matrix.  Callers that
-    evaluate many potentials on one subsystem keep the returned routine, so
-    the shape is inspected once.
+    ``head`` is the largest symbol whose weight may differ from the constant
+    tail.  Staircase subsystems take the characteristic root, which reads
+    the weights of symbols 1..head+1 only; each call starts from the root
+    the routine returned last (``guess`` before the first), which changes
+    its trial count and never its value.  "Full" subsystems (and a staircase
+    of one symbol, or an all-true dense matrix) take the rank-one sum,
+    everything else power iteration on the materialized matrix; both read
+    all ``sub.size`` weights.  Callers that evaluate many potentials on one
+    subsystem keep the returned routine, so the shape is inspected once.
     """
-    if sub.rule == "staircase" and sub.size >= 2:
-        return _staircase_log_rho
+    n = sub.size
+    if sub.rule == "staircase" and n >= 2:
+        last = guess
+
+        def staircase(log_weights: np.ndarray, rel_tol: float) -> float:
+            nonlocal last
+            last = _staircase_log_rho(log_weights, rel_tol, n, last)
+            return last
+
+        return min(n, head + 1), staircase
     if sub.rule is not None or sub.dense.all():
-        return _rank_one_log_rho
-    return partial(_power_log_rho, sub.matrix)
+        return n, _rank_one_log_rho
+    return n, partial(_power_log_rho, sub.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +476,15 @@ def gurevich_pressure(model: MarkovMapModel, p: TablePotential, tol: float,
     certified lower bound (the sequence increases to the true pressure).
     """
     rel_tol = min(tol * 1e-2, 1e-11)
-    res = _exhaust(model, N_max, tol, lambda sub: perron_pressure(sub, p, rel_tol), "PERRON")
+    last = None    # each level's root starts from the level before
+
+    def level(sub: TruncatedSubsystem) -> float:
+        nonlocal last
+        length, log_rho = _log_rho_solver(sub, p.head, last)
+        last = log_rho(p.values_vector(length), rel_tol)
+        return last
+
+    res = _exhaust(model, N_max, tol, level, "PERRON")
     for (_, a), (_, b) in zip(res.per_level, res.per_level[1:]):
         if b < a - 1e-9:  # larger subsystems can only gain pressure
             raise ConvergenceError(f"per-level pressures not monotone: {a} -> {b}")

@@ -177,12 +177,14 @@ def _beyond(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray, alpha
     """Whether some cycle quotient sum(phi)/sum(psi) lies above ``alpha`` (below
     it unless ``above``).  Quotients are psi-weighted averages of the node
     ratios, so a node must lie beyond alpha, and one with a self-loop settles
-    it; otherwise Karp's min cycle mean of -/+(phi - alpha psi) must be negative."""
+    it; otherwise Karp's min cycle mean of -/+(phi - alpha psi) must be negative.
+    The vectors may stop early on a staircase, whose later nodes repeat
+    the last value and, like every node there, have self-loops."""
     ratios = phi_v / psi_v
     beyond = ratios > alpha if above else ratios < alpha
     if not beyond.any():
         return False
-    if sub.self_loops[beyond].any():
+    if sub.self_loops[:ratios.size][beyond].any():
         return True
     sign = -1.0 if above else 1.0
     return _karp_min_cycle_mean(sub, sign * (phi_v - alpha * psi_v)) < 0.0
@@ -199,7 +201,7 @@ def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.n
     if hi - lo <= 1e-15:
         return lo
     end = hi if maximize else lo
-    if sub.self_loops[ratios == end].any():
+    if sub.self_loops[:ratios.size][ratios == end].any():
         return end
     # a is at or above the extreme when no cycle lies above it (max) or some lies below (min)
     return _bisect(lambda a: _beyond(sub, phi_v, psi_v, a, above=maximize) != maximize,
@@ -233,17 +235,20 @@ def _bounds(ev: _PressureEvaluator) -> tuple[float, float]:
 # Pressure evaluation reused across a (q, delta) search
 # ---------------------------------------------------------------------------
 class _PressureEvaluator:
-    """Caches the truncation and component value vectors for repeated
-    evaluations of q (phi - alpha psi) - delta log|T'| pressures."""
+    """Caches the truncation, its Perron routine and the component value
+    vectors for repeated evaluations of q (phi - alpha psi) - delta log|T'|
+    pressures.  The vectors hold the symbols the routine reads: on a
+    staircase, the largest head of the three plus one tail symbol."""
 
     def __init__(self, model: MarkovMapModel, phi: TablePotential, psi: TablePotential, N: int):
         if psi.positivity_floor is None:
             raise DomainError("denominator potential must carry a positivity floor")
         self.sub = truncate(model, N)
-        self.phi_v = phi.values_vector(N)
-        self.psi_v = psi.values_vector(N)
-        self.logt_v = builtin_log_derivative(model).values_vector(N)
-        self._log_rho = _log_rho_solver(self.sub)
+        logt = builtin_log_derivative(model)
+        length, self._log_rho = _log_rho_solver(self.sub, max(phi.head, psi.head, logt.head))
+        self.phi_v = phi.values_vector(length)
+        self.psi_v = psi.values_vector(length)
+        self.logt_v = logt.values_vector(length)
 
     def pressure(self, q: float, alpha: float, delta: float) -> float:
         logw = q * (self.phi_v - alpha * self.psi_v) - delta * self.logt_v
@@ -358,8 +363,8 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
     rel_tol = min(tol * 1e-3, 1e-12)
 
     def root(sub: TruncatedSubsystem) -> float:
-        logt_v = logt.values_vector(sub.size)
-        log_rho = _log_rho_solver(sub)
+        length, log_rho = _log_rho_solver(sub, logt.head)
+        logt_v = logt.values_vector(length)
 
         def pressure_at(s: float) -> float:
             return log_rho(-s * logt_v, rel_tol)

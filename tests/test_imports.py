@@ -78,3 +78,39 @@ def test_checker_finds_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_names(sources) == []
+
+
+#: every name ``from markovdim import *`` binds; a new public name is an edit here
+PUBLIC_NAMES = {
+    # errors
+    "BoundaryError", "CompositionError", "ConfigError", "ConvergenceError", "DegenerateError",
+    "DomainError", "InsufficientSampleError", "MarkovDimError", "MixingError",
+    "UnboundedError", "WorkLimitError",
+    # models
+    "BranchSpec", "MarkovMapModel", "TruncatedSubsystem", "build_custom_map", "build_sv_map",
+    "is_primitive", "load_map_config", "make_branch", "truncate", "validate_custom_branches",
+    # potentials
+    "TablePotential", "builtin_log_derivative", "builtin_tail_potential", "combine",
+    "constant_potential", "potential_from_config",
+    # pressure
+    "PressureResult", "closed_form_pressure_sv", "gurevich_pressure", "orbit_sum_pressure",
+    "perron_pressure", "sv_critical_exponent",
+    # spectra
+    "SpectrumCurve", "SpectrumPoint", "alpha_bounds", "bowen_dimension", "curve_to_csv",
+    "derivative_identity_check", "full_birkhoff_spectrum_sv", "inf_pressure_over_q",
+    "lyapunov_closed_form", "lyapunov_spectrum_curve", "sv_alpha_bounds", "sv_alpha_of_t",
+    "sv_hyperbolic_dimension", "variational_dimension",
+    # orbit statistics
+    "BoxCountResult", "EscapeStats", "OrbitRecord", "birkhoff_quotient", "box_count_level_set",
+    "escape_statistics", "orbit_rng", "simulate_batch", "simulate_orbit",
+    # the submodules the package imports
+    "empirics", "errors", "markov", "potentials", "pressure", "spectrum",
+}
+
+
+def test_public_surface_pinned():
+    import markovdim
+
+    assert len(markovdim.__all__) == len(set(markovdim.__all__))
+    assert set(markovdim.__all__) == PUBLIC_NAMES
+    assert all(hasattr(markovdim, name) for name in PUBLIC_NAMES)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import markovdim as md
-from markovdim import pressure
+from markovdim import pressure, spectrum
+from markovdim.cli import main
 from markovdim.errors import ConvergenceError, DomainError, MixingError, WorkLimitError
 from markovdim.pressure import _bisect, _power_log_rho, _staircase_log_rho, _staircase_tail
 
@@ -90,6 +91,71 @@ def cycle_with_chord(length: int) -> np.ndarray:
     mat[np.arange(length), (np.arange(length) + 1) % length] = True
     mat[0, 2] = True
     return mat
+
+
+def halving_staircase_log_rho(log_weights, rel_tol):
+    """Oracle for the staircase root: the plain halving of [1/4, hi] on the
+    full weight vector, testing every midpoint, as the package computed it
+    before its Newton phase.  Returns (log root, halvings)."""
+    shift = float(np.max(log_weights))
+    w = np.exp(log_weights - shift)
+    n = len(w)
+    counts = np.arange(n + 1, 1, -1)
+    counts[0] = n
+    hi = float(np.max(counts * w)) * (1.0 + 1e-12)
+    differs = np.flatnonzero(w != w[-1])
+    head = max(int(differs[-1]) + 1 if differs.size else 0, 1)
+    w_tail = float(w[-1])
+    m = n - head
+    head_w = w[head - 1:0:-1].tolist()
+    w0 = float(w[0])
+
+    def at_or_above(rho):
+        r = _staircase_tail(w_tail, rho, m)[0]
+        if not (r < 1.0):
+            return False
+        for wk in head_w:
+            r = wk / (rho * (1.0 - r))
+            if not (r < 1.0):
+                return False
+        return rho * (1.0 - r) - w0 >= 0.0
+
+    while not at_or_above(hi):
+        hi *= 2.0
+    mid, steps = _bisect(at_or_above, 0.25, hi, lambda h: rel_tol * h)
+    return math.log(mid) + shift, steps
+
+
+def head_slice(logw):
+    """The leading weights a staircase root needs: through the first weight
+    of the constant tail."""
+    differs = np.flatnonzero(logw != logw[-1])
+    return logw[:min(len(logw), (int(differs[-1]) + 2) if differs.size else 1)]
+
+
+def count_tail_calls(monkeypatch):
+    """A list that grows by one each time ``_staircase_tail`` is called."""
+    calls = []
+    real = pressure._staircase_tail
+    monkeypatch.setattr(pressure, "_staircase_tail", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@st.composite
+def eventually_constant_log_weights(draw):
+    """Log weights of an n-symbol staircase: up to 12 overrides among the
+    first 64 symbols on a constant tail, spread up to 300, or an underflowing
+    tail behind two weights of 1."""
+    n = draw(st.integers(2, 8192))
+    spread = draw(st.sampled_from([1.0, 10.0, 100.0, 300.0]))
+    if draw(st.integers(0, 6)) == 0:
+        tail = draw(st.sampled_from([-800.0, -744.5, -740.0]))
+        return np.where(np.arange(n) < 2, 0.0, tail)
+    logw = np.full(n, draw(st.floats(-spread, spread)))
+    for pos, v in draw(st.lists(st.tuples(st.integers(0, 63), st.floats(-spread, spread)),
+                                max_size=12)):
+        logw[pos % n] = v
+    return logw
 
 
 def tail_by_loop(w_tail, rho, m):
@@ -285,29 +351,47 @@ class TestStaircaseRoot:
                        - reference_staircase_log_rho(logw, rel_tol)) <= 2 * rel_tol
 
     @pytest.mark.parametrize("n", [2, 3, 128, 4096])
-    def test_one_trial_before_the_halvings(self, n, monkeypatch):
-        # the bracket's lower end is 1/4 of the largest weight with no trial
-        # of its own; only the row-sum guard at the upper end precedes the
-        # halvings, so each root costs one tail evaluation per halving plus one
-        trials, halvings = [], []
-        real_tail, real_bisect = pressure._staircase_tail, pressure._bisect
-
-        def bisect(*a):
-            mid, steps = real_bisect(*a)
-            halvings.append(steps)
-            return mid, steps
-
-        monkeypatch.setattr(pressure, "_staircase_tail",
-                            lambda *a: trials.append(1) or real_tail(*a))
-        monkeypatch.setattr(pressure, "_bisect", bisect)
+    def test_trials_within_twice_the_halvings(self, n, monkeypatch):
+        # the Newton phase and the replayed halving together test at most two
+        # points per halving of the plain root, from any start, and return
+        # its midpoint bit for bit
+        trials = count_tail_calls(monkeypatch)
         logt = md.builtin_log_derivative(md.build_sv_map(0.9)).values_vector(n)
         tail = md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5}).values_vector(n)
         for logw in (-logt, -7.0 * logt, -3.0 * (tail - 1.7) - 0.5 * logt, 0.0 * logt):
-            trials.clear()
-            halvings.clear()
-            got = _staircase_log_rho(logw, 1e-12)
-            assert len(trials) == halvings[0] + 1
-            assert got == pytest.approx(reference_staircase_log_rho(logw, 1e-12), abs=2e-12)
+            want, halvings = halving_staircase_log_rho(logw, 1e-12)
+            for guess in (None, want, want - 0.3, want + 0.3):
+                trials.clear()
+                assert _staircase_log_rho(head_slice(logw), 1e-12, n, guess) == want
+                assert len(trials) <= 2 * halvings + 2
+
+    def test_trials_per_root_on_the_readme_scan(self, monkeypatch):
+        # each root of a scan starts from the one before, a close guess
+        trials = count_tail_calls(monkeypatch)
+        roots = []
+        real = pressure._staircase_log_rho
+        monkeypatch.setattr(pressure, "_staircase_log_rho",
+                            lambda *a: roots.append(1) or real(*a))
+        assert main(["spectrum-birkhoff", "--lambda", "0.9", "--grid-points", "21",
+                     "--nmax", "128"]) == 0
+        assert len(roots) > 9000
+        assert len(trials) <= 12 * len(roots)
+
+    @settings(max_examples=150, deadline=None)
+    @given(logw=eventually_constant_log_weights(), offsets=st.lists(
+        st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=3))
+    def test_any_guess_gives_the_halving_root(self, logw, offsets):
+        want, halvings = halving_staircase_log_rho(logw, 1e-12)
+        trials = []
+        real = pressure._staircase_tail
+        pressure._staircase_tail = lambda *a: trials.append(1) or real(*a)
+        try:
+            for guess in [None, want, 1e300, -1e300, math.nan] + [want + d for d in offsets]:
+                trials.clear()
+                assert _staircase_log_rho(head_slice(logw), 1e-12, len(logw), guess) == want
+                assert len(trials) <= 2 * halvings + 2
+        finally:
+            pressure._staircase_tail = real
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 256), default=st.floats(-3.0, 3.0),
@@ -336,7 +420,7 @@ class TestStaircaseRoot:
         for m in list(range(120)) + [255, 256, 1000]:
             edge = 4.0 * w_tail * math.cos(math.pi / (m + 2)) ** 2
             for rho in list(grid) + [edge * (1 + 1e-9), edge * (1 - 1e-9)]:
-                got, want = _staircase_tail(w_tail, rho, m), tail_by_loop(w_tail, rho, m)
+                got, want = _staircase_tail(w_tail, rho, m)[0], tail_by_loop(w_tail, rho, m)
                 if math.isinf(want):
                     assert not (got < 1.0), (m, rho)
                 else:
@@ -344,6 +428,70 @@ class TestStaircaseRoot:
             if m >= 1:
                 assert tail_by_loop(w_tail, edge * (1 + 1e-9), m) < 1.0
                 assert math.isinf(tail_by_loop(w_tail, edge * (1 - 1e-9), m))
+
+    @pytest.mark.parametrize("w_tail", [1.0, 0.37])
+    @pytest.mark.parametrize("m", [0, 1, 2, 127, 8190])
+    def test_tail_slope_against_central_differences(self, w_tail, m):
+        # c < 1/4 well above and just above rho = 4 w_tail, c = 1/4 itself
+        # (the stencil straddles both closed forms), and c > 1/4 down to
+        # just above the edge where (m + 2) theta reaches pi
+        edge = 4.0 * w_tail * math.cos(math.pi / (m + 2)) ** 2
+        gap = 4.0 * w_tail - edge
+        rhos = [4.0 * w_tail * k for k in (50.0, 2.0, 1.01, 1.0 + 1e-6, 1.0)]
+        rhos += [edge + f * gap for f in (0.9, 0.5, 0.1, 0.01)]
+        for rho in rhos:
+            r, slope = _staircase_tail(w_tail, rho, m)
+            # a power of two at or above the ulp of rho, so that rho +- k h is exact
+            h = 2.0 ** math.floor(math.log2(1e-3 * (min(rho - edge, rho) if m else rho)))
+
+            def diff(k):
+                return (_staircase_tail(w_tail, rho + k * h, m)[0]
+                        - _staircase_tail(w_tail, rho - k * h, m)[0])
+
+            # the five-point stencil: the slope varies on the scale rho - edge
+            fd = (8.0 * diff(1) - diff(2)) / (12.0 * h)
+            assert r < 1.0
+            assert slope == pytest.approx(fd, rel=1e-6, abs=1e-300), (m, rho)
+            if m:
+                assert slope < 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_residual_and_slope_against_dense_eigvals(self, n):
+        # With tail sums T_i = x_i + ... + x_n as coordinates, rho I - A is
+        # tridiagonal: row 1 is (rho - w_1, -rho), row i >= 2 is
+        # (-w_i, rho, -rho) around the diagonal.  Eliminating from the bottom
+        # row up leaves the pivots rho (1 - r_i) on rows n..2 and the
+        # first-row residual on row 1, so the residual is det(rho I - A), a
+        # product over eigvals, divided by the determinant of rows 2..n.
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            w = np.exp(rng.normal(0.0, 1.0, n))
+            tail = int(rng.integers(0, n))            # the last rows share a weight
+            w[n - tail:] = w[-1]
+            a = np.triu(np.ones((n, n)), -1) * w[:, None]      # j >= i - 1, 0-based
+            eig = np.linalg.eigvals(a)
+            rows = np.diag(np.full(n - 1, 1.0)) - np.diag(np.full(n - 2, 1.0), 1)
+
+            def residual(rho):
+                lower = rho * rows - np.diag(w[2:], -1)
+                return float(np.prod(rho - eig).real) / np.linalg.det(lower)
+
+            perron = float(np.max(eig.real))
+            head = max(n - tail, 1)
+            splits = [(w[-1], 0, w[n - 1:0:-1].tolist()),          # every row one by one
+                      (w[-1], n - head, w[head - 1:0:-1].tolist())]  # the tail in one step
+            for rho in perron * np.array([0.999, 1.001, 1.1, 2.0, 10.0]):
+                h = 1e-6 * rho
+                for w_tail, m, head_w in splits:
+                    got = pressure._staircase_residual(w_tail, m, head_w, float(w[0]), rho)
+                    if got is None:                   # below the feasible range
+                        assert rho < perron
+                        continue
+                    f, slope = got
+                    assert f == pytest.approx(residual(rho), rel=1e-8, abs=1e-12)
+                    fd = (residual(rho + h) - residual(rho - h)) / (2.0 * h)
+                    assert slope == pytest.approx(fd, rel=1e-6)
+                    assert (f >= 0.0) == (rho >= perron)
 
     @pytest.mark.parametrize("log_w", [-744.5, -740.0])
     def test_tail_with_subnormal_weight(self, log_w):
@@ -353,11 +501,50 @@ class TestStaircaseRoot:
         assert w_tail > 0.0
         for m in (0, 1, 2, 7, 511, 8191):
             for rho in (0.3, 1.0, 1.5, 2.0, 8.0, 511.0, 512.0, 4096.0):
-                got = _staircase_tail(w_tail, rho, m)
+                got = _staircase_tail(w_tail, rho, m)[0]
                 assert got == pytest.approx(tail_by_loop(w_tail, rho, m), abs=1e-320)
         sub = md.truncate(md.build_sv_map(0.9), 8)
         p = md.TablePotential({(1,): 0.0}, default=log_w)
         assert md.perron_pressure(sub, p, 1e-12) == pytest.approx(0.0, abs=1e-11)
+
+
+class TestOrderK:
+    """A staircase root reads the weights of the head and one tail symbol only."""
+
+    N = 1 << 20
+    HEAD = 3
+
+    @pytest.fixture(autouse=True)
+    def no_length_n_vector(self, monkeypatch):
+        real = md.TablePotential.values_vector
+
+        def guarded(potential, n):
+            assert n <= self.HEAD + 2, f"a length-{n} value vector"
+            return real(potential, n)
+
+        monkeypatch.setattr(md.TablePotential, "values_vector", guarded)
+
+    def test_perron_and_gurevich(self):
+        m = md.build_sv_map(0.9)
+        p = neg_t_logt(m, 7.0)
+        assert md.perron_pressure(md.truncate(m, self.N), p, 1e-12) == \
+            pytest.approx(P_09_T7, abs=1e-11)
+        res = md.gurevich_pressure(m, p, 1e-10, self.N)
+        assert res.truncation_used == self.N and len(res.per_level) == 20
+        assert res.value == pytest.approx(P_09_T7, abs=1e-11)
+
+    def test_pressure_evaluator(self):
+        m = md.build_sv_map(0.9)
+        phi = md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5, self.HEAD: 1.7})
+        one = md.constant_potential(1.0)
+        ev = spectrum._PressureEvaluator(m, phi, one, self.N)
+        assert len(ev.phi_v) == self.HEAD + 1
+        value = ev.pressure(-1.0, 1.8, 0.5)
+        assert math.isfinite(value)
+        # the slice sees the same potential as the full vector of a smaller level
+        small = md.truncate(m, 1 << 12)
+        pot = md.combine(-1.0, phi, 1.8, one, 0.5, md.builtin_log_derivative(m))
+        assert value >= md.perron_pressure(small, pot, 1e-12) - 1e-12
 
 
 def brute_orbit_sum(mat, logw, n, base):
