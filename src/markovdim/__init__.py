@@ -18,12 +18,10 @@ from .potentials import (TablePotential, builtin_log_derivative, builtin_tail_po
 from .pressure import (PressureResult, closed_form_pressure_sv, gurevich_pressure,
                        orbit_sum_pressure, perron_pressure, sv_critical_exponent)
 from .spectrum import (SpectrumCurve, SpectrumPoint, alpha_bounds, bowen_dimension,
-                       curve_to_csv, derivative_identity_check,
-                       full_birkhoff_spectrum_sv, inf_pressure_over_q,
+                       curve_to_csv, full_birkhoff_spectrum_sv, inf_pressure_over_q,
                        lyapunov_closed_form, lyapunov_spectrum_curve, sv_alpha_bounds,
                        sv_alpha_of_t, sv_hyperbolic_dimension, variational_dimension)
-from .empirics import (BoxCountResult, EscapeStats, OrbitRecord, birkhoff_quotient,
-                       box_count_level_set, escape_statistics, orbit_rng,
-                       simulate_batch, simulate_orbit)
+from .empirics import (BoxCountResult, EscapeStats, OrbitRecord, box_count_level_set,
+                       escape_statistics, orbit_rng, simulate_batch, simulate_orbit)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Monte-Carlo cross-checks: orbits, Birkhoff quotients, escape, box counts.
+"""Monte-Carlo cross-checks: orbits, orbit batches, escape, box counts.
 
 Everything here is an empirical surrogate for infinite-time quantities and
 is labeled as such: "escaping" is a finite-horizon branch-index drift test,
@@ -11,19 +11,25 @@ explicit seed; per-stream derivation uses jumps, so results are bit-for-bit
 reproducible.
 
 Every model steps through the one vectorized loop of :func:`simulate_batch`
-and its one kernel, which guesses a lane's branch from log x in a geometric
-tail and searches the explicit branches above it.
+and its one kernel over the model's branch table, built on the first batch
+and kept with the model.  In the geometric rows of a tail (every row, for
+SV) the kernel guesses a lane's branch from log x, gathers the guessed
+branch's two edges and its slope, and corrects only the lanes the guess
+misses; the explicit branches above the tail take a sorted search.  A step
+then adds each potential's value on the lane's branch with one gather from
+a table over the rows.
 """
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryError, DomainError, InsufficientSampleError
-from .markov import MarkovMapModel, TailRule, _near
+from .markov import ENDPOINT_TOL, MarkovMapModel, _near
 from .potentials import TablePotential, builtin_log_derivative
 
 #: an orbit escapes when the minimum of its final-quarter branch indices
@@ -147,28 +153,17 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
                        logt_steps=logt, classification=cls)
 
 
-def birkhoff_quotient(rec: OrbitRecord, phi: TablePotential, psi: TablePotential,
-                      window: int) -> float:
-    """S_w(phi) / S_w(psi) over the final ``window`` steps of the orbit."""
-    if psi.positivity_floor is None:
-        raise DomainError("denominator potential must carry a positivity floor")
-    if window < 1 or window > rec.steps:
-        raise DomainError(f"window {window} exceeds recorded steps {rec.steps}")
-    tail = rec.itinerary[rec.steps - window:]
-    num = float(np.sum(phi.eval_symbols(tail)))
-    den = float(np.sum(psi.eval_symbols(tail)))
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # Vectorized batches
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _BranchTable:
-    """Branches 1..K of a model as arrays, row n - 1 for branch n; the
-    explicit rows in the order of their left endpoints; and the geometric
-    rows ``first``.. at or below ``top`` (-inf without a tail), where row k
-    of ``rights`` is the left end of branch k."""
+    """Branches 1..K of a model as read-only arrays, row n - 1 for branch n;
+    the explicit rows in the order of their left endpoints; and the
+    geometric rows ``first``.. at or below ``top`` (-inf without a tail),
+    where row k of ``rights`` is the left end of branch k.  A lane at x in
+    the geometric rows guesses its branch as the integer part of
+    ``log(x) * u_scale + u_shift``, which is the tail position u plus 1."""
 
     lefts: np.ndarray
     rights: np.ndarray
@@ -177,12 +172,26 @@ class _BranchTable:
     order: np.ndarray
     lefts_s: np.ndarray
     rights_s: np.ndarray
-    tail: TailRule | None
     first: int
     top: float
+    u_scale: float
+    u_shift: float
+
+
+#: each model's branch table, built by its first batch: a model is immutable,
+#: so the table is a pure function of it, and weak keys let it go with the model
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _branch_table(model: MarkovMapModel) -> _BranchTable:
+    """The branch table of ``model``, built once and kept while the model lives."""
+    tab = _TABLES.get(model)
+    if tab is None:
+        tab = _TABLES[model] = _build_branch_table(model)
+    return tab
+
+
+def _build_branch_table(model: MarkovMapModel) -> _BranchTable:
     """Rows of branches 1..K from ``model.edges``, the scalar path's own
     expressions, so batch and scalar orbits see bitwise-identical endpoints.
     K is a finite model's alphabet; a tail runs nine rows past the first
@@ -199,26 +208,34 @@ def _branch_table(model: MarkovMapModel) -> _BranchTable:
     lefts, rights, slopes = (np.ascontiguousarray(col) for col in rows.T)
     img_lo = np.zeros(count) if model.rule is not None else np.array(model.image_lo)
     order = np.argsort(lefts[:len(model.explicit)])
-    first, top = count + 1, -math.inf
+    first, top, u_scale, u_shift = count + 1, -math.inf, math.nan, math.nan
     if t is not None:
         first = t.from_index
         while first > 1 and (lefts[first - 2], rights[first - 2]) == (t.left(first - 1),
                                                                      t.left(first - 2)):
             first -= 1
         top = rights[first - 1]
-    return _BranchTable(lefts, rights, slopes, img_lo, order, lefts[order], rights[order],
-                        t, first, top)
+        u_scale = 1.0 / math.log(t.ratio)
+        u_shift = 1.0 + t.position(0.0)
+    arrays = (lefts, rights, slopes, img_lo, order, lefts[order], rights[order])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _BranchTable(*arrays, first, top, u_scale, u_shift)
 
 
 def _step(x: np.ndarray, tab: _BranchTable):
     """One vectorized map step of every lane of ``x``.
 
-    Returns (new x, branch indices, aborted mask); the new x and index of
-    an aborted lane mean nothing.  Lanes above ``tab.top`` take a sorted
+    Returns (new x, branch indices, aborted mask); the new x of an aborted
+    lane means nothing, and its index is some row of the table.  When the
+    geometric rows cover (0, 1], as for SV, every lane takes
+    :func:`_guess_rows`.  Otherwise lanes above ``tab.top`` take a sorted
     search of the explicit rows, the others :func:`_guess_rows`.  Both
     compare ``x`` with the floats of ``model.edges`` by the endpoint test of
     ``MarkovMapModel.locate``, so decisions match the scalar path exactly.
     """
+    if tab.top == 1.0:
+        return _guess_rows(x, tab)
     low = x <= tab.top
     if low.all():
         return _guess_rows(x, tab)
@@ -233,24 +250,55 @@ def _step(x: np.ndarray, tab: _BranchTable):
     return y, n, hit
 
 
+def _log_guess(x: np.ndarray, tab: _BranchTable) -> np.ndarray:
+    """Each lane's branch guessed from log x: the integer part of the tail
+    position plus 1, clamped to rows ``tab.first``..K - 2."""
+    u = np.log(x)
+    u *= tab.u_scale
+    u += tab.u_shift
+    n = u.astype(np.int64)
+    np.maximum(n, tab.first, out=n)
+    return np.minimum(n, len(tab.rights) - 3, out=n)
+
+
 def _guess_rows(x: np.ndarray, tab: _BranchTable):
-    """Lanes in the geometric rows: a log-based guess of the index,
-    corrected against ``tab.rights`` (vectorized log and pow differ from
-    libm in the last ulp, so only the table decides)."""
+    """Lanes in the geometric rows: the log guess n of each lane's branch,
+    checked against its two edges, ``tab.rights[n]`` < x <= ``tab.rights[n - 1]``.
+
+    Three gathers per step (the two edges and the slope).  A lane inside
+    its guessed branch takes the endpoint test on those two edges and steps.
+    The vectorized log differs from libm in the last ulp, so the guess is
+    off by at most one row, and for x from ``tab.top`` down to the deep
+    floor only inside an endpoint band, where the lane aborts.  The lanes
+    that miss are the only ones corrected, by up to two moves of one row,
+    and take the endpoint test on the edges of the branch they end in.
+    Misses outside a band are a start beneath the table, whose clamped
+    guess moves to the last row, and x outside (0, ``tab.top``] or NaN,
+    which reach here when the geometric rows cover (0, 1] and abort.
+    """
     table = tab.rights
-    kmax = len(table) - 1
-    u = tab.tail.position(np.log(x))
-    k = np.minimum(np.maximum(np.rint(u), tab.first - 1), kmax).astype(np.int64)
-    edge = table[k]
-    hit = _near(x, edge)
-    n = np.minimum(np.maximum(np.floor(u).astype(np.int64) + 1, tab.first), kmax - 2)
-    # the guess is off by at most one except inside the excluded endpoint zone
-    for _ in range(2):
-        n = np.where((n > tab.first) & (x > table[n - 1]), n - 1, n)
-        n = np.where(x <= table[n], n + 1, n)
+    n = _log_guess(x, tab)
+    below = n - 1
+    left, right = table.take(n), table.take(below)
+    inside = (x > left) & (x <= right)
+    # inside its branch, x - left > 0 and right - x >= 0 are the distances of
+    # the endpoint test, bit for bit
+    d = x - left
+    hit = (d <= ENDPOINT_TOL * left) | (right - x <= ENDPOINT_TOL * right)
+    if not inside.all():
+        miss = np.flatnonzero(~inside)
+        xm, nm = x[miss], n[miss]
+        for _ in range(2):
+            nm = np.where((nm > tab.first) & (xm > table[nm - 1]), nm - 1, nm)
+            nm = np.where(xm <= table[nm], nm + 1, nm)
+        edge = table[nm]
+        n[miss], below[miss], d[miss] = nm, nm - 1, xm - edge
+        hit[miss] = (_near(xm, edge) | _near(xm, table[nm - 1])
+                     | ~((xm > 0.0) & (xm <= tab.top)))
     # same arithmetic as the scalar path (slope multiply; a rule row's image
     # starts at 0), so batch and scalar orbits agree bitwise
-    return (x - table[n]) * tab.slopes[n - 1], n, hit | (x <= 0.0)
+    d *= tab.slopes.take(below)
+    return d, n, hit
 
 
 @dataclass
@@ -303,9 +351,14 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                    collect_itineraries: bool = False) -> BatchStats:
     """Vectorized orbit batch; semantics per-orbit match simulate_orbit.
 
-    Every model takes the same setup and kernel: one branch table, log|T'|
-    from :func:`builtin_log_derivative`, and :func:`_step`, a log guess
-    over the geometric rows and a sorted search over the explicit ones.
+    Every model takes the same setup and kernel: its branch table (built
+    once per model), and :func:`_step`, a log guess over the geometric rows
+    and a sorted search over the explicit ones.  Log|T'| (from
+    :func:`builtin_log_derivative`), phi and psi are read once, on every
+    branch the table can return, and a step gathers each one's values on
+    the lanes' branches.  A visited branch on which one of them has no value
+    raises DomainError, as ``eval_symbols`` does; branches no lane visits
+    are never checked.
 
     Only live lanes are stepped.  Their lane indices and running state
     (position, Birkhoff sums, quarter minima) sit in
@@ -348,6 +401,12 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     logt = builtin_log_derivative(model)
     tables = {key: pot for key, pot in (("logt", logt), ("phi", phi), ("psi", psi))
               if pot is not None}
+    # each table's value on every branch the branch table can return, entry i
+    # for branch i (entry 0 is never read); one with undefined (NaN) entries
+    # is checked on the entries a step reads
+    rows = {key: np.concatenate(([math.nan], pot.values_or_nan(len(tab.rights))))
+            for key, pot in tables.items()}
+    partial = {key for key, row in rows.items() if np.isnan(row[1:]).any()}
     # per-step adds of a deep lane: the tail values, NaN for a table without a
     # tail limit
     deep_adds = {key: pot.tail_limit if pot.tail_limit is not None else np.nan
@@ -408,8 +467,10 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
         live["x"] = y
         if its is not None:
             its[live["lane"], k] = idx
-        vals = {key: pot.eval_symbols(idx) for key, pot in tables.items()}
+        vals = {key: row.take(idx) for key, row in rows.items()}
         for key, v in vals.items():
+            if key in partial and np.isnan(v).any():
+                tables[key].eval_symbols(idx)   # raises on the undefined symbol
             live[key] += v
         if k < q:
             live["fqm"] = np.minimum(live["fqm"], idx)

@@ -114,6 +114,11 @@ class TablePotential:
         """Values on symbols 1..n."""
         return self.eval_symbols(np.arange(1, n + 1))
 
+    def values_or_nan(self, n: int) -> np.ndarray:
+        """Values on symbols 1..n, NaN on a symbol without one: :meth:`values_vector`
+        without its check, for a caller that checks the entries it reads."""
+        return self._values.take(np.arange(n), mode="clip")
+
     def is_constant(self) -> bool:
         vals = self._values[~np.isnan(self._values)]
         return vals.size > 0 and bool((vals == vals[0]).all())

@@ -117,20 +117,6 @@ def lyapunov_closed_form(lam: float, t: float) -> SpectrumPoint:
                          delta_iterations=0, source="CLOSED_FORM")
 
 
-def derivative_identity_check(lam: float, t: float, h: float) -> tuple[float, float]:
-    """Central difference of the closed-form pressure vs -alpha_t.
-
-    Returns (finite_difference, alpha_t); the caller asserts their sum is
-    O(h^2).  The stencil must stay inside the validity region.
-    """
-    require_above("h", h, 0.0)
-    t_c = sv_critical_exponent(lam)
-    if t - h <= t_c:
-        raise DomainError(f"stencil leaves validity region: t-h = {t - h} <= {t_c:.6f}")
-    fd = (closed_form_pressure_sv(lam, t + h) - closed_form_pressure_sv(lam, t - h)) / (2.0 * h)
-    return fd, sv_alpha_of_t(lam, t)
-
-
 # ---------------------------------------------------------------------------
 # Cycle-mean machinery for alpha bounds
 # ---------------------------------------------------------------------------
@@ -179,12 +165,13 @@ def _beyond(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray, alpha
     ratios, so a node must lie beyond alpha, and one with a self-loop settles
     it; otherwise Karp's min cycle mean of -/+(phi - alpha psi) must be negative.
     The vectors may stop early on a staircase, whose later nodes repeat
-    the last value and, like every node there, have self-loops."""
+    the last value.  Every node of a rule truncation has a self-loop, so no
+    mask of them is built there."""
     ratios = phi_v / psi_v
     beyond = ratios > alpha if above else ratios < alpha
     if not beyond.any():
         return False
-    if sub.self_loops[:ratios.size][beyond].any():
+    if sub.rule is not None or sub.self_loops[beyond].any():
         return True
     sign = -1.0 if above else 1.0
     return _karp_min_cycle_mean(sub, sign * (phi_v - alpha * psi_v)) < 0.0
@@ -201,7 +188,7 @@ def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.n
     if hi - lo <= 1e-15:
         return lo
     end = hi if maximize else lo
-    if sub.self_loops[:ratios.size][ratios == end].any():
+    if sub.rule is not None or sub.self_loops[ratios == end].any():
         return end
     # a is at or above the extreme when no cycle lies above it (max) or some lies below (min)
     return _bisect(lambda a: _beyond(sub, phi_v, psi_v, a, above=maximize) != maximize,

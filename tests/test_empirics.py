@@ -98,6 +98,17 @@ class TestSimulateOrbit:
                           for rec in recs) + 20_000
 
 
+def birkhoff_quotient(rec, phi, psi, window):
+    """Oracle: S_w(phi) / S_w(psi) over the final ``window`` steps of an orbit
+    record, refusing a window beyond its steps and a psi with no positivity floor."""
+    if psi.positivity_floor is None:
+        raise DomainError("denominator potential must carry a positivity floor")
+    if window < 1 or window > rec.steps:
+        raise DomainError(f"window {window} exceeds recorded steps {rec.steps}")
+    tail = rec.itinerary[rec.steps - window:]
+    return float(np.sum(phi.eval_symbols(tail))) / float(np.sum(psi.eval_symbols(tail)))
+
+
 class TestBirkhoffQuotient:
     def setup_method(self):
         self.m = md.build_sv_map(0.9)
@@ -107,12 +118,12 @@ class TestBirkhoffQuotient:
     def test_equal_potentials(self):
         rec = md.simulate_orbit(self.m, 0.77, 30)
         for w in (5, 17, 30):
-            assert md.birkhoff_quotient(rec, self.logt, self.logt, w) == \
+            assert birkhoff_quotient(rec, self.logt, self.logt, w) == \
                 pytest.approx(1.0, rel=1e-13)
 
     def test_unit_denominator_is_plain_average(self):
         rec = md.simulate_orbit(self.m, 0.77, 30)
-        got = md.birkhoff_quotient(rec, self.logt, self.one, 12)
+        got = birkhoff_quotient(rec, self.logt, self.one, 12)
         want = float(np.mean(rec.logt_steps[-12:]))
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -122,19 +133,19 @@ class TestBirkhoffQuotient:
         window = 100
         tail = rec.itinerary[-window:]
         assert (tail >= 2).all()  # orbit long gone from branch 1
-        got = md.birkhoff_quotient(rec, self.logt, self.one, window)
+        got = birkhoff_quotient(rec, self.logt, self.one, window)
         assert abs(got - ALPHA_MAX_09) < 0.01
 
     def test_window_validation(self):
         rec = md.simulate_orbit(self.m, 0.77, 10)
         with pytest.raises(DomainError):
-            md.birkhoff_quotient(rec, self.logt, self.one, 11)
+            birkhoff_quotient(rec, self.logt, self.one, 11)
 
     def test_floor_required(self):
         rec = md.simulate_orbit(self.m, 0.77, 10)
         bare = md.TablePotential({(1,): 1.0}, default=1.0)
         with pytest.raises(DomainError):
-            md.birkhoff_quotient(rec, self.logt, bare, 5)
+            birkhoff_quotient(rec, self.logt, bare, 5)
 
 
 def sv_copy(lam):
@@ -151,6 +162,12 @@ def two_branch_head_map():
     return md.build_custom_map([md.make_branch(1, 0.5, 1.0, 2.0),
                                 md.make_branch(2, 0.4, 0.5, 10.0)], "staircase",
                                tail={"from_index": 3, "ratio": 0.8, "slope": 6.25})
+
+
+#: maps whose kernel edges the hypothesis test probes: SV at several ratios and
+#: two custom staircases
+EDGE_MODELS = {**{f"sv-{r}": md.build_sv_map(r) for r in (0.55, 0.6, 0.75, 0.9, 0.97, 0.99)},
+               "sv-copy": sv_copy(0.9), "head-2": two_branch_head_map()}
 
 
 class TestBatchVsScalar:
@@ -238,6 +255,110 @@ class TestBatchVsScalar:
         got = md.escape_statistics(sv_copy(0.9), 2000, 1000, seed=0)
         assert got.counts == want.counts and want.counts[ESCAPING] > 1900
         assert got.mean_tail_logt_escapers == want.mean_tail_logt_escapers
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(EDGE_MODELS)), data=st.data())
+    def test_patched_lanes_match_scalar(self, name, data):
+        # starts a few ulps from edges of geometric rows, from the top row down
+        # to the deep floor, and just inside and outside their endpoint bands
+        model = EDGE_MODELS[name]
+        tab = _branch_table(model)
+        deepest = int(np.flatnonzero(tab.rights >= DEEP_FLOOR)[-1])
+        rows = data.draw(st.lists(st.integers(tab.first - 1, deepest), min_size=1, max_size=8))
+        ulps = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+        deltas = data.draw(st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=4))
+        factors = ([1.0 + j * 2.0 ** -52 for j in ulps]
+                   + [1.0 + sign * ENDPOINT_TOL * (1.0 + d) for sign in (-1.0, 1.0)
+                      for d in deltas])
+        starts = (tab.rights[rows][:, None] * np.array(factors)).ravel()
+        check_one_step(model, starts[starts <= 1.0])
+
+    def test_a_missed_guess_is_corrected(self):
+        # starts on and one ulp beside the edges of branches 1..300: the log
+        # guess misses some of them (x at or below its left edge, or above its
+        # right one), all inside endpoint bands
+        model = md.build_sv_map(0.9)
+        tab = _branch_table(model)
+        edges = tab.rights[1:301]
+        starts = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+        guess = empirics._log_guess(starts, tab)
+        missed = ~((starts > tab.rights[guess]) & (starts <= tab.rights[guess - 1]))
+        assert missed.any()
+        check_one_step(model, starts[missed][:1])
+        check_one_step(model, starts)
+        # below the last edge of the table the guess is clamped two rows short
+        # and misses outside any band: the correction takes the lane to the last
+        # row, which steps it below the deep floor, and it escapes as the
+        # scalar orbit does
+        below = np.array([tab.rights[-1] * 0.5])
+        last = len(tab.rights) - 1
+        _, n, hit = empirics._step(below, tab)
+        assert empirics._log_guess(below, tab)[0] == last - 2
+        assert n[0] == last and not hit[0]
+        batch = simulate_batch(model, below, 10, collect_itineraries=True)
+        assert batch.itineraries[0].tolist() == [last] + [-1] * 9 and not batch.aborted[0]
+        assert md.simulate_orbit(model, float(below[0]), 10).classification == ESCAPING
+
+    @pytest.mark.parametrize("model", [md.build_sv_map(0.9), two_branch_head_map()],
+                             ids=["sv", "head-2"])
+    def test_starts_outside_the_interval_abort(self, model):
+        starts = np.array([1.5, 1.0000000000000002, np.inf, np.nan, 0.0, -0.0, -0.5, -np.inf])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            batch = simulate_batch(model, starts, 5)
+        assert batch.aborted.all() and (batch.steps == 0).all()
+
+
+def check_one_step(model, starts):
+    """One batch step and one scalar step of every start agree on aborting,
+    and on the branch where neither aborts.  The kernel's index stays inside
+    the branch table, and where its log guess misses a start in the
+    geometric rows, the guess was one row off and the start lies in an
+    endpoint band."""
+    tab = _branch_table(model)
+    _, n, hit = empirics._step(starts, tab)
+    assert ((1 <= n) & (n < len(tab.rights))).all()
+    geometric = starts <= tab.top
+    guess = empirics._log_guess(starts[geometric], tab)
+    assert (np.abs(guess - n[geometric]) <= 1).all()
+    assert hit[geometric][guess != n[geometric]].all()
+    batch = simulate_batch(model, starts, 1, collect_itineraries=True)
+    assert (batch.aborted == hit).all()
+    for i, s in enumerate(starts):
+        rec = md.simulate_orbit(model, float(s), 1)
+        assert (rec.classification == BOUNDARY_ABORT) == batch.aborted[i]
+        if not batch.aborted[i]:
+            assert rec.itinerary[0] == batch.itineraries[i, 0] == n[i]
+
+
+class TestBatchPotentialErrors:
+    """A potential with no value on a symbol the batch visits raises, as
+    ``eval_symbols`` does; symbols the batch never visits stay quiet."""
+
+    def test_visited_undefined_symbol_raises(self):
+        m = md.build_sv_map(0.9)
+        only_1 = md.TablePotential({1: 1.0})
+        one = md.constant_potential(1.0)
+        starts = 1.0 - orbit_rng(2).random(1000)
+        with pytest.raises(DomainError, match="undefined"):
+            simulate_batch(m, starts, 50, phi=only_1)
+        with pytest.raises(DomainError, match="undefined"):
+            md.box_count_level_set(m, only_1, one, 1.0, 0.5, 1000, 50, [0.1, 0.01], seed=3)
+        # one step from branch 1 visits nothing else
+        got = simulate_batch(m, 0.9 + 0.1 * orbit_rng(2).random(100), 1, phi=only_1)
+        assert (got.phi_sum[~got.aborted] == 1.0).all()
+
+    def test_unvisited_undefined_symbols_stay_quiet(self):
+        rng = np.random.default_rng([5, 64])
+        cm = dense_custom_map(rng)
+        values = rng.uniform(0.5, 1.5, 32)
+        half = md.TablePotential({i: float(v) for i, v in enumerate(values, start=1)})
+        starts = 0.25 * (1.0 - rng.random(500))       # branches 1..16
+        got = simulate_batch(cm, starts, 1, phi=half, collect_itineraries=True)
+        ok = ~got.aborted
+        assert ok.sum() > 400
+        assert (got.phi_sum[ok] == values[got.itineraries[ok, 0] - 1]).all()
+        with pytest.raises(DomainError, match="undefined"):
+            simulate_batch(cm, starts, 100, phi=half)
 
 
 # ---------------------------------------------------------------------------

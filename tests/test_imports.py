@@ -97,11 +97,11 @@ PUBLIC_NAMES = {
     "perron_pressure", "sv_critical_exponent",
     # spectra
     "SpectrumCurve", "SpectrumPoint", "alpha_bounds", "bowen_dimension", "curve_to_csv",
-    "derivative_identity_check", "full_birkhoff_spectrum_sv", "inf_pressure_over_q",
+    "full_birkhoff_spectrum_sv", "inf_pressure_over_q",
     "lyapunov_closed_form", "lyapunov_spectrum_curve", "sv_alpha_bounds", "sv_alpha_of_t",
     "sv_hyperbolic_dimension", "variational_dimension",
     # orbit statistics
-    "BoxCountResult", "EscapeStats", "OrbitRecord", "birkhoff_quotient", "box_count_level_set",
+    "BoxCountResult", "EscapeStats", "OrbitRecord", "box_count_level_set",
     "escape_statistics", "orbit_rng", "simulate_batch", "simulate_orbit",
     # the submodules the package imports
     "empirics", "errors", "markov", "potentials", "pressure", "spectrum",

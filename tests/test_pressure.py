@@ -546,6 +546,25 @@ class TestOrderK:
         pot = md.combine(-1.0, phi, 1.8, one, 0.5, md.builtin_log_derivative(m))
         assert value >= md.perron_pressure(small, pot, 1e-12) - 1e-12
 
+    def test_alpha_bounds_and_variational_point(self, monkeypatch):
+        # every node of a rule truncation has a self-loop: no length-N mask of them
+        real = md.TruncatedSubsystem.self_loops.fget
+
+        def guarded(sub):
+            assert sub.size <= self.HEAD + 2, f"a length-{sub.size} self-loop mask"
+            return real(sub)
+
+        monkeypatch.setattr(md.TruncatedSubsystem, "self_loops", property(guarded))
+        m = md.build_sv_map(0.9)
+        logt = md.builtin_log_derivative(m)
+        one = md.constant_potential(1.0)
+        assert md.alpha_bounds(m, logt, one, self.N) == md.sv_alpha_bounds(0.9)
+        want = md.lyapunov_closed_form(0.9, 8.0)
+        got = md.variational_dimension(m, logt, one, want.alpha, self.N, 1e-3)
+        assert got.dimension <= want.dimension < got.dimension + 1e-3
+        with pytest.raises(DomainError, match="outside the open interval"):
+            md.variational_dimension(m, logt, one, 2.5, self.N, 1e-3)
+
 
 def brute_orbit_sum(mat, logw, n, base):
     """Independent oracle: literal DFS enumeration of period-n words."""
