@@ -7,9 +7,9 @@ discontinuity of the built-in dissipative SV family.
 
 __version__ = "0.1.0"
 
-from .errors import (BoundaryError, CompositionError, ConfigError, ConvergenceError,
-                     DegenerateError, DomainError, InsufficientSampleError,
-                     MarkovDimError, MixingError, UnboundedError, WorkLimitError)
+from .errors import (BoundaryError, ConfigError, ConvergenceError, DegenerateError,
+                     DomainError, InsufficientSampleError, MarkovDimError, MixingError,
+                     UnboundedError, WorkLimitError)
 from .markov import (BranchSpec, MarkovMapModel, TruncatedSubsystem, build_custom_map,
                      build_sv_map, is_primitive, load_map_config, make_branch, truncate,
                      validate_custom_branches)

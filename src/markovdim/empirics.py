@@ -101,12 +101,6 @@ def _classify(itinerary: np.ndarray, aborted: bool) -> str:
     return RECURRENT_WINDOW
 
 
-def _certifies_deep(model: MarkovMapModel) -> bool:
-    """Whether an orbit below the deep floor keeps a certified branch bound:
-    on an infinite staircase the branch index drops by at most 1 per step."""
-    return model.rule == "staircase" and model.alphabet_size is None
-
-
 def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
     """Apply the map up to ``n`` times from ``x0``.
 
@@ -115,7 +109,7 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
     floating-point resolution floor stops there: on an infinite staircase
     it is a certified escaper (ESCAPING) while the remaining horizon is
     shorter than its branch index less the escape threshold; otherwise, and
-    always on a finite map or a "full" rule, it is BOUNDARY_ABORT.
+    always on a finite map, it is BOUNDARY_ABORT.
     Log|T'| (:func:`builtin_log_derivative`, as in the batch) is evaluated
     along the itinerary and its per-step values recorded.
     """
@@ -142,9 +136,10 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
     it = np.asarray(itinerary, dtype=np.int64)
     logt = builtin_log_derivative(model).eval_symbols(it)
     if went_deep:
-        # escape is certified only on an infinite staircase, and only while the
-        # remaining horizon cannot bring the branch index back down
-        certified = (_certifies_deep(model)
+        # escape is certified only on an infinite staircase (a tail implies the
+        # rule, whose branch index drops by at most 1 per step), and only while
+        # the remaining horizon cannot bring the branch index back down
+        certified = (model.tail is not None
                      and n - len(itinerary) < int(itinerary[-1]) - ESCAPE_THRESHOLD)
         cls = ESCAPING if certified else BOUNDARY_ABORT
     else:
@@ -206,7 +201,7 @@ def _build_branch_table(model: MarkovMapModel) -> _BranchTable:
     rows = np.fromiter((v for i in range(1, count + 1) for v in model.edges(i)),
                        dtype=float, count=3 * count).reshape(count, 3)
     lefts, rights, slopes = (np.ascontiguousarray(col) for col in rows.T)
-    img_lo = np.zeros(count) if model.rule is not None else np.array(model.image_lo)
+    img_lo = np.pad(model.image_lo, (0, count - len(model.image_lo)))
     order = np.argsort(lefts[:len(model.explicit)])
     first, top, u_scale, u_shift = count + 1, -math.inf, math.nan, math.nan
     if t is not None:
@@ -295,8 +290,8 @@ def _guess_rows(x: np.ndarray, tab: _BranchTable):
         n[miss], below[miss], d[miss] = nm, nm - 1, xm - edge
         hit[miss] = (_near(xm, edge) | _near(xm, table[nm - 1])
                      | ~((xm > 0.0) & (xm <= tab.top)))
-    # same arithmetic as the scalar path (slope multiply; a rule row's image
-    # starts at 0), so batch and scalar orbits agree bitwise
+    # same arithmetic as the scalar path (slope multiply; a geometric row's
+    # image starts at 0), so batch and scalar orbits agree bitwise
     d *= tab.slopes.take(below)
     return d, n, hit
 
@@ -349,7 +344,8 @@ def _compact(state: dict, keep: np.ndarray) -> dict:
 def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                    phi: TablePotential | None = None, psi: TablePotential | None = None,
                    collect_itineraries: bool = False) -> BatchStats:
-    """Vectorized orbit batch; semantics per-orbit match simulate_orbit.
+    """Vectorized orbit batch; semantics per-orbit match simulate_orbit, and a
+    start outside (0, 1], or NaN, raises DomainError as it does there.
 
     Every model takes the same setup and kernel: its branch table (built
     once per model), and :func:`_step`, a log guess over the geometric rows
@@ -367,7 +363,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     lane's step count is the step number, so it needs no update per step.
     Stepping stops once no live lane is left.
 
-    On an infinite staircase (a "staircase" rule with a tail, as for SV)
+    On an infinite staircase (a map with a tail, as SV)
     lanes that cross the deep floor retire from stepping: every later step
     sits in some branch with index above a certified lower bound (the index
     can drop by at most 1 per step).  A deep step counts while that bound
@@ -384,6 +380,9 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
     starts = np.asarray(x0, dtype=float).copy()
+    outside = ~((starts > 0.0) & (starts <= 1.0))
+    if outside.any():
+        raise DomainError(f"start point {starts[outside][0]} outside (0, 1]")
     m = len(starts)
     q = n // 4
     tail_start = n - q if q else n       # first step of the final quarter
@@ -413,7 +412,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                  for key, pot in tables.items()}
     # a deep step is certified only on an infinite staircase, and only while
     # its branch bound exceeds the head of every table the batch reads
-    head = max(pot.head for pot in tables.values()) if _certifies_deep(model) else None
+    head = max(pot.head for pot in tables.values()) if model.tail is not None else None
     sink = {"logt": out.logt_sum, "tail": out.logt_tail_sum, "phi": out.phi_sum,
             "psi": out.psi_sum, "fqm": out.first_quarter_min,
             "lqm": out.last_quarter_min}

@@ -23,10 +23,6 @@ class MixingError(MarkovDimError):
     """A subsystem is not primitive (not Markov-mixing), so pressure is undefined on it."""
 
 
-class CompositionError(MarkovDimError):
-    """Potentials or subsystems that do not belong together were combined."""
-
-
 class UnboundedError(MarkovDimError):
     """A scalar minimization failed to bracket a minimum within the search budget."""
 

@@ -17,10 +17,15 @@ so branch 1 covers everything and branch n covers exactly the branches
 j >= n - 1.  Only its log-slopes, -log(1 - lambda) and
 -log(lambda (1 - lambda)), are closed forms.
 
+The transitions are the "staircase" rule (row 1 covers every branch, row
+n the branches j >= n - 1) or a boolean matrix over the explicit branches;
+a config's "full" is spelt out at load as the all-true matrix.  Only the
+staircase takes a tail, whose slope it forces: branch n must map onto
+(0, right end of branch n - 1], so the slope is 1/(r (1 - r)).
+
 Finite truncations to the sub-alphabet {1..N} are the compact mixing
-subsystems on which all pressure computations run.  A truncation of a
-rule-based model (a "staircase" rule, as for SV, or a "full" rule)
-is that rule's name, which fixes its matrix at every N with no storage; a
+subsystems on which all pressure computations run.  A staircase truncation
+is the rule's name, which fixes its matrix at every N with no storage; a
 truncation of an explicit model holds a dense boolean matrix.
 """
 from __future__ import annotations
@@ -44,11 +49,6 @@ ENDPOINT_TOL = 1e-12
 
 #: tolerance for the Markov image-consistency check on custom models
 IMAGE_TOL = 1e-9
-
-#: transition rules by name: under "staircase" row 1 covers every column and
-#: row i >= 2 the columns j >= i - 1; under "full" every row covers every column
-_RULES = ("staircase", "full")
-
 
 # ---------------------------------------------------------------------------
 # Branches
@@ -111,8 +111,8 @@ class TailRule:
     """Geometric continuation of a model beyond its explicit branches.
 
     Branch n >= ``from_index`` has interval (scale * ratio^(n - base),
-    scale * ratio^(n - base - 1)], slope ``slope`` and log-slope
-    ``log_slope``.
+    scale * ratio^(n - base - 1)], slope ``slope`` = 1/(ratio (1 - ratio))
+    and log-slope ``log_slope``.
     """
 
     from_index: int
@@ -147,12 +147,12 @@ class MarkovMapModel:
     """An expanding Markov interval map: explicit affine branches 1..K,
     then an optional geometric tail, which makes the alphabet infinite.
 
-    ``transitions`` is a rule name in ``_RULES`` or a boolean matrix over
-    the explicit branches.  Under a matrix ``image_lo`` holds the lower end
-    of each row's image, the least left end among its targets; under a rule
-    every image starts at 0.  Log|T'| is one table: the explicit branches'
-    ``log_slope`` and the tail's.  ``lam`` is the SV parameter (None for
-    other maps).  Immutable after construction.
+    ``transitions`` is the rule name "staircase" or a boolean matrix over
+    the explicit branches; only the rule takes a tail.  ``image_lo`` holds
+    the lower end of each explicit row's image, the least left end among its
+    targets, and 0 on every row of a model with a tail.  Log|T'| is one
+    table: the explicit branches' ``log_slope`` and the tail's.  ``lam`` is
+    the SV parameter (None for other maps).  Immutable after construction.
 
     Use :func:`build_sv_map` or :func:`build_custom_map` instead of calling
     this constructor directly.
@@ -163,13 +163,13 @@ class MarkovMapModel:
         self.explicit = tuple(explicit)         # branches 1..K, in index order
         self.tail = tail
         self.lam = lam
-        # identity for the potentials built from the model
-        self.key = ("SV", lam) if lam is not None else ("CUSTOM", id(self))
-        self.rule = transitions if isinstance(transitions, str) else None  # a name in _RULES
+        self.rule = transitions if isinstance(transitions, str) else None  # "staircase"
         self._explicit_matrix = None if self.rule else np.asarray(transitions, dtype=bool)
-        self.image_lo = None if self.rule else tuple(np.where(
-            self._explicit_matrix, [b.left for b in self.explicit], math.inf).min(axis=1).tolist())
-        self.alphabet_size = None if tail is not None else len(self.explicit)
+        k = len(self.explicit)
+        self.image_lo = (0.0,) * k if tail else tuple(np.where(
+            _staircase_matrix(k) if self.rule else self._explicit_matrix,
+            [b.left for b in self.explicit], math.inf).min(axis=1).tolist())
+        self.alphabet_size = None if tail is not None else k
         # xi > 1, uniform lower slope bound
         self.expansion_floor = min(b.slope for b in self.explicit + ((tail,) if tail else ()))
         if self.expansion_floor <= 1.0:
@@ -199,24 +199,11 @@ class MarkovMapModel:
     def transition(self, i: int, j: int) -> bool:
         """Whether the image of branch ``i`` covers branch ``j``."""
         if self.rule is not None:
-            return j >= self._first_target(i)
+            return j >= max(i - 1, 1)
         m = self._explicit_matrix
         if i < 1 or j < 1 or i > m.shape[0] or j > m.shape[1]:
             raise DomainError(f"transition index ({i},{j}) out of range")
         return bool(m[i - 1, j - 1])
-
-    def _first_target(self, i: int) -> int:
-        """Smallest branch covered by branch ``i`` under the model's rule."""
-        return max(i - 1, 1) if self.rule == "staircase" else 1
-
-    def image_interval(self, i: int) -> tuple[float, float]:
-        """Image of branch ``i``: the union of its target branch intervals."""
-        if self.rule is not None:
-            # rule rows cover every branch from the first target on, which accumulate
-            # at 0: image = (0, right endpoint of first target]
-            return (0.0, self.edges(self._first_target(i))[1])
-        row = self._explicit_matrix[i - 1]
-        return (self.image_lo[i - 1], max(b.right for b, hit in zip(self.explicit, row) if hit))
 
     # -- dynamics ----------------------------------------------------------
     def locate(self, x: float) -> int:
@@ -248,13 +235,13 @@ class MarkovMapModel:
         return n
 
     def apply(self, x: float) -> tuple[float, int]:
-        """One step of the map: returns (image, branch index).  A rule row's
-        image starts at 0, an explicit row's at its ``image_lo``.
-        BoundaryError (from :meth:`locate`) at endpoints and outside (0,1]."""
+        """One step of the map: returns (image, branch index).  The image
+        starts at the row's ``image_lo`` (0 on a tail row, as on every row of a
+        model with a tail).  BoundaryError (from :meth:`locate`) at endpoints
+        and outside (0,1]."""
         n = self.locate(x)
         left, _, slope = self.edges(n)
-        lo = 0.0 if self.rule is not None else self.image_lo[n - 1]
-        return lo + (x - left) * slope, n
+        return self.image_lo[min(n, len(self.image_lo)) - 1] + (x - left) * slope, n
 
     def __repr__(self) -> str:
         if self.lam is not None:
@@ -276,8 +263,7 @@ def build_sv_map(lam: float) -> MarkovMapModel:
     if not (0.5 < lam < 1.0):
         raise DomainError(f"lambda must lie in (1/2, 1), got {lam}")
     branch_1 = BranchSpec(1, lam, 1.0, 1.0 / (1.0 - lam), -math.log(1.0 - lam))
-    tail = {"from_index": 2, "ratio": lam, "slope": 1.0 / (lam * (1.0 - lam))}
-    return _assemble([branch_1], "staircase", tail, -math.log(lam * (1.0 - lam)), lam)
+    return _assemble([branch_1], "staircase", {"from_index": 2, "ratio": lam}, lam)
 
 
 def build_custom_map(branches: Sequence[BranchSpec],
@@ -286,18 +272,20 @@ def build_custom_map(branches: Sequence[BranchSpec],
     """Assemble a custom model from explicit branches.
 
     ``transitions`` is either an explicit boolean matrix over the explicit
-    branches or a rule name: "full" (every branch maps onto the union of
-    all branches) or "staircase" (row 1 full, row n covers columns >= n-1).
-    A tail dict {"from_index": n0, "ratio": r, "slope": s?} appends the
-    geometric continuation; rule-based transitions then extend to it.
+    branches, "full" (shorthand for the all-true matrix), or the rule
+    "staircase" (row 1 full, row n covers columns >= n-1).  A tail dict
+    {"from_index": n0, "ratio": r} appends the geometric continuation under
+    the staircase rule, with the slope 1/(r (1 - r)) the rule forces; a
+    "slope" key, if given, must equal it.
 
-    The Markov image-consistency check runs on all explicit branches, under
-    a rule as under a matrix: the image interval implied by slope and branch
+    The Markov image-consistency check runs on all explicit branches and on
+    the first tail branch: the image interval implied by slope and branch
     length must coincide (within ``IMAGE_TOL``) with the union of the
-    transition targets (under a rule, the tail's (0, anchor] among them), and
-    that union must be a contiguous interval.  The violations of
-    :func:`validate_custom_branches` raise one ConfigError.
+    transition targets (under the rule with a tail, the tail's (0, anchor]
+    among them), and that union must be a contiguous interval.  The
+    violations of :func:`validate_custom_branches` raise one ConfigError.
     """
+    transitions = _spell_out(transitions, len(branches))
     violations = validate_custom_branches(branches, transitions, tail)
     if violations:
         raise ConfigError("invalid custom model: " + "; ".join(violations),
@@ -305,21 +293,29 @@ def build_custom_map(branches: Sequence[BranchSpec],
     return _assemble(branches, transitions, tail)
 
 
-def _assemble(branches, transitions, tail_cfg, tail_log_slope: float | None = None,
-              lam: float | None = None) -> MarkovMapModel:
+def _spell_out(transitions, n: int):
+    """``transitions`` with "full" spelt out as the all-true n x n matrix."""
+    full = isinstance(transitions, str) and transitions == "full"
+    return np.ones((n, n), dtype=bool) if full else transitions
+
+
+def _tail_slope(ratio: float) -> float:
+    """The slope that makes a staircase tail of ratio ``ratio`` Markov."""
+    return 1.0 / (ratio * (1.0 - ratio))
+
+
+def _assemble(branches, transitions, tail_cfg, lam: float | None = None) -> MarkovMapModel:
     """The model of a configuration that passed :func:`validate_custom_branches`.
     The tail's anchor is the left end of branch ``from_index - 1``; if it is
     exactly ratio^(from_index - 1), (scale, base) = (1, 0), else (anchor,
-    from_index - 1).  The tail's log-slope defaults to log(slope)."""
+    from_index - 1).  The tail's slope and log-slope come from its ratio."""
     branches = sorted(branches, key=lambda b: b.index)
     tail = None
     if tail_cfg is not None:
         n0, ratio = int(tail_cfg["from_index"]), float(tail_cfg["ratio"])
-        slope = float(tail_cfg.get("slope", 1.0 / ratio))
         anchor = branches[n0 - 2].left
         scale, base = (1.0, 0) if anchor == ratio ** (n0 - 1) else (anchor, n0 - 1)
-        tail = TailRule(n0, ratio, slope,
-                        math.log(slope) if tail_log_slope is None else tail_log_slope,
+        tail = TailRule(n0, ratio, _tail_slope(ratio), -math.log(ratio * (1.0 - ratio)),
                         scale, base)
     return MarkovMapModel(branches, transitions, tail, lam)
 
@@ -333,6 +329,7 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
         return ["a custom model needs at least one branch"]
     branches = sorted(branches, key=lambda b: b.index)
     n = len(branches)
+    transitions = _spell_out(transitions, n)
     indices = [b.index for b in branches]
     if indices != list(range(1, n + 1)):
         return ([f"branch indices must be 1..{n} without gaps, got {indices}"]
@@ -347,13 +344,14 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
     out += _layout_violations(n, transitions, tail)
     if out or transitions is None:
         return out
-    # Markov consistency: image of each branch == union of its targets; a rule's
-    # matrix over the explicit branches, each rule row also covering (0, anchor]
+    # Markov consistency: image of each branch == union of its targets; the
+    # rule's matrix over the explicit branches, each row also covering a tail's
+    # (0, anchor]
     targets = [(b.left, b.right) for b in branches]
     if not isinstance(transitions, str):
         m = np.asarray(transitions, dtype=bool)
     else:
-        m = _rule_matrix(transitions, n)
+        m = _staircase_matrix(n)
         if tail is not None:
             targets.append((0.0, branches[-1].left))
             m = np.hstack([m, np.ones((n, 1), dtype=bool)])
@@ -368,16 +366,26 @@ def validate_custom_branches(branches: Sequence[BranchSpec],
         if abs((hi - lo) - implied) > IMAGE_TOL:
             out.append(f"branch {b.index}: image length {implied:.12g} != target union "
                        f"length {hi - lo:.12g}")
+    if tail is not None:
+        # the first tail branch, (a r, a) for the anchor a, maps onto (0, right end
+        # of branch n]; the later ones then map onto theirs
+        a, ratio = branches[-1].left, float(tail["ratio"])
+        implied = (a - a * ratio) * _tail_slope(ratio)
+        if abs(branches[-1].right - implied) > IMAGE_TOL:
+            out.append(f"branch {n + 1}: image length {implied:.12g} != target union "
+                       f"length {branches[-1].right:.12g}")
     return out
 
 
 def _layout_violations(n: int, transitions: np.ndarray | str | None,
                        tail: dict | None) -> list[str]:
     """The checks of the transitions and the tail, which need only the count
-    ``n`` of explicit branches (``transitions=None`` skips the former)."""
+    ``n`` of explicit branches (``transitions=None`` skips the former; "full"
+    comes spelt out).  A tail's ``slope`` sets nothing, and must equal the
+    one its ratio forces when given."""
     out: list[str] = []
     explicit = transitions is not None and not isinstance(transitions, str)
-    if isinstance(transitions, str) and transitions not in _RULES:
+    if isinstance(transitions, str) and transitions != "staircase":
         out.append(f"unknown transition rule {transitions!r}")
     if tail is not None:
         n0, ratio, slope = (tail.get(key) for key in ("from_index", "ratio", "slope"))
@@ -386,10 +394,12 @@ def _layout_violations(n: int, transitions: np.ndarray | str | None,
                        f"branch, got {reprlib.repr(n0)}")
         if not (is_json_number(ratio) and 0.0 < ratio < 1.0):
             out.append(f"tail ratio must be a number in (0, 1), got {reprlib.repr(ratio)}")
-        if "slope" in tail and not (is_json_number(slope) and slope > 1.0):
-            out.append(f"tail slope must be a number above 1, got {reprlib.repr(slope)}")
+        elif "slope" in tail and not (is_json_number(slope)
+                                      and abs(slope - _tail_slope(ratio)) <= IMAGE_TOL):
+            out.append(f"tail slope must be 1/(ratio (1 - ratio)) = {_tail_slope(ratio):.12g}, "
+                       f"got {reprlib.repr(slope)}")
         if explicit:
-            out.append("a tail rule requires rule-based transitions ('full' or 'staircase')")
+            out.append("a tail rule requires rule-based transitions ('staircase')")
     if explicit:
         m = np.asarray(transitions, dtype=bool)
         if m.shape != (n, n):
@@ -401,10 +411,9 @@ def _layout_violations(n: int, transitions: np.ndarray | str | None,
     return out
 
 
-def _rule_matrix(rule: str, n: int) -> np.ndarray:
-    """The n x n boolean matrix of a transition rule."""
-    ones = np.ones((n, n), dtype=bool)
-    return np.triu(ones, -1) if rule == "staircase" else ones
+def _staircase_matrix(n: int) -> np.ndarray:
+    """The n x n boolean matrix of the staircase rule."""
+    return np.triu(np.ones((n, n), dtype=bool), -1)
 
 
 def read_config(path: str):
@@ -448,15 +457,16 @@ def load_map_config(source) -> MarkovMapModel:
         {"sv_lambda": 0.9}                                  # built-in family
         {"branches": [{"index": 1, "left": .., "right": .., "slope": ..}, ...],
          "transitions": "full" | "staircase" | [[true, false], ...],
-         "tail": {"from_index": n0, "ratio": r, "slope": s}}  # optional; s defaults to 1/r
+         "tail": {"from_index": n0, "ratio": r}}  # optional; "staircase" only
 
     One pass collects every violation into one ConfigError (``violations``):
     the config is a JSON object; ``sv_lambda`` and each ``index``, ``left``,
-    ``right``, ``slope`` and tail ``ratio`` and ``slope`` is a finite JSON
-    number (not a bool or a string), and ``index`` and ``from_index`` are
-    integers; ``transitions`` is "full", "staircase" or a square list of
-    lists of JSON booleans; a ``tail`` needs rule transitions and
-    ``from_index`` = len(branches) + 1, checked even when a branch fails;
+    ``right``, ``slope`` and tail ``ratio`` is a finite JSON number (not a
+    bool or a string), and ``index`` and ``from_index`` are integers;
+    ``transitions`` is "full" (the all-true matrix), "staircase" or a square
+    list of lists of JSON booleans; a ``tail`` needs the "staircase" rule,
+    ``from_index`` = len(branches) + 1 and, if it gives a ``slope``, the
+    slope 1/(r (1 - r)) its ratio forces, checked even when a branch fails;
     then :func:`validate_custom_branches` and the branch and SV range checks.
     """
     path = source if isinstance(source, str) else None
@@ -494,8 +504,9 @@ def _custom_from_config(cfg: dict, out: list[str]) -> MarkovMapModel | None:
         except DomainError as exc:
             out.append(str(exc))
     branches_ok = not out
-    transitions = _field(cfg, "transitions", out, want="'full', 'staircase' or a square list of "
-                         "lists of JSON booleans", ok=_is_transitions)
+    transitions = _spell_out(_field(cfg, "transitions", out, want="'full', 'staircase' or a "
+                                    "square list of lists of JSON booleans", ok=_is_transitions),
+                             len(specs or []))
     if isinstance(transitions, list):
         transitions = np.array(transitions, dtype=bool)
     tail = _field(cfg, "tail", out, want="a JSON object",
@@ -515,9 +526,8 @@ def _custom_from_config(cfg: dict, out: list[str]) -> MarkovMapModel | None:
 class TruncatedSubsystem:
     """Compact mixing subsystem on the sub-alphabet {1..size}.
 
-    Either ``rule`` (a transition rule name, "staircase" or "full", which
-    fixes the matrix at every size and needs no storage) or ``dense`` (a
-    boolean matrix) is set.
+    Either ``rule`` ("staircase", which fixes the matrix at every size and
+    needs no storage) or ``dense`` (a boolean matrix) is set.
     """
 
     size: int
@@ -529,7 +539,7 @@ class TruncatedSubsystem:
             raise DomainError("subsystem size must be >= 1")
         if (self.rule is None) == (self.dense is None):
             raise DomainError("exactly one of rule/dense must be given")
-        if self.rule is not None and self.rule not in _RULES:
+        if self.rule not in (None, "staircase"):
             raise DomainError(f"unknown transition rule {self.rule!r}")
 
     @property
@@ -539,7 +549,7 @@ class TruncatedSubsystem:
             return self.dense
         if self.size > 4096:
             raise DomainError("refusing to densify a matrix with N > 4096")
-        return _rule_matrix(self.rule, self.size)
+        return _staircase_matrix(self.size)
 
     @cached_property
     def primitive(self) -> bool:
@@ -581,10 +591,10 @@ def truncate(model: MarkovMapModel, N: int) -> TruncatedSubsystem:
 def is_primitive(sub: TruncatedSubsystem) -> bool:
     """True iff some boolean matrix power A^m (m <= N^2) is strictly positive.
 
-    A rule subsystem is primitive at every size: row 1 covers every column,
-    so symbol 1 has a self-loop and reaches every symbol, and every symbol
-    reaches symbol 1 (under "staircase" by stepping down i -> i - 1).  For a
-    dense subsystem the equivalent graph criterion is used: the digraph is
+    A staircase subsystem is primitive at every size: row 1 covers every
+    column, so symbol 1 has a self-loop and reaches every symbol, and every
+    symbol reaches symbol 1 by stepping down i -> i - 1.  For a dense
+    subsystem the equivalent graph criterion is used: the digraph is
     strongly connected and the gcd of its cycle lengths is 1.  Strong
     connectivity is a breadth-first search from symbol 1 that reaches every
     symbol, run once on A and once on its transpose; the levels of the

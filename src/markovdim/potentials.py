@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CompositionError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .markov import MarkovMapModel, is_json_number, read_config
 
 #: largest symbol a :class:`TablePotential` may override; the head array is
@@ -53,13 +53,10 @@ class TablePotential:
         The default, as the limit of the value as the leading symbol grows.
     positivity_floor : float or None
         Present iff every value is asserted to be >= this positive bound.
-    model_key : tuple or None
-        Identity of the model the potential was built from, when any;
-        used to reject combinations across different models.
     """
 
     def __init__(self, overrides: Mapping, default: float | None = None, *,
-                 positivity_floor: float | None = None, model_key: tuple | None = None):
+                 positivity_floor: float | None = None):
         values = {}
         for key, v in overrides.items():
             if isinstance(key, tuple):
@@ -82,7 +79,6 @@ class TablePotential:
         for s, v in values.items():
             self._values[s - 1] = v
         self.positivity_floor = positivity_floor
-        self.model_key = model_key
         if positivity_floor is not None:
             if positivity_floor <= 0:
                 raise DomainError("positivity_floor must be > 0")
@@ -142,8 +138,7 @@ def builtin_log_derivative(model: MarkovMapModel) -> TablePotential:
     t = model.tail
     return TablePotential({b.index: b.log_slope for b in model.explicit},
                           default=None if t is None else t.log_slope,
-                          positivity_floor=math.log(model.expansion_floor),
-                          model_key=model.key)
+                          positivity_floor=math.log(model.expansion_floor))
 
 
 def builtin_tail_potential(a: float, overrides: Mapping[int, float] | None = None) -> TablePotential:
@@ -173,17 +168,13 @@ def combine(q: float, phi: TablePotential, alpha: float, psi: TablePotential,
     no positivity floor.  A value that overflows raises DomainError.
     """
     pots = (phi, psi, log_deriv)
-    keys = {p.model_key for p in pots if p.model_key is not None}
-    if len(keys) > 1:
-        raise CompositionError(f"potentials come from different models: {sorted(keys)}")
     cols = np.arange(max(p._values.size for p in pots))
     a, b, c = (p._values.take(cols, mode="clip") for p in pots)
     with np.errstate(over="ignore", invalid="ignore"):
         values = float(q) * (a - float(alpha) * b) - float(delta) * c
     defined = ~(np.isnan(a) | np.isnan(b) | np.isnan(c))
     head = {s + 1: float(v) for s, v in enumerate(values[:-1]) if defined[s]}
-    return TablePotential(head, default=float(values[-1]) if defined[-1] else None,
-                          model_key=keys.pop() if keys else None)
+    return TablePotential(head, default=float(values[-1]) if defined[-1] else None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ these finite values along any increasing exhaustion.  Three routes coexist:
   of the last weight that differs from the constant tail (the tail rows are
   closed in one step, and only the first K + 1 weights are read); a
   warm-started Newton iteration brackets the root and a replay of the
-  halving returns the halving's midpoint bit for bit; "full" ones take the
-  weight sum of their rank-one matrix; general subsystems use power iteration
-  whose steps are repeatedly squared powers of the matrix, with the
-  residual stopping test of a single step and a dense-eigensolver fallback.
+  halving returns the halving's midpoint bit for bit; all-true dense ones
+  take the weight sum of their rank-one matrix; general subsystems use power
+  iteration whose steps are repeatedly squared powers of the matrix, with
+  the residual stopping test of a single step and a dense-eigensolver
+  fallback.
 * ``orbit_sum_pressure``: (1/n) log of the weighted count of period-n
   orbits through a base cylinder, an independent finite-n oracle.
 * ``closed_form_pressure_sv``: the exact formula for the built-in family.
@@ -360,10 +361,10 @@ def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = No
     tail.  Staircase subsystems take the characteristic root, which reads
     the weights of symbols 1..head+1 only; each call starts from the root
     the routine returned last (``guess`` before the first), which changes
-    its trial count and never its value.  "Full" subsystems (and a staircase
-    of one symbol, or an all-true dense matrix) take the rank-one sum,
-    everything else power iteration on the materialized matrix; both read
-    all ``sub.size`` weights.  Callers that evaluate many potentials on one
+    its trial count and never its value.  An all-true dense matrix (as a
+    config's "full" is, and a staircase of one symbol) takes the rank-one
+    sum, everything else power iteration on the materialized matrix; both
+    read all ``sub.size`` weights.  Callers that evaluate many potentials on one
     subsystem keep the returned routine, so the shape is inspected once.
     """
     n = sub.size

@@ -124,9 +124,8 @@ def _karp_min_cycle_mean(sub: TruncatedSubsystem, cost: np.ndarray) -> float:
     """Minimum cycle mean of source-node costs over the subsystem digraph.
 
     Karp's formula on shortest k-edge walk weights from node 1, relaxed
-    over the dense transition matrix (rule subsystems are densified).
-    ``_beyond`` needs it only when no node beyond its level has a self-loop,
-    which never happens on rule-based truncations.
+    over the dense transition matrix.  ``_beyond`` needs it only when no node
+    beyond its level has a self-loop, which never happens on a staircase.
     """
     return _karp_finish(_karp_table(sub.matrix, cost))
 
@@ -165,8 +164,8 @@ def _beyond(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray, alpha
     ratios, so a node must lie beyond alpha, and one with a self-loop settles
     it; otherwise Karp's min cycle mean of -/+(phi - alpha psi) must be negative.
     The vectors may stop early on a staircase, whose later nodes repeat
-    the last value.  Every node of a rule truncation has a self-loop, so no
-    mask of them is built there."""
+    the last value.  Every node of a staircase truncation has a self-loop,
+    so no mask of them is built there."""
     ratios = phi_v / psi_v
     beyond = ratios > alpha if above else ratios < alpha
     if not beyond.any():
@@ -202,7 +201,7 @@ def alpha_bounds(model: MarkovMapModel, phi: TablePotential, psi: TablePotential
     Computed as the min/max of cycle quotients sum(phi)/sum(psi) over the
     N-truncation (attained on simple cycles).  When the symbol with the
     extreme ratio phi_i/psi_i has a self-loop, as every symbol of a
-    rule-based truncation does, that ratio is the exact extreme and is
+    staircase truncation does, that ratio is the exact extreme and is
     returned as is; otherwise Karp's cycle mean is bisected to ~1e-13.
     Either way these are inner estimates of the countable system's
     endpoints that grow with N.  For the built-in family with

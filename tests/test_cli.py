@@ -280,6 +280,27 @@ class TestValidateCommand:
         assert code == EXIT_OK
         assert json.loads(out)["violations"] == []
 
+    @pytest.mark.parametrize("cfg,want", [
+        ({"branches": [{"index": 1, "left": 0.5, "right": 1.0, "slope": 2.0},
+                       {"index": 2, "left": 0.25, "right": 0.5, "slope": 4.0}],
+          "transitions": "full", "tail": {"from_index": 3, "ratio": 0.5}},
+         "a tail rule requires rule-based transitions ('staircase')"),
+        ({"branches": [{"index": 1, "left": 0.9, "right": 1.0, "slope": 10.0}],
+          "transitions": "staircase", "tail": {"from_index": 2, "ratio": 0.9, "slope": 50}},
+         "tail slope must be 1/(ratio (1 - ratio)) = 11.1111111111, got 50"),
+        ({"branches": [{"index": 1, "left": 0.5, "right": 1.0, "slope": 2.0}],
+          "transitions": "staircase", "tail": {"from_index": 2, "ratio": 0.4}},
+         "branch 2: image length 1.25 != target union length 1"),
+    ], ids=["full-tail", "slope-50", "first-tail-branch"])
+    def test_non_markov_tails_refused(self, capsys, tmp_path, cfg, want):
+        # no constant slope makes a "full" tail Markov; a staircase tail takes
+        # 1/(r (1 - r)), and its first branch must map onto the last explicit one
+        f = tmp_path / "map.json"
+        f.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "validate", "--config", str(f))
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["violations"] == [want]
+
     def test_overlap_named(self, capsys, tmp_path):
         cfg = {"branches": [{"index": 1, "left": 0.0, "right": 0.6, "slope": 2.0},
                             {"index": 2, "left": 0.5, "right": 1.0, "slope": 2.5}],
@@ -438,7 +459,8 @@ JSON_VALUES = st.recursive(
 CONFIG_KEYS = ("sv_lambda", "branches", "index", "left", "right", "slope", "transitions", "tail",
                "from_index", "ratio", "depth", "default", "overrides", "positivity_floor", "1")
 MAP_BASES = [json.loads(readme_json("branches")), TAILED_MAP, {"sv_lambda": 0.9},
-             {"branches": TAILED, "transitions": "full", "tail": {"from_index": 3, "ratio": 0.5}}]
+             {"branches": TAILED, "transitions": "staircase",
+              "tail": {"from_index": 3, "ratio": 0.5}}]
 POTENTIAL_BASES = [json.loads(readme_json("positivity_floor")),
                    {"default": 2.0, "overrides": {"1": 1.0, "2": 1.5}}]
 

@@ -60,20 +60,12 @@ class TestSimulateOrbit:
         assert sums[40] - sums[15] == pytest.approx(rec2.birkhoff_sums["logT"][25],
                                                     rel=1e-12)
 
-    def test_dense_step_reads_stored_image_ends(self, monkeypatch):
-        # an explicit row's image lower end is stored at assembly, so stepping
-        # never rebuilds the image interval
+    def test_dense_step_reads_stored_image_ends(self):
+        # an explicit row's image lower end is stored at assembly: the least
+        # left end among its targets
         cm = dense_custom_map(np.random.default_rng(3))
-        calls = []
-        real = md.MarkovMapModel.image_interval
-
-        def counting(self, i):
-            calls.append(i)
-            return real(self, i)
-
-        monkeypatch.setattr(md.MarkovMapModel, "image_interval", counting)
         recs = [md.simulate_orbit(cm, x0, 50) for x0 in (0.123, 0.456, 0.789)]
-        assert sum(rec.steps for rec in recs) > 100 and calls == []
+        assert sum(rec.steps for rec in recs) > 100
         assert all(cm.image_lo[i - 1] == min(cm.branch(j).left for j in range(1, 65)
                                              if cm.transition(i, j)) for i in range(1, 65))
 
@@ -230,24 +222,18 @@ class TestBatchVsScalar:
             assert cls[i] == rec.classification
         assert went_deep > 20
 
-    def test_full_rule_tail_deep_orbits_abort(self):
-        # from the tail every step lands deeper, and on a "full" rule nothing
-        # certifies the crossing: scalar and batch orbits abort there alike
-        model = md.build_custom_map([md.make_branch(1, 0.5, 1.0, 2.0),
-                                     md.make_branch(2, 0.25, 0.5, 4.0)], "full",
-                                    tail={"from_index": 3, "ratio": 0.6})
-        starts = 1.0 - orbit_rng(5).random(40)
-        n = 2000
-        batch = simulate_batch(model, starts, n, collect_itineraries=True)
-        aborted_deep = 0
-        for i, s in enumerate(starts):
-            rec = md.simulate_orbit(model, float(s), n)
-            assert rec.steps == batch.steps[i]
-            assert (batch.itineraries[i, :rec.steps] == rec.itinerary).all()
-            if rec.points[-1] < DEEP_FLOOR:
-                aborted_deep += 1
-                assert rec.classification == BOUNDARY_ABORT and batch.aborted[i]
-        assert aborted_deep > 20 and not (batch.itineraries == -1).any()
+    @pytest.mark.parametrize("rule", ["full", "staircase"])
+    def test_rule_map_stays_inside_its_branches(self, rule):
+        # (0.5, 0.75] and (0.75, 1] each map onto (0.5, 1]: a rule row's image
+        # starts at its targets' lower end, as a matrix row's does
+        branches = [md.make_branch(1, 0.5, 0.75, 2.0), md.make_branch(2, 0.75, 1.0, 2.0)]
+        model = md.build_custom_map(branches, rule)
+        matrix = md.build_custom_map(branches, np.ones((2, 2), dtype=bool))
+        rec, want = (md.simulate_orbit(m, 0.6, 5) for m in (model, matrix))
+        assert rec.itinerary.tolist() == want.itinerary.tolist() == [1, 1, 2, 2, 1]
+        assert rec.points.tolist() == want.points.tolist()
+        batch = simulate_batch(model, np.array([0.6]), 5, collect_itineraries=True)
+        assert batch.itineraries[0].tolist() == [1, 1, 2, 2, 1] and not batch.aborted[0]
 
     def test_sv_copy_escapes_as_sv(self):
         # the copy with SV(0.9)'s own slopes reproduces its counts and tail mean
@@ -302,10 +288,12 @@ class TestBatchVsScalar:
     @pytest.mark.parametrize("model", [md.build_sv_map(0.9), two_branch_head_map()],
                              ids=["sv", "head-2"])
     def test_starts_outside_the_interval_abort(self, model):
-        starts = np.array([1.5, 1.0000000000000002, np.inf, np.nan, 0.0, -0.0, -0.5, -np.inf])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            batch = simulate_batch(model, starts, 5)
-        assert batch.aborted.all() and (batch.steps == 0).all()
+        # a start outside (0, 1] raises, as in simulate_orbit
+        for bad in (1.5, 1.0000000000000002, np.inf, np.nan, 0.0, -0.0, -0.5, -np.inf):
+            with pytest.raises(DomainError, match="outside"):
+                simulate_batch(model, np.array([0.5, bad]), 5)
+            with pytest.raises(DomainError, match="outside"):
+                md.simulate_orbit(model, bad, 5)
 
 
 def check_one_step(model, starts):

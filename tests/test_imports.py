@@ -83,9 +83,9 @@ def test_no_unreferenced_private_names():
 #: every name ``from markovdim import *`` binds; a new public name is an edit here
 PUBLIC_NAMES = {
     # errors
-    "BoundaryError", "CompositionError", "ConfigError", "ConvergenceError", "DegenerateError",
-    "DomainError", "InsufficientSampleError", "MarkovDimError", "MixingError",
-    "UnboundedError", "WorkLimitError",
+    "BoundaryError", "ConfigError", "ConvergenceError", "DegenerateError", "DomainError",
+    "InsufficientSampleError", "MarkovDimError", "MixingError", "UnboundedError",
+    "WorkLimitError",
     # models
     "BranchSpec", "MarkovMapModel", "TruncatedSubsystem", "build_custom_map", "build_sv_map",
     "is_primitive", "load_map_config", "make_branch", "truncate", "validate_custom_branches",

@@ -15,6 +15,15 @@ LOG_SLOPE_1_09 = 2.302585092994046      # -log(0.1)
 LOG_SLOPE_N_09 = 2.4079456086518722     # -log(0.09)
 
 
+def image_interval(model, i):
+    """Image of branch ``i``: the union of its target branch intervals (an
+    oracle).  A tail row's targets run on past the explicit ones down to 0."""
+    tailed = model.tail is not None
+    last = len(model.explicit) + i + 1 if tailed else model.alphabet_size
+    hits = [model.edges(j)[:2] for j in range(1, last + 1) if model.transition(i, j)]
+    return (0.0 if tailed else min(lo for lo, _ in hits)), max(hi for _, hi in hits)
+
+
 class TestSvMap:
     def test_branch_1(self):
         m = md.build_sv_map(0.9)
@@ -44,8 +53,13 @@ class TestSvMap:
     def test_image_intervals(self):
         # branch n >= 2 maps onto (0, lambda^(n-2)]
         m = md.build_sv_map(0.9)
-        assert m.image_interval(1) == pytest.approx((0.0, 1.0))
-        assert m.image_interval(4) == pytest.approx((0.0, 0.9 ** 2), rel=1e-12)
+        assert image_interval(m, 1) == pytest.approx((0.0, 1.0))
+        assert image_interval(m, 4) == pytest.approx((0.0, 0.9 ** 2), rel=1e-12)
+        # a finite staircase's rows start at their targets' least left end
+        cm = md.build_custom_map([md.make_branch(1, 0.5, 0.75, 2.0),
+                                  md.make_branch(2, 0.75, 1.0, 2.0)], "staircase")
+        assert [image_interval(cm, i) for i in (1, 2)] == [(0.5, 1.0)] * 2
+        assert cm.image_lo == (0.5, 0.5)
 
     def test_one_log_slope_table(self):
         # the scalar orbit, the branch and the batch's log|T'| read one table, and
@@ -145,7 +159,7 @@ class TestTruncation:
         with pytest.raises(DomainError):
             md.truncate(cm, 3)
 
-    @pytest.mark.parametrize("name", ["sv", "full", "staircase"])
+    @pytest.mark.parametrize("name", ["sv", "staircase"])
     def test_rule_matrix_matches_transitions(self, name):
         branches = [md.make_branch(1, 0.5, 1.0, 2.0), md.make_branch(2, 0.25, 0.5, 4.0)]
         tail = {"from_index": 3, "ratio": 0.5}
@@ -159,7 +173,8 @@ class TestTruncation:
             assert np.array_equal(sub.self_loops, np.diagonal(want)), n
 
     @pytest.mark.parametrize("kwargs", [{"rule": "suffix"}, {},
-                                        {"rule": "full", "dense": np.ones((2, 2), dtype=bool)}])
+                                        {"rule": "full", "dense": np.ones((2, 2), dtype=bool)},
+                                        {"rule": "full"}])
     def test_subsystem_needs_one_known_shape(self, kwargs):
         with pytest.raises(DomainError):
             md.TruncatedSubsystem(size=2, **kwargs)
@@ -231,7 +246,7 @@ class TestPrimitivity:
     def test_sv_truncations(self, n):
         assert md.is_primitive(md.truncate(md.build_sv_map(0.8), n))
 
-    @pytest.mark.parametrize("rule", ["staircase", "full"])
+    @pytest.mark.parametrize("rule", ["staircase"])
     def test_rule_subsystems_primitive_as_dense(self, rule):
         # the rule shortcut agrees with the graph criterion on the same matrix
         for n in range(1, 65):
@@ -358,7 +373,7 @@ class TestCustomModels:
         if not bad:
             assert md.build_custom_map(branches, rule).apply(0.9) == (pytest.approx(0.6), 4)
 
-    @pytest.mark.parametrize("rule", ["staircase", "full"])
+    @pytest.mark.parametrize("rule", ["staircase"])
     def test_tail_is_a_rule_target(self, rule):
         # (0.5, 1] and (0.25, 0.5] map onto (0, 1] only with the tail below them
         branches = [md.make_branch(1, 0.5, 1.0, 2.0), md.make_branch(2, 0.25, 0.5, 4.0)]
@@ -376,6 +391,54 @@ class TestCustomModels:
         with pytest.raises(ConfigError):
             md.build_custom_map(branches, np.ones((2, 2), dtype=bool),
                                 tail={"from_index": 3, "ratio": 0.5, "slope": 4.0})
+
+
+@st.composite
+def tailed_configs(draw):
+    """A staircase config with a geometric tail of ratio r.  Branch i is
+    (c_i, c_(i-1)] with 1 = c_0 > c_1 > ... > c_K, and maps onto (0, c_(i-2)]
+    (branch 1 onto (0, 1]); the last explicit branch is (a, a/r)."""
+    r = draw(st.floats(0.05, 0.95))
+    k = draw(st.integers(1, 5))
+    ends = [1.0]
+    if k >= 2:
+        top = draw(st.floats(0.1, 0.9))
+        cuts = draw(st.lists(st.integers(1, 99), min_size=k - 2, max_size=k - 2, unique=True))
+        ends += sorted((top + (1.0 - top) * u / 100 for u in cuts), reverse=True) + [top]
+    ends.append(ends[-1] * r)
+    branches = [{"index": i, "left": ends[i], "right": ends[i - 1],
+                 "slope": (ends[i - 2] if i >= 2 else 1.0) / (ends[i - 1] - ends[i])}
+                for i in range(1, k + 1)]
+    tail = {"from_index": k + 1, "ratio": r}
+    if draw(st.booleans()):
+        tail["slope"] = 1.0 / (r * (1.0 - r))
+    return {"branches": branches, "transitions": "staircase", "tail": tail}
+
+
+class TestTailSlope:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=tailed_configs(), lam=st.floats(0.51, 0.99))
+    def test_every_tail_is_markov(self, cfg, lam):
+        # slope x length of every tail branch is the length of its image, the
+        # union of its targets: on the config path and for sv:LAMBDA
+        for model in (md.load_map_config(cfg), md.build_sv_map(lam)):
+            t = model.tail
+            for n in range(t.from_index, t.from_index + 40):
+                left, right, slope = model.edges(n)
+                lo, hi = image_interval(model, n)
+                assert (right - left) * slope == pytest.approx(hi - lo, rel=mk.IMAGE_TOL), n
+            assert model.image_lo == (0.0,) * len(model.explicit)
+
+    def test_slope_key_sets_nothing(self):
+        # the tail's slope and log-slope come from its ratio alone, with SV's
+        # expressions
+        cfg = {"branches": [{"index": 1, "left": 0.8, "right": 1.0, "slope": 5.0}],
+               "transitions": "staircase", "tail": {"from_index": 2, "ratio": 0.8}}
+        sv = md.build_sv_map(0.8).tail
+        for slope in (None, 1.0 / (0.8 * 0.2), 6.25):
+            tail = cfg["tail"] if slope is None else {**cfg["tail"], "slope": slope}
+            t = md.load_map_config({**cfg, "tail": tail}).tail
+            assert (t.slope, t.log_slope) == (sv.slope, sv.log_slope)
 
 
 class TestBranchSpec:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import markovdim as md
-from markovdim.errors import CompositionError, ConfigError, DomainError
+from markovdim.errors import ConfigError, DomainError
 from markovdim.potentials import MAX_OVERRIDE_SYMBOL, validate_potential_config
 
 
@@ -126,11 +126,6 @@ class TestCombine:
             for n in (1, 2, 3, 11):
                 assert both.value(n) == pytest.approx(p1.value(n) + p2.value(n), abs=1e-12)
 
-    def test_incompatible_models(self):
-        other = md.builtin_log_derivative(md.build_sv_map(0.8))
-        with pytest.raises(CompositionError):
-            md.combine(1.0, self.logt, 0.0, self.one, 1.0, other)
-
     def test_vectorized_matches_scalar(self):
         c = md.combine(-1.7, self.logt, 2.35, self.one, 0.4, self.logt)
         vec = c.values_vector(12)
@@ -145,7 +140,7 @@ class TestCombine:
     def test_returns_table(self):
         c = md.combine(-7.0, self.logt, 0.0, self.one, 0.0, self.logt)
         assert isinstance(c, md.TablePotential)
-        assert c.positivity_floor is None and c.model_key == ("SV", 0.9)
+        assert c.positivity_floor is None
 
     @settings(max_examples=300, deadline=None)
     @given(triple=table_triples(), q=VALUES, alpha=VALUES, delta=VALUES)
