@@ -18,6 +18,10 @@ branch's two edges and its slope, and corrects only the lanes the guess
 misses; the explicit branches above the tail take a sorted search.  A step
 then adds each potential's value on the lane's branch with one gather from
 a table over the rows.
+
+An orbit that falls below :data:`DEEP_FLOOR` has one way out, in the batch
+as in :func:`simulate_orbit`: it is a certified escaper that runs to the
+horizon on the tail values, or it stops where it crossed, aborted.
 """
 from __future__ import annotations
 
@@ -39,13 +43,12 @@ ESCAPE_THRESHOLD = 5
 #: bootstrap resamples behind the percentile band of a box-count slope
 BOX_COUNT_BOOTSTRAP = 200
 
-#: below this the position is no longer resolvable in doubles; on an
-#: infinite staircase an orbit that crosses it sits in branch index
-#: >= ~6.9e2/|log ratio|, so it cannot descend back below any realistic
-#: escape threshold within the remaining horizon: it is a certified escaper
-#: and its remaining tail statistics are filled from the (constant)
-#: deep-branch values instead of simulated.  On any other shape the orbit
-#: aborts at the crossing.
+#: below this the position is no longer resolvable in doubles.  On an
+#: infinite staircase (a map with a tail) the branch index drops by at most 1
+#: per step, so an orbit of horizon n that crosses it in branch i at step k
+#: (counted from 0) sits in a branch >= i + k - n at every later step.  While
+#: that bound exceeds ESCAPE_THRESHOLD - 1 the orbit is a certified escaper;
+#: every other orbit, and every orbit of a finite map, aborts at the crossing.
 DEEP_FLOOR = 1e-300
 
 RECURRENT_WINDOW = "RECURRENT_WINDOW"
@@ -87,29 +90,25 @@ class OrbitRecord:
         return {"logT": np.concatenate([[0.0], np.cumsum(self.logt_steps)])}
 
 
-def _classify(itinerary: np.ndarray, aborted: bool) -> str:
-    if aborted:
-        return BOUNDARY_ABORT
-    n = len(itinerary)
-    q = n // 4
-    if q < 1:
-        return RECURRENT_WINDOW
-    first_min = int(itinerary[:q].min())
-    last_min = int(itinerary[n - q:].min())
-    if last_min > first_min and last_min >= ESCAPE_THRESHOLD:
-        return ESCAPING
-    return RECURRENT_WINDOW
+def _classify(first_min, last_min, aborted) -> np.ndarray:
+    """Classes of orbits from their first- and final-quarter least branch
+    indices and abort flags: ESCAPING when the final quarter's exceeds the
+    first's and is at least ESCAPE_THRESHOLD.  An aborted orbit's minima are
+    not read."""
+    esc = (last_min > first_min) & (last_min >= ESCAPE_THRESHOLD)
+    return np.where(aborted, BOUNDARY_ABORT, np.where(esc, ESCAPING, RECURRENT_WINDOW))
 
 
 def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
     """Apply the map up to ``n`` times from ``x0``.
 
     An endpoint hit aborts the orbit with classification BOUNDARY_ABORT
-    (recorded on the result, not raised).  An orbit that drops below the
-    floating-point resolution floor stops there: on an infinite staircase
-    it is a certified escaper (ESCAPING) while the remaining horizon is
-    shorter than its branch index less the escape threshold; otherwise, and
-    always on a finite map, it is BOUNDARY_ABORT.
+    (recorded on the result, not raised).  An orbit that drops below
+    :data:`DEEP_FLOOR` stops there: on an infinite staircase it is a
+    certified escaper (ESCAPING) while the remaining horizon is shorter than
+    its branch index less the escape threshold; otherwise, and always on a
+    finite map, it is BOUNDARY_ABORT.  Any other orbit is classified from
+    its quarter minima, as a batch lane is.
     Log|T'| (:func:`builtin_log_derivative`, as in the batch) is evaluated
     along the itinerary and its per-step values recorded.
     """
@@ -143,7 +142,9 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
                      and n - len(itinerary) < int(itinerary[-1]) - ESCAPE_THRESHOLD)
         cls = ESCAPING if certified else BOUNDARY_ABORT
     else:
-        cls = _classify(it, aborted)
+        q = n // 4
+        mins = (it[:q].min(), it[n - q:].min()) if q and not aborted else (0, 0)
+        cls = str(_classify(*mins, aborted))
     return OrbitRecord(start=x0, itinerary=it, points=np.asarray(xs),
                        logt_steps=logt, classification=cls)
 
@@ -238,7 +239,7 @@ def _step(x: np.ndarray, tab: _BranchTable):
     left, right = tab.lefts_s[pos], tab.rights_s[pos]
     near_edge = _near(x, left) | _near(x, right)
     rows = tab.order[pos]
-    y = tab.img_lo[rows] + (x - tab.lefts[rows]) * tab.slopes[rows]
+    y = tab.img_lo[rows] + (x - left) * tab.slopes[rows]
     n, hit = rows + 1, ~((x > left) & (x < right)) | near_edge
     if low.any():
         y[low], n[low], hit[low] = _guess_rows(x[low], tab)
@@ -313,11 +314,7 @@ class BatchStats:
     itineraries: np.ndarray | None = None
 
     def classification(self) -> np.ndarray:
-        esc = ((self.last_quarter_min > self.first_quarter_min)
-               & (self.last_quarter_min >= ESCAPE_THRESHOLD) & ~self.aborted)
-        out = np.where(self.aborted, BOUNDARY_ABORT,
-                       np.where(esc, ESCAPING, RECURRENT_WINDOW))
-        return out
+        return _classify(self.first_quarter_min, self.last_quarter_min, self.aborted)
 
 
 def _mapped_zeros(m: int, n: int) -> np.ndarray:
@@ -339,6 +336,17 @@ def _mapped_zeros(m: int, n: int) -> np.ndarray:
 
 def _compact(state: dict, keep: np.ndarray) -> dict:
     return {key: arr[keep] for key, arr in state.items()}
+
+
+def _add_repeatedly(sums: np.ndarray, lanes: np.ndarray, counts: np.ndarray, c: float) -> None:
+    """Add ``c`` to ``sums[lanes[j]]`` ``counts[j]`` times, one add at a time,
+    since in IEEE arithmetic ``s + r*c`` is not r repeated adds.  Counts
+    never increase along ``lanes``, so the lanes of each round are a prefix."""
+    s = sums[lanes]
+    # round r adds to the lanes with more than r adds
+    for end in np.searchsorted(-counts, -np.arange(counts.max(initial=0))):
+        s[:end] += c
+    sums[lanes] = s
 
 
 def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
@@ -363,19 +371,17 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     lane's step count is the step number, so it needs no update per step.
     Stepping stops once no live lane is left.
 
-    On an infinite staircase (a map with a tail, as SV)
-    lanes that cross the deep floor retire from stepping: every later step
-    sits in some branch with index above a certified lower bound (the index
-    can drop by at most 1 per step).  A deep step counts while that bound
-    exceeds the head of every table the batch reads (log|T'|, phi, psi), so
-    each takes its tail value exactly (NaN without one); then the lane
-    aborts.  Elsewhere a lane that crosses the floor aborts at once.  Deep
-    steps are recorded in itineraries as -1.  The step count, quarter
-    minima, itinerary entries and the abort follow in closed form at the
-    crossing.  The float sums of deep lanes
-    still get one add per step on their own compact arrays, since in IEEE
-    arithmetic ``s + r*c`` is not r repeated adds; so every field is
-    bit-identical to stepping all lanes for the whole horizon.
+    A lane that crosses :data:`DEEP_FLOOR` in branch i at step k leaves at
+    once.  On an infinite staircase (a map with a tail, as SV) every later
+    step sits in a branch >= i + k - n (the index drops by at most 1 per
+    step).  When that bound exceeds ESCAPE_THRESHOLD - 1 and the head of
+    every table the batch reads (log|T'|, phi, psi), the lane is certified:
+    each deep step to the horizon takes every table's tail value exactly
+    (NaN without one), is recorded in itineraries as -1, and bounds the
+    quarter minima.  Every other crossing lane, and every one on a finite
+    map, aborts after its crossing step, as in :func:`simulate_orbit`.
+    The deep steps' adds follow the loop, one add per step, so every field
+    is bit-identical to stepping a certified lane to the horizon.
     """
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
@@ -406,13 +412,9 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     rows = {key: np.concatenate(([math.nan], pot.values_or_nan(len(tab.rights))))
             for key, pot in tables.items()}
     partial = {key for key, row in rows.items() if np.isnan(row[1:]).any()}
-    # per-step adds of a deep lane: the tail values, NaN for a table without a
-    # tail limit
-    deep_adds = {key: pot.tail_limit if pot.tail_limit is not None else np.nan
-                 for key, pot in tables.items()}
-    # a deep step is certified only on an infinite staircase, and only while
-    # its branch bound exceeds the head of every table the batch reads
-    head = max(pot.head for pot in tables.values()) if model.tail is not None else None
+    # the bound a certified crossing exceeds; a map without a tail certifies nothing
+    floor = (max(ESCAPE_THRESHOLD - 1, *(pot.head for pot in tables.values()))
+             if model.tail is not None else math.inf)
     sink = {"logt": out.logt_sum, "tail": out.logt_tail_sum, "phi": out.phi_sum,
             "psi": out.psi_sum, "fqm": out.first_quarter_min,
             "lqm": out.last_quarter_min}
@@ -428,32 +430,17 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     live = {"lane": np.arange(m), "x": starts.copy(), **{key: np.zeros(m) for key in tables}}
     if q:
         live["fqm"] = np.full(m, big)
-    deep = {key: np.zeros(0) for key in ("tail", *deep_adds)}
-    deep["lane"] = np.zeros(0, dtype=np.int64)
-    deep["last"] = np.zeros(0, dtype=np.int64)   # step index of the final deep step
-    deep_end = n                                   # earliest "last" in the deep set
+    deep, crossed = [], []       # certified lanes in crossing order, their crossing steps
 
     for k in range(n):
+        if not len(live["lane"]):
+            break
         if q and k == q:
             # the first quarter is over: its minima of live lanes are final
             out.first_quarter_min[live["lane"]] = live.pop("fqm")
         if k == tail_start:
             count = len(live["lane"])
             live.update(tail=np.zeros(count), lqm=np.full(count, big))
-        if deep_end < k:
-            gone = deep["last"] < k
-            retire(deep, gone)
-            deep = _compact(deep, ~gone)
-            deep_end = int(deep["last"].min()) if len(deep["last"]) else n
-        if len(deep["lane"]):
-            for key, c in deep_adds.items():
-                deep[key] += c
-            if k >= tail_start:
-                deep["tail"] += deep_adds["logt"]
-        if not len(live["lane"]):
-            if not len(deep["lane"]):
-                break
-            continue
 
         y, idx, hit = _step(live["x"], tab)
         if hit.any():
@@ -480,43 +467,35 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
         low = y < DEEP_FLOOR
         if not low.any():
             continue
-        if head is None:
-            lanes = retire(live, low)
-            out.steps[lanes] = k + 1
-            out.aborted[lanes] = True
-            live = _compact(live, ~low)
+        lanes = retire(live, low)
+        bound = idx[low] + k - n        # the branch bound at the horizon
+        certified = bound > floor
+        out.steps[lanes] = np.where(certified, n, k + 1)
+        out.aborted[lanes] = ~certified
+        live = _compact(live, ~low)
+        if not certified.any():
             continue
-        # a lane crossing in branch i sits in a branch >= i - 1 - (j - k) at
-        # step j > k; it aborts after step k + i - 2 - head, the last one whose
-        # bound exceeds the head.  With i < head + 3 no deep step is
-        # certified: the lane is flagged aborted at once but stays live.
-        out.aborted[live["lane"][low & (idx < head + 3)]] = True
-        cross = low & (idx >= head + 3)
-        if not cross.any():
-            continue
-        lanes = retire(live, cross)
-        i = idx[cross]
-        last = np.minimum(n - 1, k + i - 2 - head)
-        out.steps[lanes] = last + 1
-        out.aborted[lanes] = k + i - 2 - head <= n - 1
+        lanes, bound = lanes[certified], bound[certified]
+        deep.append(lanes)
+        crossed.append(np.full(len(lanes), k))
         if its is not None:
-            for lane, stop in zip(lanes, last + 1):
-                its[lane, k + 1:stop] = -1
-        # minima over the deep steps, which matter only for lanes that
-        # reach the horizon: the bound at the quarter's final step
+            its[lanes, k + 1:] = -1
+        # minima over the deep steps: the bound at the quarter's final step
         if k + 1 < q:
-            out.first_quarter_min[lanes] = np.minimum(out.first_quarter_min[lanes], i - q + k)
+            out.first_quarter_min[lanes] = np.minimum(out.first_quarter_min[lanes],
+                                                      bound + n - q)
         if q and k < n - 1:
-            out.last_quarter_min[lanes] = np.minimum(out.last_quarter_min[lanes], i - n + k)
-        joined = {key: live[key][cross] for key in deep_adds}
-        joined["tail"] = live["tail"][cross] if "tail" in live else np.zeros(len(lanes))
-        joined.update(lane=lanes, last=last)
-        deep = {key: np.concatenate([deep[key], joined[key]]) for key in deep}
-        deep_end = min(deep_end, int(last.min()))
-        live = _compact(live, ~cross)
+            out.last_quarter_min[lanes] = np.minimum(out.last_quarter_min[lanes], bound)
 
     out.steps[retire(live, slice(None))] = n
-    retire(deep, slice(None))
+    if deep:
+        # the deep steps' adds, in the order stepping would make them
+        lanes, crossed = np.concatenate(deep), np.concatenate(crossed)
+        for key, pot in tables.items():
+            c = math.nan if pot.tail_limit is None else pot.tail_limit
+            _add_repeatedly(sink[key], lanes, n - 1 - crossed, c)
+        _add_repeatedly(out.logt_tail_sum, lanes, n - np.maximum(crossed + 1, tail_start),
+                        logt.tail_limit)
     full = out.steps == n
     out.first_quarter_min = np.where(full, out.first_quarter_min, 0)
     out.last_quarter_min = np.where(full, out.last_quarter_min, 0)

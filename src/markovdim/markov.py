@@ -198,12 +198,12 @@ class MarkovMapModel:
     # -- transition structure ---------------------------------------------
     def transition(self, i: int, j: int) -> bool:
         """Whether the image of branch ``i`` covers branch ``j``."""
-        if self.rule is not None:
-            return j >= max(i - 1, 1)
-        m = self._explicit_matrix
-        if i < 1 or j < 1 or i > m.shape[0] or j > m.shape[1]:
+        size = self.alphabet_size
+        if min(i, j) < 1 or (size is not None and max(i, j) > size):
             raise DomainError(f"transition index ({i},{j}) out of range")
-        return bool(m[i - 1, j - 1])
+        if self.rule is not None:
+            return j >= i - 1
+        return bool(self._explicit_matrix[i - 1, j - 1])
 
     # -- dynamics ----------------------------------------------------------
     def locate(self, x: float) -> int:

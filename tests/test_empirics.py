@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import markovdim as md
 from markovdim import empirics
-from markovdim.empirics import (BOUNDARY_ABORT, DEEP_FLOOR, ESCAPING, RECURRENT_WINDOW,
-                                BatchStats, _branch_table, orbit_rng, simulate_batch)
+from markovdim.empirics import (BOUNDARY_ABORT, DEEP_FLOOR, ESCAPE_THRESHOLD, ESCAPING,
+                                RECURRENT_WINDOW, BatchStats, _branch_table, orbit_rng,
+                                simulate_batch)
 from markovdim.errors import DomainError, InsufficientSampleError
 from markovdim.markov import ENDPOINT_TOL
 
@@ -222,6 +223,49 @@ class TestBatchVsScalar:
             assert cls[i] == rec.classification
         assert went_deep > 20
 
+    def test_uncertified_crossing_aborts_as_scalar(self):
+        # these SV(0.55) orbits cross the deep floor with more steps left than
+        # their branch index less ESCAPE_THRESHOLD: both paths abort them at
+        # the crossing, none is classified from a deep lower bound
+        m = md.build_sv_map(0.55)
+        starts = np.array([0.3166252626178424, 0.9506773446204659, 0.7127847152579349,
+                           0.52973904675825])
+        n = 6000
+        batch = simulate_batch(m, starts, n, collect_itineraries=True)
+        recs = [md.simulate_orbit(m, float(s), n) for s in starts]
+        assert [r.steps for r in recs] == batch.steps.tolist() == [4850, 4853, 4855, 4857]
+        assert ([r.classification for r in recs] == batch.classification().tolist()
+                == [BOUNDARY_ABORT] * 4)
+        for i, rec in enumerate(recs):
+            assert rec.points[-1] < DEEP_FLOOR
+            assert (batch.itineraries[i, :rec.steps] == rec.itinerary).all()
+            assert not batch.itineraries[i, rec.steps:].any()
+
+    def test_crossing_below_a_potential_head_stops(self):
+        # phi leaves its tail value on symbol 20000, so no crossing of SV(0.9)
+        # is certified: each lane stops where the scalar orbit does, recording
+        # no branch below the floor
+        m = md.build_sv_map(0.9)
+        phi = md.builtin_tail_potential(1.0, {20000: 2.0})
+        starts = np.array([1e-299, 3e-299, 5e-299])
+        batch = simulate_batch(m, starts, 12, phi=phi, collect_itineraries=True)
+        assert batch.steps.tolist() == [2, 11, 4] and batch.aborted.all()
+        for i, s in enumerate(starts):
+            rec = md.simulate_orbit(m, float(s), 12)
+            assert batch.itineraries[i].tolist() == rec.itinerary.tolist() + [0] * (12 - rec.steps)
+
+    def test_escape_without_crossing(self):
+        # at horizon 1000 no SV(0.6) orbit reaches the deep floor: every one of
+        # these escapes by its quarter minima, in both paths
+        m = md.build_sv_map(0.6)
+        starts = 1.0 - np.random.default_rng(2).random(50)
+        batch = simulate_batch(m, starts, 1000)
+        recs = [md.simulate_orbit(m, float(s), 1000) for s in starts]
+        assert all(rec.points.min() >= DEEP_FLOOR for rec in recs)
+        assert [rec.classification for rec in recs] == [ESCAPING] * 50
+        assert (batch.classification() == ESCAPING).all()
+        assert [rec.steps for rec in recs] == batch.steps.tolist() == [1000] * 50
+
     @pytest.mark.parametrize("rule", ["full", "staircase"])
     def test_rule_map_stays_inside_its_branches(self, rule):
         # (0.5, 0.75] and (0.75, 1] each map onto (0.5, 1]: a rule row's image
@@ -415,8 +459,9 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
     its = np.zeros((m, n), dtype=np.int32) if collect_itineraries else None
     tab = _branch_table(model)
     starts = x.copy()
-    # deep lanes exist on infinite staircases only; a deep step counts while its bound
-    # exceeds every symbol on which log|T'|, phi or psi leaves its tail value
+    # deep lanes exist on infinite staircases only: a crossing lane goes deep to the
+    # horizon when its bound there exceeds ESCAPE_THRESHOLD - 1 and every symbol on
+    # which log|T'|, phi or psi leaves its tail value, and stops otherwise
     deep_supported = model.rule == "staircase" and model.alphabet_size is None
     if model.lam is not None:
         step_fn = _ref_sv_step
@@ -436,7 +481,7 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
 
         def logt_of(idx):
             return table[idx]
-    head = max([logt_head if logt_head is not None else 0]
+    head = max([ESCAPE_THRESHOLD - 1, logt_head if logt_head is not None else 0]
                + [p.head for p in (phi, psi) if p is not None])
     phi_deep = phi.tail_limit if phi is not None else None
     psi_deep = psi.tail_limit if psi is not None else None
@@ -470,19 +515,15 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
             lq_min[counted] = np.minimum(lq_min[counted], idx[counted])
             logt_tail[counted] += lt[counted]
             tail_steps[counted] += 1
+        crossing = moved & (x < DEEP_FLOOR) & ~deep
         if deep_supported:
-            crossing = moved & (x < DEEP_FLOOR) & ~deep
-            if crossing.any():
-                deep_bound[crossing] = idx[crossing] - 1
-                deep[crossing] = True
-            deep_bound[deep & active] -= 1
-            exhausted = deep & active & (deep_bound <= head)
-            if exhausted.any():
-                aborted |= exhausted
-                deep &= ~exhausted
-        else:
-            aborted |= moved & (x < DEEP_FLOOR)
-            moved &= ~(x < DEEP_FLOOR)
+            certified = crossing & (idx + k - n > head)
+            deep_bound[certified] = idx[certified] - 1
+            deep[certified] = True
+            crossing &= ~certified
+        aborted |= crossing
+        moved &= ~crossing
+        deep_bound[deep & active] -= 1
         active = moved | (deep & active)
     full = steps == n
     fq = np.where(full, fq_min, 0)
@@ -556,36 +597,53 @@ class TestBatchAgainstReference:
                 assert deep.any() == goes_deep
 
     def test_deep_lanes_exhaust(self):
-        # at lambda 0.6 a deep lane's certified bound falls below 2 within a
-        # few thousand steps of its crossing, and the lane aborts
+        # at lambda 0.6 many lanes cross the floor with more steps left than
+        # their branch index less ESCAPE_THRESHOLD: with no certificate they
+        # stop aborted at the crossing, as the scalar orbit does, and never
+        # step deep
         m = md.build_sv_map(0.6)
         starts = 1.0 - orbit_rng(3).random(300)
-        want = reference_simulate_batch(m, starts, 4000, collect_itineraries=True)
-        exhausted = want.aborted & (want.itineraries == -1).any(axis=1)
-        assert exhausted.any() and (want.steps[exhausted] < 4000).any()
-        assert_batches_identical(simulate_batch(m, starts, 4000, collect_itineraries=True),
-                                 want)
+        n = 4000
+        got = simulate_batch(m, starts, n, collect_itineraries=True)
+        assert_batches_identical(got, reference_simulate_batch(m, starts, n,
+                                                               collect_itineraries=True))
+        stopped = 0
+        for lane in np.flatnonzero(got.aborted):
+            rec = md.simulate_orbit(m, float(starts[lane]), n)
+            k = rec.steps
+            assert rec.classification == BOUNDARY_ABORT and got.steps[lane] == k
+            assert (got.itineraries[lane, :k] == rec.itinerary).all()
+            assert not got.itineraries[lane, k:].any()
+            stopped += bool(rec.points[-1] < DEEP_FLOOR)
+        assert stopped > 100
 
     def test_deep_steps_stop_at_potential_head(self):
-        # phi leaves its tail value on symbol 1000, so a deep step may count
-        # only while the lane's certified branch bound exceeds 1000
+        # phi leaves its tail value on symbol 1000, so a crossing lane is
+        # certified only while its branch bound at the horizon exceeds 1000;
+        # a lane that is certified without phi but not with it stops at the
+        # crossing, with the same steps up to there
         m = md.build_sv_map(0.6)
         starts = 1.0 - orbit_rng(3).random(300)
         phi = md.builtin_tail_potential(0.0, {1000: 100.0})
         n = 3000
+        plain = simulate_batch(m, starts, n, collect_itineraries=True)
         got = simulate_batch(m, starts, n, phi=phi, collect_itineraries=True)
-        its = got.itineraries
+        its = plain.itineraries
         deep = np.flatnonzero((its == -1).any(axis=1))
-        assert len(deep) > 100
+        assert not plain.aborted[deep].any() and (plain.steps[deep] == n).all()
         stopped = 0
         for lane in deep:
             cross = int(np.argmax(its[lane] == -1)) - 1
-            last = int(got.steps[lane]) - 1
-            assert (its[lane, cross + 1:last + 1] == -1).all()
-            bound = int(its[lane, cross]) - 1 - (last - cross)
-            assert bound > 1000
-            stopped += bool(got.aborted[lane]) and bound == 1001
-        assert stopped > 100
+            bound = int(its[lane, cross]) + cross - n
+            assert bound > ESCAPE_THRESHOLD - 1
+            if bound > 1000:
+                assert (got.itineraries[lane] == its[lane]).all() and not got.aborted[lane]
+                continue
+            stopped += 1
+            assert got.aborted[lane] and got.steps[lane] == cross + 1
+            assert (got.itineraries[lane, :cross + 1] == its[lane, :cross + 1]).all()
+            assert not got.itineraries[lane, cross + 1:].any()
+        assert stopped > 100 and len(deep) - stopped > 100
         assert_batches_identical(got, reference_simulate_batch(m, starts, n, phi=phi,
                                                                collect_itineraries=True))
 

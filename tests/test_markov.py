@@ -50,6 +50,19 @@ class TestSvMap:
             for j in range(1, 12):
                 assert m.transition(n, j) == (j >= n - 1)
 
+    @pytest.mark.parametrize("transitions", ["staircase", np.ones((2, 2), dtype=bool)],
+                             ids=["staircase", "matrix"])
+    def test_transition_indices_stay_in_the_alphabet(self, transitions):
+        # a finite map answers only for symbols of its alphabet, whatever its shape
+        m = md.build_custom_map([md.make_branch(1, 0.5, 0.75, 2.0),
+                                 md.make_branch(2, 0.75, 1.0, 2.0)], transitions)
+        assert all(m.transition(i, j) for i in (1, 2) for j in (1, 2))
+        for i, j in ((1, 5), (3, 1), (0, 1), (1, 0), (-1, 2)):
+            with pytest.raises(DomainError, match="out of range"):
+                m.transition(i, j)
+        with pytest.raises(DomainError, match="out of range"):
+            md.build_sv_map(0.8).transition(0, 1)
+
     def test_image_intervals(self):
         # branch n >= 2 maps onto (0, lambda^(n-2)]
         m = md.build_sv_map(0.9)
