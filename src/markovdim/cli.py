@@ -158,8 +158,8 @@ def _cmd_variational(args) -> int:
     pt = variational_dimension(model, phi, psi, args.alpha, args.nmax, args.tol)
     meta = _meta(args, {"map": spec, "phi": args.phi, "psi": args.psi, "alpha": args.alpha,
                         "command": "dimension variational"})
-    result = {"alpha": pt.alpha, "dimension": pt.dimension, "q_star": pt.q_star,
-              "delta_iterations": pt.delta_iterations, "source": pt.source,
+    result = {"alpha": pt.alpha, "dimension": pt.dimension, "bracket": list(pt.bracket),
+              "q_star": pt.q_star, "delta_iterations": pt.delta_iterations, "source": pt.source,
               "hypothesis_unverified": not psi.is_constant()}
     _emit(args, _json_out(meta, result))
     return EXIT_OK
@@ -269,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kinds = sub.add_parser("dimension", help="hyperbolic (Bowen) or variational dimension"
                            ).add_subparsers(dest="kind", required=True)
-    # default --nmax: the Bowen root needs N = 4096 for the README's tol 1e-5,
-    # while each variational call runs ~600 roots per level
+    # default --nmax: the Bowen root needs N = 4096 for the README's tol 1e-5
     for kind, nmax, fn in (("hyperbolic", 4096, _cmd_hyperbolic),
                            ("variational", 512, _cmd_variational)):
         sp = kinds.add_parser(kind)

@@ -256,17 +256,75 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float, n: int | None = 
                 x = top
             step_before, step = step, 0.5 * (top - a)
 
-    def at_or_above(rho: float) -> bool:
-        if rho >= b:
-            return True
-        if rho <= a:
-            return False
-        t = trial(rho)
-        return t is not None and t[0] >= 0.0
-
-    while not at_or_above(hi):  # row-sum bound is exact; guard roundoff only
+    # the halving of _bisect, with its test inlined: True at or above b, False
+    # at or below a, and a trial only strictly between them
+    while hi < b:               # row-sum bound is exact; guard roundoff only
+        if hi > a:
+            t = trial(hi)
+            if t is not None and t[0] >= 0.0:
+                break
         hi *= 2.0
-    return math.log(_bisect(at_or_above, 0.25, hi, lambda h: rel_tol * h)[0]) + shift
+    lo = 0.25
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * lo + 0.5 * hi     # 0.5 * (lo + hi) without its overflow
+        if not lo < mid < hi:
+            break
+        if mid >= b:
+            hi = mid
+        elif mid <= a:
+            lo = mid
+        else:
+            t = trial(mid)
+            if t is not None and t[0] >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+    return math.log(0.5 * lo + 0.5 * hi) + shift
+
+
+def _staircase_mu(log_weights: np.ndarray, n: int, log_rho: float, rel_tol: float) -> np.ndarray:
+    """mu_i = d log rho / d log w_i of the staircase root ``log_rho`` (as
+    :func:`_staircase_log_rho` returns it for these arguments); the last
+    entry sums rows k..n, which share its weight.  The entries sum to 1.
+
+    The residual F(rho, w) = rho (1 - r_1) - w_0 of :func:`_staircase_residual`
+    vanishes at the root, so mu_i = -w_i F_{w_i} / (rho F_rho); F is
+    homogeneous of degree 1 in (rho, w), so there Euler's relation gives
+    -rho F_rho = sum_j w_j F_{w_j}, and mu is the vector of w_i F_{w_i} over
+    its sum.  Those come from one adjoint pass back through the head rows,
+    where r_k = w_k / (rho (1 - r_{k+1})) gives w_k dr_k/dw_k = r_k and
+    dr_k/dr_{k+1} = r_k / (1 - r_{k+1}).  Rows k..n are closed by
+    :func:`_staircase_tail`, whose ratio depends on w_tail / rho only, so its
+    w_tail dr/dw_tail is the -rho dr/drho it returns.  A root that rounds
+    below the last feasible trial is stepped up by ``rel_tol`` until every
+    row keeps r < 1; the normalization keeps mu accurate there, where the
+    tail's pole makes F_rho huge.
+    """
+    k = len(log_weights)
+    if k == 1:
+        return np.ones(1)
+    shift = max(log_weights.tolist())
+    w = np.exp(log_weights - shift).tolist()
+    rho = math.exp(log_rho - shift)
+    while True:
+        r, dr = _staircase_tail(w[-1], rho, n - k + 1)
+        ratios = [r]
+        for wk in w[k - 2:0:-1]:      # rows k-1 .. 2, in substitution order
+            if not r < 1.0:
+                break
+            r = wk / (rho * (1.0 - r))
+            ratios.append(r)
+        if r < 1.0:
+            break
+        rho *= 1.0 + rel_tol
+    g = np.empty(k)                   # w_i dF/dw_i
+    g[0] = -w[0]
+    adj = -rho                        # dF/dr of the ratio at hand, row 2 first
+    for i in range(k - 2, 0, -1):     # ratios[i] is row k - i, weight index k - i - 1
+        g[k - i - 1] = adj * ratios[i]
+        adj *= ratios[i] / (1.0 - ratios[i - 1])
+    g[k - 1] = adj * -rho * dr
+    return g / g.sum()
 
 
 def _positive(total: float) -> float:
@@ -295,8 +353,31 @@ def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) 
     ConvergenceError is raised when even that is unavailable.
     """
     shift = float(np.max(log_weights))
-    w = np.exp(log_weights - shift)
-    a = matrix.astype(float) * w[:, None]
+    a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
+    found = _power_iteration(a, rel_tol)
+    if found is not None:
+        return math.log(found[0]) + shift
+    _require_eigensolver(a, rel_tol)
+    return math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + shift
+
+
+def _power_log_rho_mu(matrix: np.ndarray, log_weights: np.ndarray,
+                      rel_tol: float) -> tuple[float, np.ndarray]:
+    """:func:`_power_log_rho` and mu_i = d log rho / d log w_i = u_i v_i / (u . v),
+    with v from the same iteration and the left vector u from it on A^T."""
+    shift = float(np.max(log_weights))
+    a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
+    right, left = _power_iteration(a, rel_tol), _power_iteration(a.T, rel_tol)
+    if right is None or left is None:
+        _require_eigensolver(a, rel_tol)
+        right, left = _eig_pair(a), _eig_pair(a.T)
+    uv = left[1] * right[1]
+    return math.log(right[0]) + shift, uv / uv.sum()
+
+
+def _power_iteration(a: np.ndarray, rel_tol: float) -> tuple[float, np.ndarray] | None:
+    """(lam, y) of :func:`_power_log_rho` on the weighted matrix ``a``, y the
+    Perron vector of unit L1 norm; None once the product budget is spent."""
     n = a.shape[0]
     log_tol = math.log(rel_tol)
     p, s = a, 1
@@ -309,7 +390,7 @@ def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) 
         ay = a @ y
         res = float(np.max(np.abs(ay - lam * y)))
         if res <= rel_tol * lam:
-            return math.log(lam) + shift
+            return lam, y
         trail = [*trail[-2:], (steps, math.log(res / lam))]
         if len(trail) == 3 and s < _POWER_MAX_ITER and work + n < _POWER_MAX_ITER:
             (t0, r0), (_, r1), (t2, r2) = trail
@@ -327,11 +408,24 @@ def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) 
             y = a @ (x / _positive(float(x.sum())))
             steps += s + 1
             work += 3
-    if n <= _DENSE_FALLBACK_MAX_N:
-        rho = float(np.max(np.abs(np.linalg.eigvals(a))))
-        return math.log(rho) + shift
-    raise ConvergenceError(f"power iteration did not reach tol={rel_tol} within "
-                           f"{_POWER_MAX_ITER} matrix-vector products (N={n})")
+    return None
+
+
+def _require_eigensolver(a: np.ndarray, rel_tol: float) -> None:
+    """The dense eigensolver takes over a spent power budget up to
+    ``_DENSE_FALLBACK_MAX_N`` symbols; ConvergenceError beyond."""
+    n = a.shape[0]
+    if n > _DENSE_FALLBACK_MAX_N:
+        raise ConvergenceError(f"power iteration did not reach tol={rel_tol} within "
+                               f"{_POWER_MAX_ITER} matrix-vector products (N={n})")
+
+
+def _eig_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and vector of ``a`` from the dense eigensolver."""
+    values, vectors = np.linalg.eig(a)
+    i = int(np.argmax(np.abs(values)))
+    v = np.abs(vectors[:, i].real)
+    return float(abs(values[i])), v / v.sum()
 
 
 def perron_pressure(sub: TruncatedSubsystem, p: TablePotential, tol: float) -> float:
@@ -343,7 +437,7 @@ def perron_pressure(sub: TruncatedSubsystem, p: TablePotential, tol: float) -> f
     require_above("tol", tol, 0.0)
     if not sub.primitive:
         raise MixingError("subsystem is not primitive")
-    length, log_rho = _log_rho_solver(sub, p.head)
+    length, log_rho, _ = _log_rho_solver(sub, p.head)
     return log_rho(p.values_vector(length), tol)
 
 
@@ -353,19 +447,34 @@ def _rank_one_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
     return math.log(float(np.sum(np.exp(log_weights - shift)))) + shift
 
 
+def _rank_one_log_rho_mu(log_weights: np.ndarray, rel_tol: float) -> tuple[float, np.ndarray]:
+    """:func:`_rank_one_log_rho` and its gradient in the log weights, w / sum(w)."""
+    shift = float(np.max(log_weights))
+    w = np.exp(log_weights - shift)
+    total = float(np.sum(w))
+    return math.log(total) + shift, w / total
+
+
 def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = None):
-    """Perron-root routine for the shape of ``sub``, and how many leading
-    weights it reads: (length, routine), routine(log_weights, rel_tol) -> log rho.
+    """Perron-root routines for the shape of ``sub``, and how many leading
+    weights they read: (length, log_rho, log_rho_mu), where
+    log_rho(log_weights, rel_tol) -> log rho and log_rho_mu(log_weights,
+    rel_tol) -> (the same log rho, mu), mu_i = d log rho / d log w_i over
+    the weights read.  mu is the equilibrium state's weight on each symbol
+    and sums to 1, so a potential p' has d log rho / dt = mu . p' along
+    log w + t p'.
 
     ``head`` is the largest symbol whose weight may differ from the constant
     tail.  Staircase subsystems take the characteristic root, which reads
-    the weights of symbols 1..head+1 only; each call starts from the root
-    the routine returned last (``guess`` before the first), which changes
+    the weights of symbols 1..head+1 only (the last of them standing for
+    every symbol past head, in mu too); each call starts from the root
+    either routine returned last (``guess`` before the first), which changes
     its trial count and never its value.  An all-true dense matrix (as a
     config's "full" is, and a staircase of one symbol) takes the rank-one
-    sum, everything else power iteration on the materialized matrix; both
-    read all ``sub.size`` weights.  Callers that evaluate many potentials on one
-    subsystem keep the returned routine, so the shape is inspected once.
+    sum, everything else power iteration on the materialized matrix, whose
+    mu costs a second iteration on the transpose; both read all
+    ``sub.size`` weights.  Callers that evaluate many potentials on one
+    subsystem keep the returned routines, so the shape is inspected once.
     """
     n = sub.size
     if sub.rule == "staircase" and n >= 2:
@@ -376,10 +485,14 @@ def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = No
             last = _staircase_log_rho(log_weights, rel_tol, n, last)
             return last
 
-        return min(n, head + 1), staircase
+        def staircase_mu(log_weights: np.ndarray, rel_tol: float) -> tuple[float, np.ndarray]:
+            log_rho = staircase(log_weights, rel_tol)
+            return log_rho, _staircase_mu(log_weights, n, log_rho, rel_tol)
+
+        return min(n, head + 1), staircase, staircase_mu
     if sub.rule is not None or sub.dense.all():
-        return n, _rank_one_log_rho
-    return n, partial(_power_log_rho, sub.matrix)
+        return n, _rank_one_log_rho, _rank_one_log_rho_mu
+    return n, partial(_power_log_rho, sub.matrix), partial(_power_log_rho_mu, sub.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +594,7 @@ def gurevich_pressure(model: MarkovMapModel, p: TablePotential, tol: float,
 
     def level(sub: TruncatedSubsystem) -> float:
         nonlocal last
-        length, log_rho = _log_rho_solver(sub, p.head, last)
+        length, log_rho, _ = _log_rho_solver(sub, p.head, last)
         last = log_rho(p.values_vector(length), rel_tol)
         return last
 

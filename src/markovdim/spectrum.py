@@ -7,10 +7,16 @@ denominator psi, the dimension of the level set at an interior level alpha
     V(alpha) = sup{ delta : inf_q  P(q (phi - alpha psi) - delta log|T'|) > 0 },
 
 so the engine nests three solved problems: a Perron root per potential, a
-convex minimization over q, and a monotone bisection over delta in [0, 1].
-All pressures are truncation values, which approximate the countable-system
-pressure from below; the resulting dimensions are monotone nondecreasing in
-the truncation level.
+convex minimization over q, and the root in delta of the decreasing convex
+envelope f(delta) = inf_q P.  Each Perron root comes with its equilibrium
+state mu, which gives both slopes of P, dP/dq = mu . (phi - alpha psi) and
+dP/ddelta = -mu . log|T'|: the q-search takes secant steps on the first and
+bounds the minimum from below by tangents, and Newton steps on f take the
+second.  A certified bracket of width tol around the Newton root (some
+P <= 0 at its top, a positive lower bound at its bottom) keeps the reported
+value's meaning.  All pressures are truncation values, which approximate the
+countable-system pressure from below; the resulting dimensions are monotone
+nondecreasing in the truncation level.
 
 For the built-in family everything has a closed form: the pressure g(t) of
 -t log|T'|, the level parameterization alpha_t = -g'(t), the spectrum value
@@ -30,10 +36,13 @@ from .potentials import TablePotential, builtin_log_derivative, constant_potenti
 from .pressure import (PressureResult, _bisect, _exhaust, _log_rho_solver,
                        closed_form_pressure_sv, sv_critical_exponent)
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _Q_LIMIT = 1e6
 #: relative Perron-root tolerance of every pressure in a (q, delta) search
 _EIG_TOL = 1e-12
+#: a q-search whose bounds on the minimum are this close stops: roundoff of P
+_GAP_FLOOR = 1e-11
+#: a Newton test's bounds on f may differ by this fraction of f
+_NEWTON_REL_GAP = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +53,11 @@ class SpectrumPoint:
     """One sample (alpha, dimension) of a spectrum.
 
     ``q_star`` is the minimizer of the pressure in q at the critical delta
-    (None for closed-form and escape-value points); ``delta_iterations``
-    counts the bisection steps that produced the dimension bracket.
+    (None for closed-form and escape-value points).  A VARIATIONAL point
+    carries its certified ``bracket`` (lo, hi), whose midpoint is the
+    dimension: the q-infimum of the pressure is positive at lo and
+    nonpositive at hi, and a level set invisible at the truncation has
+    (0, 0).  ``delta_iterations`` counts the delta tests that produced it.
     """
 
     alpha: float
@@ -53,6 +65,7 @@ class SpectrumPoint:
     q_star: float | None
     delta_iterations: int
     source: str  # VARIATIONAL | CLOSED_FORM | ESCAPE_VALUE
+    bracket: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not (-1e-12 <= self.dimension <= 1.0 + 1e-12):
@@ -221,9 +234,9 @@ def _bounds(ev: _PressureEvaluator) -> tuple[float, float]:
 # Pressure evaluation reused across a (q, delta) search
 # ---------------------------------------------------------------------------
 class _PressureEvaluator:
-    """Caches the truncation, its Perron routine and the component value
+    """Caches the truncation, its Perron routines and the component value
     vectors for repeated evaluations of q (phi - alpha psi) - delta log|T'|
-    pressures.  The vectors hold the symbols the routine reads: on a
+    pressures.  The vectors hold the symbols the routines read: on a
     staircase, the largest head of the three plus one tail symbol."""
 
     def __init__(self, model: MarkovMapModel, phi: TablePotential, psi: TablePotential, N: int):
@@ -231,50 +244,89 @@ class _PressureEvaluator:
             raise DomainError("denominator potential must carry a positivity floor")
         self.sub = truncate(model, N)
         logt = builtin_log_derivative(model)
-        length, self._log_rho = _log_rho_solver(self.sub, max(phi.head, psi.head, logt.head))
+        length, _, self._log_rho_mu = _log_rho_solver(self.sub,
+                                                      max(phi.head, psi.head, logt.head))
         self.phi_v = phi.values_vector(length)
         self.psi_v = psi.values_vector(length)
         self.logt_v = logt.values_vector(length)
 
-    def pressure(self, q: float, alpha: float, delta: float) -> float:
-        logw = q * (self.phi_v - alpha * self.psi_v) - delta * self.logt_v
-        return self._log_rho(logw, _EIG_TOL)
+    def evaluate(self, q: float, alpha: float, delta: float) -> tuple[float, float, float]:
+        """The pressure P and its slopes dP/dq = mu . (phi - alpha psi) and
+        dP/ddelta = -mu . log|T'|, mu being the equilibrium state."""
+        level = self.phi_v - alpha * self.psi_v
+        value, mu = self._log_rho_mu(q * level - delta * self.logt_v, _EIG_TOL)
+        return value, float(mu @ level), -float(mu @ self.logt_v)
 
 
-def _minimize_over_q(h, tol: float) -> tuple[float, float]:
-    """Bracket a minimum of the convex function h by doubling expansion from
-    (-1, 0, 1), then golden-section to width ``tol``.  Raises UnboundedError
-    if no bracket forms within |q| <= 1e6."""
-    a, b, c = -1.0, 0.0, 1.0
-    fa, fb, fc = h(a), h(b), h(c)
-    span = 1.0
-    while fa < fb:
-        a, b, c, fb, fc = a - 2.0 * span, a, b, fa, fb
-        span *= 2.0
-        if abs(a) > _Q_LIMIT:
-            raise UnboundedError("no minimum in q within |q| <= 1e6 (alpha at or beyond edge)")
-        fa = h(a)
-    span = 1.0
-    while fc < fb:
-        a, b, c, fa, fb = b, c, c + 2.0 * span, fb, fc
-        span *= 2.0
-        if abs(c) > _Q_LIMIT:
-            raise UnboundedError("no minimum in q within |q| <= 1e6 (alpha at or beyond edge)")
-        fc = h(c)
-    x1 = c - _GOLD * (c - a)
-    x2 = a + _GOLD * (c - a)
-    f1, f2 = h(x1), h(x2)
-    while c - a > tol:
-        if f1 <= f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - _GOLD * (c - a)
-            f1 = h(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (c - a)
-            f2 = h(x2)
-    q = 0.5 * (a + c)
-    return h(q), q
+@dataclass(frozen=True)
+class _QMinimum:
+    """What :func:`_minimize_over_q` found: the least pressure seen, at q; a
+    lower bound on the minimum; the steepest dP/ddelta among q and the
+    bracket's ends (a bound on the envelope's slope while the minimizer's
+    own lies between them); and the dP/dq secant over the final bracket."""
+
+    best: float
+    lower: float
+    q: float
+    delta_slope: float
+    curvature: float | None
+
+
+def _minimize_over_q(h, q: float, done, curvature: float | None = None) -> _QMinimum:
+    """Minimum over q of a convex pressure, from h(q) -> (P, dP/dq, dP/ddelta).
+
+    From q the search steps downhill, by slope / ``curvature`` when a
+    curvature is known and by 1 otherwise, doubling the step, until the
+    slope changes sign; UnboundedError if that takes it beyond |q| = 1e6
+    (alpha at or beyond the edge of the truncated spectrum).  Inside the
+    sign-change bracket [a, b] it takes secant steps on the slope, and a
+    halving instead whenever the same end moved twice in a row.  The tangents
+    at a and b meet below the minimum, so their intersection is a lower bound.
+    The search stops once ``done(best, lower, b - a, delta_slope)`` holds
+    (lower is -inf and the width inf until a bracket forms), at a zero slope,
+    or when the bracket is one ulp wide.
+    """
+    a = b = None              # innermost (q, P, dP/dq, dP/ddelta) with dP/dq < 0 / > 0
+    best = step = moved = None
+    while True:
+        point = (q, *h(q))
+        slope = point[2]
+        if best is None or point[1] < best[1]:
+            best = point
+        if slope == 0.0:
+            return _QMinimum(best[1], point[1], best[0], point[3], None)
+        side = "a" if slope < 0.0 else "b"
+        if side == "a" and (a is None or q > a[0]):
+            a = point
+        if side == "b" and (b is None or q < b[0]):
+            b = point
+        repeated, moved = side == moved, side
+        lower, width, secant, steepest = -math.inf, math.inf, None, best[3]
+        if a is not None and b is not None:
+            (qa, pa, sa, da), (qb, pb, sb, db) = a, b
+            width = qb - qa
+            secant = (sb - sa) / width
+            cross = (pb - pa + sa * qa - sb * qb) / (sa - sb)
+            lower = min(pa + sa * (cross - qa), best[1])
+            steepest = min(steepest, da, db)
+        if done(best[1], lower, width, steepest):
+            break
+        if a is None or b is None:   # expand downhill from the newest point
+            step = (abs(slope) / curvature if curvature else 1.0) if step is None else 2.0 * step
+            if q + step == q:        # a slope too small to move q: q is the minimum
+                return _QMinimum(best[1], best[1], best[0], best[3], None)
+            q += step if b is None else -step
+            if abs(q) > _Q_LIMIT:
+                raise UnboundedError("no minimum in q within |q| <= 1e6 "
+                                     "(alpha at or beyond edge)")
+            continue
+        mid = 0.5 * qa + 0.5 * qb
+        if not qa < mid < qb:
+            break
+        q = mid if repeated else qa - sa * width / (sb - sa)
+        if not qa < q < qb:
+            q = mid
+    return _QMinimum(best[1], lower, best[0], steepest, secant)
 
 
 def inf_pressure_over_q(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
@@ -282,27 +334,31 @@ def inf_pressure_over_q(model: MarkovMapModel, phi: TablePotential, psi: TablePo
                         tol: float) -> tuple[float, float]:
     """Minimum over q of the truncated pressure of q(phi - alpha psi) - delta log|T'|.
 
-    Returns (inf_value, q_star).  The function of q is convex; the minimum
-    is located by doubling expansion plus golden section to q-tolerance
-    ``tol``.  An UnboundedError signals that alpha sits at or beyond the
-    edge of the truncated spectrum.
+    Returns (inf_value, q_star).  The function of q is convex and its slope
+    is mu . (phi - alpha psi), mu the equilibrium state; the minimum is
+    bracketed by doubling steps from q = 0 and located by secant steps on
+    that slope to q-tolerance ``tol``.  An UnboundedError signals that alpha
+    sits at or beyond the edge of the truncated spectrum.
     """
     require_above("tol", tol, 0.0)
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     ev = _PressureEvaluator(model, phi, psi, N)
-    return _minimize_over_q(lambda q: ev.pressure(q, alpha, delta), tol)
+    found = _minimize_over_q(lambda q: ev.evaluate(q, alpha, delta), 0.0,
+                             lambda best, lower, width, slope: width <= tol)
+    return found.best, found.q
 
 
 def variational_dimension(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
                           alpha: float, N: int, tol: float) -> SpectrumPoint:
     """Level-set dimension V(alpha) at truncation N, to bracket width <= tol.
 
-    Bisects delta in [0, 1] on the sign of the q-infimum of the pressure.
-    The expansion bound makes that infimum strictly decreasing in delta, so
-    the threshold is well-defined; it is approached from below as N grows.
-    Two :func:`_beyond` tests check that alpha is interior; the bounds are
-    computed only to name them in the DomainError.
+    V is the root in delta of f(delta) = inf_q P(q (phi - alpha psi) -
+    delta log|T'|), found by Newton steps on f and certified by a bracket
+    (see :func:`_variational_point`).  The expansion bound makes f strictly
+    decreasing in delta, so the root is well-defined; it is approached from
+    below as N grows.  Two :func:`_beyond` tests check that alpha is
+    interior; the bounds are computed only to name them in the DomainError.
     """
     require_above("tol", tol, 0.0)
     ev = _PressureEvaluator(model, phi, psi, N)
@@ -315,20 +371,86 @@ def variational_dimension(model: MarkovMapModel, phi: TablePotential, psi: Table
 
 def _variational_point(ev: _PressureEvaluator, alpha: float, tol: float) -> SpectrumPoint:
     """``variational_dimension`` at an alpha known to be interior, with the
-    truncation's evaluator supplied, so a scan builds it once for all its points."""
-    q_tol = max(min(tol * 1e-1, 1e-5), 1e-8)
-    q_star = None
+    truncation's evaluator supplied, so a scan builds it once for all its points.
 
-    def at_or_above(delta: float) -> bool:
-        nonlocal q_star
-        value, q_star = _minimize_over_q(lambda q: ev.pressure(q, alpha, delta), q_tol)
-        return not value > 0.0
+    f(delta) = inf_q P is convex and decreasing, with slope -mu . log|T'| at
+    the minimizing q (envelope theorem), so the Newton step from any delta
+    lands at or below the root V.  Each delta test runs the q-search, which
+    bounds f(delta) from above (the least P seen) and from below (the
+    tangent intersection): P <= 0 somewhere certifies V <= delta, a lower
+    bound > 0 certifies V > delta.  A Newton test refines its bounds until
+    they differ by a tenth of f or by a quarter of ``tol`` in delta, and
+    steps from the lower bound with the steepest slope its search saw, so
+    that inexact bounds shorten the step; the other tests stop once the sign
+    is settled.  Past roundoff the least P decides, as a bisection on it did.
+    Once a Newton step p is within tol/2 of its delta, the bracket is
+    [p - tol/2, p + tol/2]: its top certified by some P <= 0, its bottom by a
+    positive lower bound, each at that end or at a tested delta beyond it on
+    the same side; a top past 1 is certified at 1, where the pressure is
+    nonpositive as in :func:`bowen_dimension`.  A proposal outside the
+    certified bracket [lo, hi], or one more than half the step before last
+    (steps that stop shrinking, from a slope that is off), becomes a
+    halving, which stops at one ulp as :func:`_bisect` does.  The reported
+    dimension is the bracket's midpoint; ``delta_iterations`` counts the
+    delta tests.  Nothing is carried from point to point, so a point is a
+    function of its own arguments.
+    """
+    tests = 0
+    q, curvature = 0.0, None
+
+    def test(delta: float, newton: bool) -> _QMinimum:
+        nonlocal tests, q, curvature
+
+        def done(best: float, lower: float, width: float, slope: float) -> bool:
+            gap = best - lower
+            if gap <= _GAP_FLOOR:
+                return True
+            if not (lower > 0.0 or best <= 0.0):
+                return False
+            return not newton or gap <= max(0.25 * tol * abs(slope),
+                                             _NEWTON_REL_GAP * min(abs(lower), abs(best)))
+
+        tests += 1
+        found = _minimize_over_q(lambda x: ev.evaluate(x, alpha, delta), q, done, curvature)
+        q, curvature = found.q, found.curvature or curvature
+        return found
 
     # a level set invisible at this truncation has the dimension estimate 0
-    dimension, iterations = (0.0, 0) if at_or_above(0.0) else \
-        _bisect(at_or_above, 0.0, 1.0, lambda h: tol)
-    return SpectrumPoint(alpha=alpha, dimension=dimension, q_star=q_star,
-                         delta_iterations=iterations, source="VARIATIONAL")
+    r = test(0.0, True)
+    if not r.best > 0.0:
+        return SpectrumPoint(alpha=alpha, dimension=0.0, q_star=r.q, delta_iterations=tests,
+                             source="VARIATIONAL", bracket=(0.0, 0.0))
+    x, lo, hi = 0.0, 0.0, 1.0
+    step = step_before = math.inf
+    while hi - lo > tol:
+        pred = x - r.lower / r.delta_slope       # Newton step, at or below the root
+        top, bottom = pred + 0.5 * tol, max(pred - 0.5 * tol, 0.0)
+        if abs(pred - x) <= 0.5 * tol and lo < top:   # certify [bottom, top]
+            if top < hi:
+                x, r = top, test(top, False)
+                if r.best > 0.0:
+                    lo = top
+                    continue
+            if bottom > lo:
+                x, r = bottom, test(bottom, False)
+                if not r.best > 0.0:
+                    hi = bottom
+                    continue
+            # an end beyond a tested delta on its side is certified by it
+            lo, hi = bottom, top
+            break
+        if not lo < pred < hi or abs(pred - x) > 0.5 * step_before:
+            pred = 0.5 * lo + 0.5 * hi
+            if not lo < pred < hi:
+                break
+        step_before, step = step, abs(pred - x)
+        x, r = pred, test(pred, True)
+        if r.best > 0.0:
+            lo = x
+        else:
+            hi = x
+    return SpectrumPoint(alpha=alpha, dimension=0.5 * lo + 0.5 * hi, q_star=r.q,
+                         delta_iterations=tests, source="VARIATIONAL", bracket=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +471,7 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
     rel_tol = min(tol * 1e-3, 1e-12)
 
     def root(sub: TruncatedSubsystem) -> float:
-        length, log_rho = _log_rho_solver(sub, logt.head)
+        length, log_rho, _ = _log_rho_solver(sub, logt.head)
         logt_v = logt.values_vector(length)
 
         def pressure_at(s: float) -> float:

@@ -149,6 +149,8 @@ class TestDimensionCommand:
         payload = json.loads(out)
         assert payload["result"]["dimension"] == pytest.approx(0.553, abs=5e-3)
         assert payload["result"]["hypothesis_unverified"] is False
+        lo, hi = payload["result"]["bracket"]
+        assert lo < payload["result"]["dimension"] < hi and hi - lo <= 1e-3 * (1 + 1e-12)
 
     def test_variational_default_nmax_is_512(self, capsys):
         argv = ["dimension", "variational", "--lambda", "0.9", "--alpha", "2.3992",

@@ -366,16 +366,18 @@ class TestStaircaseRoot:
                 assert len(trials) <= 2 * halvings + 2
 
     def test_trials_per_root_on_the_readme_scan(self, monkeypatch):
-        # each root of a scan starts from the one before, a close guess
+        # each root of a scan starts from the one before, a close guess; each
+        # gradient pass closes the tail once
         trials = count_tail_calls(monkeypatch)
-        roots = []
-        real = pressure._staircase_log_rho
-        monkeypatch.setattr(pressure, "_staircase_log_rho",
-                            lambda *a: roots.append(1) or real(*a))
+        roots, gradients = [], []
+        for name, log in (("_staircase_log_rho", roots), ("_staircase_mu", gradients)):
+            monkeypatch.setattr(pressure, name,
+                                lambda *a, real=getattr(pressure, name), log=log:
+                                log.append(1) or real(*a))
         assert main(["spectrum-birkhoff", "--lambda", "0.9", "--grid-points", "21",
                      "--nmax", "128"]) == 0
-        assert len(roots) > 9000
-        assert len(trials) <= 12 * len(roots)
+        assert 21 <= len(roots) <= 40 * 21 and len(gradients) == len(roots)
+        assert len(trials) - len(gradients) <= 12 * len(roots)
 
     @settings(max_examples=150, deadline=None)
     @given(logw=eventually_constant_log_weights(), offsets=st.lists(
@@ -539,7 +541,7 @@ class TestOrderK:
         one = md.constant_potential(1.0)
         ev = spectrum._PressureEvaluator(m, phi, one, self.N)
         assert len(ev.phi_v) == self.HEAD + 1
-        value = ev.pressure(-1.0, 1.8, 0.5)
+        value = ev.evaluate(-1.0, 1.8, 0.5)[0]
         assert math.isfinite(value)
         # the slice sees the same potential as the full vector of a smaller level
         small = md.truncate(m, 1 << 12)
@@ -668,6 +670,101 @@ class TestPowerIteration:
             perm = rng.permutation(n)
             with pytest.raises(ConvergenceError, match="collapsed"):
                 _power_log_rho(mat[perm][:, perm], rng.normal(0.0, 2.0, n), 1e-12)
+
+
+def eig_mu(a: np.ndarray) -> np.ndarray:
+    """Oracle for the equilibrium weights: u v / (u . v) from the dense
+    eigensolver's right and left Perron vectors of ``a``."""
+    vectors = []
+    for m in (a, a.T):
+        values, vecs = np.linalg.eig(m)
+        vectors.append(np.abs(vecs[:, int(np.argmax(values.real))].real))
+    uv = vectors[0] * vectors[1]
+    return uv / uv.sum()
+
+
+class TestGradients:
+    """mu = d log rho / d log w on each Perron route, against independent oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_staircase_mu_against_eig_and_differences(self, n, data):
+        k = data.draw(st.integers(1, n))
+        logw = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k)))
+        log_rho = _staircase_log_rho(logw, 1e-13, n)
+        mu = pressure._staircase_mu(logw, n, log_rho, 1e-13)
+        assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+        # the last entry stands for rows k..n, which repeat the last weight
+        full = np.concatenate([logw, np.full(n - k, logw[-1])])
+        rows = np.arange(n)
+        stair = (rows[None, :] >= np.maximum(rows[:, None] - 1, 0)).astype(float)
+        similar = stair * np.ldexp(1.0, rows[:, None] - rows[None, :]) * np.exp(full)[:, None]
+        want = eig_mu(similar)      # u v is unchanged by the diagonal similarity
+        mods = np.sort(np.abs(np.linalg.eigvals(similar)))
+        gap = 1.0 - mods[-2] / mods[-1]
+        # eig's vectors lose accuracy as the gap closes (near-tied heavy rows)
+        assert np.allclose(mu, np.append(want[:k - 1], want[k - 1:].sum()), rtol=0,
+                           atol=1e-9 * max(1.0, 1e-3 / gap))
+        # five-point central differences, where the spectral gap keeps log rho
+        # smooth on the stencil's scale: near-tied blocks bend it sharply
+        if gap < 0.1:
+            return
+        h = 1e-4
+        for i in range(k):
+            root = [_staircase_log_rho(logw + j * h * (np.arange(k) == i), 1e-13, n)
+                    for j in (-2, -1, 1, 2)]
+            diff = (8.0 * (root[2] - root[1]) - (root[3] - root[0])) / (12.0 * h)
+            assert diff == pytest.approx(mu[i], abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_dense_mu_against_eig(self, n, seed):
+        rng = np.random.default_rng(seed)
+        sub = seeded_primitive(rng, n)
+        logw = rng.normal(0.0, 2.0, n)
+        log_rho, mu = pressure._power_log_rho_mu(sub.matrix, logw, 1e-12)
+        assert log_rho == _power_log_rho(sub.matrix, logw, 1e-12)
+        assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+        a = sub.matrix * np.exp(logw - logw.max())[:, None]
+        assert np.allclose(mu, eig_mu(a), rtol=0, atol=1e-8)
+
+    def test_dense_mu_from_the_eigensolver(self, monkeypatch):
+        monkeypatch.setattr(pressure, "_POWER_MAX_ITER", 3)
+        mat, logw = cycle_with_chord(12), np.linspace(-1.0, 1.0, 12)
+        log_rho, mu = pressure._power_log_rho_mu(mat, logw, 1e-12)
+        assert log_rho == pytest.approx(_power_log_rho(mat, logw, 1e-12), abs=1e-12)
+        assert np.allclose(mu, eig_mu(mat * np.exp(logw)[:, None]), rtol=0, atol=1e-10)
+        monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
+        with pytest.raises(ConvergenceError, match="did not reach"):
+            pressure._power_log_rho_mu(mat, logw, 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logw=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=30))
+    def test_rank_one_mu_is_the_weight_share(self, logw):
+        logw = np.array(logw)
+        log_rho, mu = pressure._rank_one_log_rho_mu(logw, 1e-12)
+        assert log_rho == pressure._rank_one_log_rho(logw, 1e-12)
+        w = np.exp(logw - logw.max())
+        assert np.allclose(mu, w / w.sum(), rtol=1e-12, atol=1e-300)
+        assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", ["staircase", "rank-one", "dense"])
+    def test_every_route_sums_to_one(self, shape):
+        rng = np.random.default_rng(5)
+        n = 40
+        if shape == "staircase":
+            sub = md.truncate(md.build_sv_map(0.8), n)
+        elif shape == "rank-one":
+            sub = md.TruncatedSubsystem(size=n, dense=np.ones((n, n), dtype=bool))
+        else:
+            sub = seeded_primitive(rng, n)
+        length, log_rho, log_rho_mu = pressure._log_rho_solver(sub, 6)
+        for _ in range(10):
+            logw = np.append(rng.normal(0.0, 3.0, 6), np.full(length - 6, rng.normal()))
+            value, mu = log_rho_mu(logw, 1e-12)
+            assert value == log_rho(logw, 1e-12)
+            assert mu.shape == (length,) and (mu >= 0.0).all()
+            assert mu.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOrbitSums:

@@ -93,11 +93,92 @@ def dense_variational_case():
     return model, phi, lo + 0.4 * (hi - lo)
 
 
-def eigvals_log_rho(matrix, log_weights, rel_tol):
-    """Dense-eigensolver stand-in for the power iteration."""
+_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_inf_over_q(h, tol):
+    """Oracle for the q-search: the doubling expansion from (-1, 0, 1) and the
+    golden section to width ``tol`` that variational points ran before secant
+    steps on the slope.  Returns (value at the bracket's midpoint, midpoint),
+    an upper bound on the minimum of the convex ``h``."""
+    a, b, c = -1.0, 0.0, 1.0
+    fa, fb, fc = h(a), h(b), h(c)
+    span = 1.0
+    while fa < fb:
+        a, b, c, fb, fc = a - 2.0 * span, a, b, fa, fb
+        span *= 2.0
+        fa = h(a)
+    span = 1.0
+    while fc < fb:
+        a, b, c, fa, fb = b, c, c + 2.0 * span, fb, fc
+        span *= 2.0
+        fc = h(c)
+    x1, x2 = c - _GOLD * (c - a), a + _GOLD * (c - a)
+    f1, f2 = h(x1), h(x2)
+    while c - a > tol:
+        if f1 <= f2:
+            c, x2, f2 = x2, x1, f1
+            x1 = c - _GOLD * (c - a)
+            f1 = h(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLD * (c - a)
+            f2 = h(x2)
+    q = 0.5 * (a + c)
+    return h(q), q
+
+
+def bisection_inf(ev, alpha, delta, tol):
+    """The oracle's q-infimum of the pressure at delta, at its q-tolerance for ``tol``."""
+    q_tol = max(min(tol * 1e-1, 1e-5), 1e-8)
+    return golden_inf_over_q(lambda q: ev.evaluate(q, alpha, delta)[0], q_tol)[0]
+
+
+def bisection_variational_dimension(model, phi, psi, alpha, N, tol):
+    """Oracle for a variational point: the bisection of delta in [0, 1] on the
+    sign of the golden-section infimum, down to width ``tol``, that
+    variational_dimension ran before its Newton steps."""
+    ev = spectrum._PressureEvaluator(model, phi, psi, N)
+    if not bisection_inf(ev, alpha, 0.0, tol) > 0.0:
+        return 0.0
+    return pressure._bisect(lambda d: not bisection_inf(ev, alpha, d, tol) > 0.0,
+                            0.0, 1.0, lambda h: tol)[0]
+
+
+def tangent_certificate(ev, alpha, delta, q, half=0.5, h=1e-6):
+    """An independent lower bound on the q-infimum at delta: the meeting value
+    of the tangents at q - half and q + half, slopes by central differences."""
+    def p(x):
+        return ev.evaluate(x, alpha, delta)[0]
+
+    qa, qb = q - half, q + half
+    sa, sb = [(p(x + h) - p(x - h)) / (2 * h) for x in (qa, qb)]
+    assert sa < 0.0 < sb, "the tangent points must straddle the minimum"
+    cross = (p(qb) - p(qa) + sa * qa - sb * qb) / (sa - sb)
+    return p(qa) + sa * (cross - qa)
+
+
+def counted_evaluations(monkeypatch):
+    """A list that grows by one at each pressure evaluation of a q-search."""
+    calls = []
+    real = spectrum._PressureEvaluator.evaluate
+    monkeypatch.setattr(spectrum._PressureEvaluator, "evaluate",
+                        lambda self, *a: calls.append(1) or real(self, *a))
+    return calls
+
+
+def eig_log_rho_mu(matrix, log_weights, rel_tol):
+    """Dense-eigensolver stand-in for the power iteration and its gradient."""
     shift = float(np.max(log_weights))
     a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
-    return math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + shift
+    roots, vectors = [], []
+    for m in (a, a.T):
+        values, vecs = np.linalg.eig(m)
+        i = int(np.argmax(np.abs(values)))
+        roots.append(float(abs(values[i])))
+        vectors.append(np.abs(vecs[:, i].real))
+    uv = vectors[0] * vectors[1]
+    return math.log(roots[0]) + shift, uv / uv.sum()
 
 
 @st.composite
@@ -262,6 +343,17 @@ class TestInfPressureOverQ:
             md.inf_pressure_over_q(cm, phi, md.constant_potential(1.0), 1.5, 0.2,
                                    2, 1e-6)
 
+    def test_slope_too_small_to_step_ends_the_search(self):
+        # a warm start whose slope over the curvature cannot move q
+        calls = []
+
+        def h(q):
+            calls.append(q)
+            return (q - 3.0) ** 2, 1e-300, -1.0
+
+        found = spectrum._minimize_over_q(h, 3.0, lambda *a: False, 1.0)
+        assert (found.best, found.lower, found.q) == (0.0, 0.0, 3.0) and calls == [3.0]
+
     def test_delta_validated(self):
         m, logt, one = sv_setup(0.9)
         with pytest.raises(DomainError):
@@ -329,7 +421,7 @@ class TestVariationalDimension:
         one = md.constant_potential(1.0)
         tol = 1e-3
         got = md.variational_dimension(model, phi, one, alpha, 64, tol).dimension
-        monkeypatch.setattr(pressure, "_power_log_rho", eigvals_log_rho)
+        monkeypatch.setattr(pressure, "_power_log_rho_mu", eig_log_rho_mu)
         want = md.variational_dimension(model, phi, one, alpha, 64, tol).dimension
         bowen = md.bowen_dimension(model, 64, 1e-9).value
         assert abs(got - want) <= tol
@@ -372,9 +464,84 @@ class TestVariationalDimension:
             assert d <= bowen + 2e-4
 
     def test_bracket_width(self):
+        # the bracket is tol wide, the dimension its midpoint, and each end
+        # carries its certificate, checked here by independent means
         m, logt, one = sv_setup(0.9)
-        pt = md.variational_dimension(m, logt, one, 2.38, 64, 1e-2)
-        assert pt.delta_iterations >= 6  # bisected [0,1] down to 1e-2
+        tol = 1e-2
+        pt = md.variational_dimension(m, logt, one, 2.38, 64, tol)
+        lo, hi = pt.bracket
+        assert 0.0 < lo < hi and hi - lo <= tol * (1 + 1e-12)
+        assert pt.dimension == 0.5 * lo + 0.5 * hi
+        ev = spectrum._PressureEvaluator(m, logt, one, 64)
+        assert bisection_inf(ev, 2.38, hi, tol) <= 0.0
+        q = golden_inf_over_q(lambda x: ev.evaluate(x, 2.38, lo)[0], 1e-6)[1]
+        assert tangent_certificate(ev, 2.38, lo, q) > 0.0
+
+    @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+    def test_newton_point_against_bisection_oracle(self, lam):
+        m, logt, one = sv_setup(lam)
+        ev = spectrum._PressureEvaluator(m, logt, one, 128)
+        for t in (md.sv_critical_exponent(lam) + 0.2, 7.0, 12.0):
+            for tol in (1e-2, 1e-3):
+                ref = md.lyapunov_closed_form(lam, t)
+                pt = md.variational_dimension(m, logt, one, ref.alpha, 128, tol)
+                want = bisection_variational_dimension(m, logt, one, ref.alpha, 128, tol)
+                assert abs(pt.dimension - want) <= tol, (lam, t, tol)
+                assert bisection_inf(ev, ref.alpha, pt.bracket[1], tol) <= 0.0
+                assert pt.dimension <= ref.dimension + tol / 2
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_tail_potential_against_bisection_oracle(self, alpha):
+        model, one = md.build_sv_map(0.9), md.constant_potential(1.0)
+        phi = md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5})
+        ev = spectrum._PressureEvaluator(model, phi, one, 128)
+        for tol in (1e-2, 1e-3):
+            pt = md.variational_dimension(model, phi, one, alpha, 128, tol)
+            want = bisection_variational_dimension(model, phi, one, alpha, 128, tol)
+            assert abs(pt.dimension - want) <= tol
+            assert bisection_inf(ev, alpha, pt.bracket[1], tol) <= 0.0
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_newton_with_a_wrong_delta_slope_still_ends(self, scale, monkeypatch):
+        # a slope off by this factor makes Newton steps overshoot (0.5) or
+        # creep (3); the certificates keep the value, and halving a step that
+        # stops shrinking keeps the search finite
+        m, logt, one = sv_setup(0.6)
+        alpha = md.sv_alpha_of_t(0.6, md.sv_critical_exponent(0.6) + 0.2)
+        want = md.variational_dimension(m, logt, one, alpha, 128, 1e-3)
+        real, calls = spectrum._PressureEvaluator.evaluate, []
+
+        def skewed(self, q, alpha, delta):
+            calls.append(1)
+            assert len(calls) <= 200, "the delta search does not end"
+            value, dq, dd = real(self, q, alpha, delta)
+            return value, dq, scale * dd
+
+        monkeypatch.setattr(spectrum._PressureEvaluator, "evaluate", skewed)
+        got = md.variational_dimension(m, logt, one, alpha, 128, 1e-3)
+        assert abs(got.dimension - want.dimension) <= 1e-3
+        assert got.bracket[1] - got.bracket[0] <= 1e-3 * (1 + 1e-12)
+
+    def test_evaluations_per_point(self, monkeypatch):
+        # the bisection took 352-615 pressure evaluations per point
+        calls = counted_evaluations(monkeypatch)
+        cases = []
+        for lam in (0.6, 0.75, 0.9):
+            m, logt, one = sv_setup(lam)
+            t_c = md.sv_critical_exponent(lam)
+            cases += [(m, logt, one, md.sv_alpha_of_t(lam, t), n, tol)
+                      for t in (t_c + 0.01, t_c + 0.2, 7.0, 12.0, 30.0)
+                      for n, tol in ((128, 1e-3), (512, 1e-4), (512, 1e-6))]
+        m, one = md.build_sv_map(0.9), md.constant_potential(1.0)
+        phi = md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5})
+        cases += [(m, phi, one, alpha, 128, 1e-3) for alpha in np.linspace(1.05, 1.95, 7)]
+        model, phi, alpha = dense_variational_case()
+        cases += [(model, phi, one, alpha, 64, tol) for tol in (1e-3, 1e-4)]
+        for case in cases:
+            calls.clear()
+            pt = md.variational_dimension(*case)
+            assert 0 < len(calls) <= 40, (case[3:], len(calls))
+            assert pt.delta_iterations <= len(calls)
 
     @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
     def test_closed_form_agreement_grid(self, lam):
@@ -544,6 +711,22 @@ class TestFullSpectrum:
         assert len(extremes) == 2 and len(evaluators) == 1
         got = [p for p in curve.points if p.source == "VARIATIONAL"]
         assert got == want
+
+    def test_points_do_not_depend_on_the_grid(self):
+        # a point is a function of its own alpha: a grid and any subset of it
+        # give the same value at each alpha, bit for bit
+        phi = md.builtin_tail_potential(2.0, {1: 1.0, 2: 1.5})
+        grid = np.linspace(1.05, 1.95, 9)
+
+        def values(g):
+            curve = md.full_birkhoff_spectrum_sv(0.9, phi, g, N=128, tol=1e-3)
+            return {p.alpha: (p.dimension, p.q_star, p.bracket) for p in curve.points
+                    if p.source == "VARIATIONAL"}
+
+        full = values(grid)
+        for subset in (grid[::2], grid[1::3], grid[-1:], grid[::-1][:4]):
+            got = values(subset)
+            assert got == {a: full[a] for a in got} and len(got) == len(subset)
 
     def test_requires_tail_limit(self):
         phi = md.TablePotential({(1,): 1.0, (2,): 2.0})  # no default, no tail
