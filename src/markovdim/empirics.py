@@ -269,7 +269,8 @@ def _guess_rows(x: np.ndarray, tab: _BranchTable):
     that miss are the only ones corrected, by up to two moves of one row,
     and take the endpoint test on the edges of the branch they end in.
     Misses outside a band are a start beneath the table, whose clamped
-    guess moves to the last row, and x outside (0, ``tab.top``] or NaN,
+    guess moves to the last row (:func:`simulate_batch` steps such a start
+    through ``model.apply`` instead), and x outside (0, ``tab.top``] or NaN,
     which reach here when the geometric rows cover (0, 1] and abort.
     """
     table = tab.rights
@@ -349,6 +350,18 @@ def _add_repeatedly(sums: np.ndarray, lanes: np.ndarray, counts: np.ndarray, c: 
     sums[lanes] = s
 
 
+def _scalar_steps(model: MarkovMapModel, xs: np.ndarray):
+    """(images, branch indices, endpoint hits) of one ``model.apply`` step
+    from each x, as :func:`_step` returns them for its lanes."""
+    y, idx, hit = np.zeros(len(xs)), np.ones(len(xs), dtype=np.int64), np.zeros(len(xs), bool)
+    for j, x in enumerate(xs.tolist()):
+        try:
+            y[j], idx[j] = model.apply(x)
+        except BoundaryError:
+            hit[j] = True
+    return y, idx, hit
+
+
 def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                    phi: TablePotential | None = None, psi: TablePotential | None = None,
                    collect_itineraries: bool = False) -> BatchStats:
@@ -382,6 +395,11 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     map, aborts after its crossing step, as in :func:`simulate_orbit`.
     The deep steps' adds follow the loop, one add per step, so every field
     is bit-identical to stepping a certified lane to the horizon.
+
+    A start beneath the table's last edge, far below the deep floor on a
+    map with a tail, takes its first step through ``model.apply``, as in
+    :func:`simulate_orbit`, and so records its true branch; its image lies
+    below the floor, where the crossing rule above takes over.
     """
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
@@ -403,13 +421,17 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                      itineraries=_mapped_zeros(m, n) if collect_itineraries else None)
     its = out.itineraries
     tab = _branch_table(model)
+    bottom = tab.rights[-1] if model.tail is not None else 0.0
+    beneath = np.flatnonzero(starts < bottom)
+    first = _scalar_steps(model, starts[beneath])
     logt = builtin_log_derivative(model)
     tables = {key: pot for key, pot in (("logt", logt), ("phi", phi), ("psi", psi))
               if pot is not None}
-    # each table's value on every branch the branch table can return, entry i
-    # for branch i (entry 0 is never read); one with undefined (NaN) entries
+    # each table's value on every branch a step can return, entry i for
+    # branch i (entry 0 is never read); one with undefined (NaN) entries
     # is checked on the entries a step reads
-    rows = {key: np.concatenate(([math.nan], pot.values_or_nan(len(tab.rights))))
+    size = max(len(tab.rights), int(first[1].max(initial=0)))
+    rows = {key: np.concatenate(([math.nan], pot.values_or_nan(size)))
             for key, pot in tables.items()}
     partial = {key for key, row in rows.items() if np.isnan(row[1:]).any()}
     # the bound a certified crossing exceeds; a map without a tail certifies nothing
@@ -443,6 +465,8 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
             live.update(tail=np.zeros(count), lqm=np.full(count, big))
 
         y, idx, hit = _step(live["x"], tab)
+        if k == 0 and len(beneath):
+            y[beneath], idx[beneath], hit[beneath] = first
         if hit.any():
             lanes = retire(live, hit)
             out.steps[lanes] = k

@@ -159,15 +159,48 @@ def _karp_table(m: np.ndarray, cost: np.ndarray) -> np.ndarray:
 
 def _karp_finish(table: np.ndarray) -> float:
     """min over j of max over k of (D_n(j) - D_k(j)) / (n - k), finite entries only."""
+    return _karp_critical(table)[0]
+
+
+def _karp_critical(table: np.ndarray) -> tuple[float, int]:
+    """Karp's minimum cycle mean from ``table`` and a node j attaining it."""
     n = table.shape[1]
     head, dn = table[:n], table[n]
     with np.errstate(invalid="ignore"):
         quot = (dn - head) / (n - np.arange(n))[:, None]
     worst = np.where(np.isfinite(head), quot, -math.inf).max(axis=0)
-    worst = worst[np.isfinite(dn) & (worst > -math.inf)]
-    if worst.size == 0 or not math.isfinite(worst.min()):
+    worst = np.where(np.isfinite(dn) & (worst > -math.inf), worst, math.inf)
+    j = int(worst.argmin())
+    if not math.isfinite(worst[j]):
         raise MixingError("no cycle reachable from the base symbol")
-    return float(worst.min())
+    return float(worst[j]), j
+
+
+def _walk_cycles(m: np.ndarray, cost: np.ndarray, table: np.ndarray, j: int) -> list[list[int]]:
+    """The simple cycles of the least-cost n-edge walk from node 1 to j.
+
+    The walk is traced back from j, each node's predecessor being a node
+    whose (k-1)-edge cost plus its own cost gives the table's k-edge entry,
+    the same float ``_karp_table`` took the minimum of.  Cycles are split off
+    the walk as nodes repeat, and each is rotated to start at its least node,
+    so its sums do not depend on where the walk entered it."""
+    n = m.shape[0]
+    walk = [j]
+    for k in range(n, 0, -1):
+        cand = np.where(m[:, walk[-1]], table[k - 1] + cost, math.inf)
+        walk.append(int(cand.argmin()))
+    cycles, stack, seen = [], [], {}
+    for v in reversed(walk):
+        if v in seen:
+            cycle = stack[seen[v]:]
+            del stack[seen[v]:]
+            for u in cycle:
+                del seen[u]
+            i = cycle.index(min(cycle))
+            cycles.append(cycle[i:] + cycle[:i])
+        seen[v] = len(stack)
+        stack.append(v)
+    return cycles
 
 
 def _beyond(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray, alpha: float,
@@ -191,10 +224,18 @@ def _beyond(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray, alpha
 
 def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray,
                          maximize: bool) -> float:
-    """Extreme of (sum phi / sum psi) over cycles.
+    """Extreme of (sum phi / sum psi) over cycles reachable from node 1.
 
     It lies between the extreme node ratios, and a self-loop at an extreme
-    node attains that end exactly.  Otherwise :func:`_beyond` is bisected."""
+    node attains that end exactly.  Otherwise Newton steps on the cycle
+    quotient (Dinkelbach's method) find it: from alpha at the far node
+    ratio, Karp's minimum cycle mean of -/+(phi - alpha psi) is negative
+    exactly when some cycle lies beyond alpha, and the cycles of the walk
+    that attains it do.  alpha moves to the best quotient among them, and
+    the steps stop when the minimum mean is >= 0 or alpha no longer moves
+    strictly; there are finitely many simple cycles, so they stop.  The
+    result is the quotient of a simple cycle of the truncation, so an inner
+    estimate by construction."""
     ratios = phi_v / psi_v
     lo, hi = float(ratios.min()), float(ratios.max())
     if hi - lo <= 1e-15:
@@ -202,9 +243,19 @@ def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.n
     end = hi if maximize else lo
     if sub.rule is not None or sub.self_loops[ratios == end].any():
         return end
-    # a is at or above the extreme when no cycle lies above it (max) or some lies below (min)
-    return _bisect(lambda a: _beyond(sub, phi_v, psi_v, a, above=maximize) != maximize,
-                   lo, hi, lambda h: 1e-13 * max(1.0, abs(h)))[0]
+    m, sign, pick = sub.matrix, (-1.0 if maximize else 1.0), (max if maximize else min)
+    alpha, best = (lo if maximize else hi), None
+    while True:
+        cost = sign * (phi_v - alpha * psi_v)
+        table = _karp_table(m, cost)
+        mean, j = _karp_critical(table)
+        if best is not None and mean >= 0.0:
+            return best
+        q = pick(sum(phi_v[c].tolist()) / sum(psi_v[c].tolist())
+                 for c in _walk_cycles(m, cost, table, j))
+        if best is not None and pick(q, best) == best:
+            return best
+        alpha = best = q
 
 
 def alpha_bounds(model: MarkovMapModel, phi: TablePotential, psi: TablePotential,
@@ -215,7 +266,8 @@ def alpha_bounds(model: MarkovMapModel, phi: TablePotential, psi: TablePotential
     N-truncation (attained on simple cycles).  When the symbol with the
     extreme ratio phi_i/psi_i has a self-loop, as every symbol of a
     staircase truncation does, that ratio is the exact extreme and is
-    returned as is; otherwise Karp's cycle mean is bisected to ~1e-13.
+    returned as is; otherwise Newton steps on Karp's minimum cycle mean
+    reach the quotient of an extreme cycle (see :func:`_extreme_cycle_ratio`).
     Either way these are inner estimates of the countable system's
     endpoints that grow with N.  For the built-in family with
     phi = log|T'| and psi = 1 the node ratios are log|T'| itself, so the

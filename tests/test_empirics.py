@@ -14,7 +14,7 @@ from markovdim import empirics
 from markovdim.empirics import (BOUNDARY_ABORT, DEEP_FLOOR, ESCAPE_THRESHOLD, ESCAPING,
                                 RECURRENT_WINDOW, BatchStats, _branch_table, orbit_rng,
                                 simulate_batch)
-from markovdim.errors import DomainError, InsufficientSampleError
+from markovdim.errors import BoundaryError, DomainError, InsufficientSampleError
 from markovdim.markov import ENDPOINT_TOL
 
 ALPHA_MAX_09 = 2.4079456086518722
@@ -316,18 +316,33 @@ class TestBatchVsScalar:
         assert missed.any()
         check_one_step(model, starts[missed][:1])
         check_one_step(model, starts)
-        # below the last edge of the table the guess is clamped two rows short
-        # and misses outside any band: the correction takes the lane to the last
-        # row, which steps it below the deep floor, and it escapes as the
-        # scalar orbit does
-        below = np.array([tab.rights[-1] * 0.5])
+
+    @pytest.mark.parametrize("model", [md.build_sv_map(0.9), two_branch_head_map()],
+                             ids=["sv", "head-2"])
+    def test_a_start_beneath_the_table_takes_its_true_branch(self, model):
+        # below the last edge of the table the log guess is clamped short of
+        # the start's branch; the batch steps such a start as the scalar orbit
+        # does, records the same branch, and its image below the deep floor
+        # makes it a certified escaper
+        tab = _branch_table(model)
         last = len(tab.rights) - 1
-        _, n, hit = empirics._step(below, tab)
-        assert empirics._log_guess(below, tab)[0] == last - 2
-        assert n[0] == last and not hit[0]
-        batch = simulate_batch(model, below, 10, collect_itineraries=True)
-        assert batch.itineraries[0].tolist() == [last] + [-1] * 9 and not batch.aborted[0]
-        assert md.simulate_orbit(model, float(below[0]), 10).classification == ESCAPING
+        above = np.array([0.3, 0.7, tab.rights[-2] * 0.99])
+        alone = simulate_batch(model, above, 10, collect_itineraries=True)
+        for x in (tab.rights[-1] * 0.5, 2e-301, 1e-305, 1e-310):
+            if not x < tab.rights[-1]:
+                continue
+            rec = md.simulate_orbit(model, x, 10)
+            assert rec.steps == 1 and rec.itinerary[0] > last
+            assert rec.classification == ESCAPING
+            batch = simulate_batch(model, np.append(above, x), 10, collect_itineraries=True)
+            assert batch.itineraries[3].tolist() == rec.itinerary.tolist() + [-1] * 9
+            assert batch.steps[3] == 10 and not batch.aborted[3]
+            deep = md.builtin_log_derivative(model).tail_limit
+            assert batch.logt_sum[3] == sum([rec.logt_steps[0]] + [deep] * 9)
+            # the lanes at or above the table's last edge are untouched
+            for field in dataclasses.fields(alone):
+                want, got = getattr(alone, field.name), getattr(batch, field.name)
+                assert got is want is None or np.array_equal(want, got[:3])
 
     @pytest.mark.parametrize("model", [md.build_sv_map(0.9), two_branch_head_map()],
                              ids=["sv", "head-2"])
@@ -489,6 +504,14 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
     for k in range(n):
         stepping_lanes = active & ~deep
         x, idx, newly_aborted = step_fn(model, x, stepping_lanes, tab)
+        if k == 0 and model.tail is not None:
+            # a start beneath the table takes the scalar path's first step
+            for lane in np.flatnonzero(starts < tab.rights[-1]):
+                try:
+                    x[lane], idx[lane] = model.apply(float(starts[lane]))
+                    newly_aborted[lane] = False
+                except BoundaryError:
+                    newly_aborted[lane] = True
         aborted |= newly_aborted
         moved = stepping_lanes & ~newly_aborted
         idx = np.where(deep & active, deep_bound, idx)

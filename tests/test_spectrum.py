@@ -249,6 +249,10 @@ class TestAlphaBounds:
         lo, hi = md.alpha_bounds(explicit_model(mat), phi, psi, n)
         assert lo == pytest.approx(min(quotients), abs=1e-12)
         assert hi == pytest.approx(max(quotients), abs=1e-12)
+        # each bound is attained: the quotient of a simple cycle, so never outside
+        for bound in (lo, hi):
+            assert any(abs(bound - q) <= 4 * math.ulp(q) for q in quotients)
+            assert min(quotients) <= bound <= max(quotients)
         mid = 0.5 * (lo + hi)
         for cost in (phi_v, phi_v - mid * psi_v, mid * psi_v - phi_v):
             table = _karp_table(mat, cost)
@@ -264,6 +268,74 @@ class TestAlphaBounds:
                 else:
                     with pytest.raises(DomainError, match="outside the open interval"):
                         md.variational_dimension(explicit_model(mat), phi, psi, alpha, n, 0.1)
+
+    def test_two_disjoint_optimal_cycles(self):
+        # cycles (1 2) and (3 4) both have mean 2; the cycle through 5 joins them
+        mat = np.zeros((5, 5), dtype=bool)
+        for i, j in [(0, 1), (1, 0), (1, 4), (4, 2), (2, 3), (3, 2), (3, 0)]:
+            mat[i, j] = True
+        phi_v, psi_v = np.array([1.0, 3.0, 0.0, 4.0, -5.0]), np.ones(5)
+        phi = md.TablePotential({(i + 1,): v for i, v in enumerate(phi_v)})
+        assert sorted(brute_cycle_quotients(mat, phi_v, psi_v)) == [0.6, 2.0, 2.0]
+        assert md.alpha_bounds(explicit_model(mat), phi, md.constant_potential(1.0), 5) == \
+            (0.6, 2.0)
+
+    def test_walk_holding_two_cycles_takes_the_best(self):
+        # at alpha = the least node ratio the least-mean walk holds the cycles
+        # (1 5 2) and (1 2), of equal mean but quotients 2/7 and 1
+        mat = np.array([[0, 1, 0, 1, 1], [1, 0, 1, 0, 0], [0, 1, 0, 0, 0],
+                        [0, 0, 1, 0, 0], [0, 1, 0, 0, 0]], dtype=bool)
+        phi_v, psi_v = np.array([3.0, 1.0, 2.0, -4.0, -2.0]), np.array([3.0, 1.0, 2.0, 1.0, 3.0])
+        cost = (phi_v / psi_v).min() * psi_v - phi_v
+        table = _karp_table(mat, cost)
+        cycles = spectrum._walk_cycles(mat, cost, table, spectrum._karp_critical(table)[1])
+        assert cycles == [[0, 4, 1], [0, 1]]
+        phi = md.TablePotential({(i + 1,): v for i, v in enumerate(phi_v)})
+        psi = md.TablePotential({(i + 1,): v for i, v in enumerate(psi_v)}, positivity_floor=1.0)
+        quotients = list(brute_cycle_quotients(mat, phi_v, psi_v))
+        assert md.alpha_bounds(explicit_model(mat), phi, psi, 5) == \
+            (min(quotients), max(quotients)) == (2.0 / 7.0, 1.0)
+
+    def test_weighted_denominator_bounds_are_cycle_quotients(self):
+        # psi != 1: node ratios run from -2 to 2, the cycle quotients from 5/9 to 1.2
+        mat = np.array([[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 1, 0, 0, 1],
+                        [1, 1, 1, 0, 1], [0, 1, 1, 1, 0]], dtype=bool)
+        phi_v, psi_v = np.array([2.0, 1.0, 2.0, -2.0, 4.0]), np.array([3.0, 3.0, 3.0, 1.0, 2.0])
+        phi = md.TablePotential({(i + 1,): v for i, v in enumerate(phi_v)})
+        psi = md.TablePotential({(i + 1,): v for i, v in enumerate(psi_v)}, positivity_floor=1.0)
+        quotients = list(brute_cycle_quotients(mat, phi_v, psi_v))
+        assert md.alpha_bounds(explicit_model(mat), phi, psi, 5) == \
+            (min(quotients), max(quotients)) == (5.0 / 9.0, 1.2)
+
+    def test_cycle_unreachable_from_node_1(self):
+        # node 1 has no out-edge: truncate refuses the map, and the Karp route
+        # refuses the subsystem, whose extreme nodes have no self-loop
+        mat = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=bool)
+        phi_v, psi_v = np.array([0.0, 1.0, 2.0]), np.ones(3)
+        phi = md.TablePotential({(i + 1,): v for i, v in enumerate(phi_v)})
+        with pytest.raises(MixingError):
+            md.alpha_bounds(explicit_model(mat), phi, md.constant_potential(1.0), 3)
+        sub = md.TruncatedSubsystem(size=3, dense=mat)
+        for maximize in (False, True):
+            with pytest.raises(MixingError):
+                spectrum._extreme_cycle_ratio(sub, phi_v, psi_v, maximize)
+
+    def test_dense_bounds_take_few_karp_tables(self, monkeypatch):
+        # Newton steps on the cycle quotient: a table to find a cycle and one
+        # to confirm nothing lies beyond it, per end, on 64-branch maps
+        rng = np.random.default_rng(13)
+        mat = rng.random((64, 64)) < 0.1
+        np.fill_diagonal(mat, False)
+        mat[np.arange(64), (np.arange(64) + 1) % 64] = True
+        hamiltonian = (explicit_model(mat), md.TablePotential(
+            {(i + 1,): v for i, v in enumerate(rng.uniform(0.5, 1.5, 64))}))
+        calls = []
+        real = spectrum._karp_table
+        monkeypatch.setattr(spectrum, "_karp_table", lambda *a: calls.append(1) or real(*a))
+        for model, phi in (dense_variational_case()[:2], hamiltonian):
+            calls.clear()
+            md.alpha_bounds(model, phi, md.constant_potential(1.0), 64)
+            assert 0 < len(calls) <= 8
 
     def test_karp_finish_unreachable_cycle(self):
         # node 1 has no out-edge, so no walk from it reaches a cycle
