@@ -80,23 +80,6 @@ class PressureResult:
 # ---------------------------------------------------------------------------
 # Perron roots
 # ---------------------------------------------------------------------------
-def _bisect(at_or_above, lo: float, hi: float, width) -> tuple[float, int]:
-    """(midpoint, halvings) of the bracket [lo, hi] of the threshold where the
-    monotone ``at_or_above`` turns True, halved until ``hi - lo <= width(hi)``
-    or until the midpoint rounds onto an end (one ulp)."""
-    steps = 0
-    while hi - lo > width(hi):
-        mid = 0.5 * lo + 0.5 * hi     # 0.5 * (lo + hi) without its overflow
-        if not lo < mid < hi:
-            break
-        if at_or_above(mid):
-            hi = mid
-        else:
-            lo = mid
-        steps += 1
-    return 0.5 * lo + 0.5 * hi, steps
-
-
 def _staircase_tail(w_tail: float, rho: float, m: int) -> tuple[float, float]:
     """Ratio after m back-substitution rows of constant weight ``w_tail``, and
     its derivative in rho.
@@ -256,8 +239,8 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float, n: int | None = 
                 x = top
             step_before, step = step, 0.5 * (top - a)
 
-    # the halving of _bisect, with its test inlined: True at or above b, False
-    # at or below a, and a trial only strictly between them
+    # the halving, with its test inlined: True at or above b, False at or
+    # below a, and a trial only strictly between them
     while hi < b:               # row-sum bound is exact; guard roundoff only
         if hi > a:
             t = trial(hi)
@@ -462,17 +445,20 @@ def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = No
     rel_tol) -> (the same log rho, mu), mu_i = d log rho / d log w_i over
     the weights read.  mu is the equilibrium state's weight on each symbol
     and sums to 1, so a potential p' has d log rho / dt = mu . p' along
-    log w + t p'.
+    log w + t p'.  Both also take an optional third argument, ``guess``, a
+    log root to start from.
 
     ``head`` is the largest symbol whose weight may differ from the constant
     tail.  Staircase subsystems take the characteristic root, which reads
     the weights of symbols 1..head+1 only (the last of them standing for
-    every symbol past head, in mu too); each call starts from the root
-    either routine returned last (``guess`` before the first), which changes
-    its trial count and never its value.  An all-true dense matrix (as a
-    config's "full" is, and a staircase of one symbol) takes the rank-one
-    sum, everything else power iteration on the materialized matrix, whose
-    mu costs a second iteration on the transpose; both read all
+    every symbol past head, in mu too); each call starts from its own
+    ``guess`` when given, else from the root either routine returned last
+    (``guess`` before the first), which changes its trial count and never
+    its value.  The other routes have no start and ignore the guess.  An
+    all-true dense matrix (as a config's "full" is, and a staircase of one
+    symbol) takes the rank-one sum, everything else power iteration on the
+    materialized matrix, whose mu costs a second iteration on the
+    transpose; both read all
     ``sub.size`` weights.  Callers that evaluate many potentials on one
     subsystem keep the returned routines, so the shape is inspected once.
     """
@@ -480,19 +466,42 @@ def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = No
     if sub.rule == "staircase" and n >= 2:
         last = guess
 
-        def staircase(log_weights: np.ndarray, rel_tol: float) -> float:
+        def staircase(log_weights: np.ndarray, rel_tol: float, guess: float | None = None) -> float:
             nonlocal last
-            last = _staircase_log_rho(log_weights, rel_tol, n, last)
+            last = _staircase_log_rho(log_weights, rel_tol, n, last if guess is None else guess)
             return last
 
-        def staircase_mu(log_weights: np.ndarray, rel_tol: float) -> tuple[float, np.ndarray]:
-            log_rho = staircase(log_weights, rel_tol)
+        def staircase_mu(log_weights: np.ndarray, rel_tol: float,
+                         guess: float | None = None) -> tuple[float, np.ndarray]:
+            log_rho = staircase(log_weights, rel_tol, guess)
             return log_rho, _staircase_mu(log_weights, n, log_rho, rel_tol)
 
         return min(n, head + 1), staircase, staircase_mu
     if sub.rule is not None or sub.dense.all():
-        return n, _rank_one_log_rho, _rank_one_log_rho_mu
-    return n, partial(_power_log_rho, sub.matrix), partial(_power_log_rho_mu, sub.matrix)
+        return n, _without_start(_rank_one_log_rho), _without_start(_rank_one_log_rho_mu)
+    return (n, _without_start(partial(_power_log_rho, sub.matrix)),
+            _without_start(partial(_power_log_rho_mu, sub.matrix)))
+
+
+def _log_rho_margin(sub: TruncatedSubsystem, rel_tol: float) -> float:
+    """A margin beyond which a log root that the routines of
+    :func:`_log_rho_solver` return at ``rel_tol`` has the sign of the true
+    one, so that of every root whose true value lies further out on the same
+    side.  The staircase and rank-one routes are exact tests whose error is
+    ``rel_tol``, or roundoff near 1e-13 below it, and the margin is 16 times
+    that.  Power iteration stops on its residual, which bounds its error only
+    through the Perron vectors; it has been seen about 800 ``rel_tol`` off on
+    explicit staircase matrices, and it gets 2^20 ``rel_tol``."""
+    margin = 16.0 * max(rel_tol, 1e-13)
+    if sub.rule is None and not sub.dense.all():
+        margin *= 2.0 ** 16
+    return margin
+
+
+def _without_start(routine):
+    """``routine`` taking the optional ``guess`` of the staircase routines,
+    for a route that has no start to set."""
+    return lambda log_weights, rel_tol, guess=None: routine(log_weights, rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateError, DomainError, MixingError, UnboundedError, require_above
 from .markov import MarkovMapModel, TruncatedSubsystem, build_sv_map, truncate
 from .potentials import TablePotential, builtin_log_derivative, constant_potential
-from .pressure import (PressureResult, _bisect, _exhaust, _log_rho_solver,
+from .pressure import (PressureResult, _exhaust, _log_rho_margin, _log_rho_solver,
                        closed_form_pressure_sv, sv_critical_exponent)
 
 _Q_LIMIT = 1e6
@@ -238,7 +238,7 @@ def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.n
     estimate by construction."""
     ratios = phi_v / psi_v
     lo, hi = float(ratios.min()), float(ratios.max())
-    if hi - lo <= 1e-15:
+    if hi - lo <= 1e-15 * max(abs(lo), abs(hi)):   # equal up to roundoff, at any scale
         return lo
     end = hi if maximize else lo
     if sub.rule is not None or sub.self_loops[ratios == end].any():
@@ -442,10 +442,10 @@ def _variational_point(ev: _PressureEvaluator, alpha: float, tol: float) -> Spec
     nonpositive as in :func:`bowen_dimension`.  A proposal outside the
     certified bracket [lo, hi], or one more than half the step before last
     (steps that stop shrinking, from a slope that is off), becomes a
-    halving, which stops at one ulp as :func:`_bisect` does.  The reported
-    dimension is the bracket's midpoint; ``delta_iterations`` counts the
-    delta tests.  Nothing is carried from point to point, so a point is a
-    function of its own arguments.
+    halving, which stops at one ulp as every halving in the package does.
+    The reported dimension is the bracket's midpoint; ``delta_iterations``
+    counts the delta tests.  Nothing is carried from point to point, so a
+    point is a function of its own arguments.
     """
     tests = 0
     q, curvature = 0.0, None
@@ -513,27 +513,86 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
 
     P_N is strictly decreasing in s, positive at s = 0 (else the level is
     degenerate: DegenerateError), and nonpositive at s = 1 for branches
-    inside a bounded interval, so bisection on [0, 1] is safe.  The roots
-    increase with N toward the supremum over compact invariant subsets.
-    Levels whose truncation is not primitive are skipped, as in
+    inside a bounded interval (a level where it is positive reports the
+    ambient dimension 1).  Each root is the midpoint that halving [0, 1]
+    down to width tol/100 on the sign of P_N returns, found in two phases:
+
+    1. P_N is convex with slope -mu . log|T'|, mu the equilibrium state, so
+       Newton steps from the left climb toward the root without passing it.
+       They start at s = 0, then at the previous level's root, since roots
+       increase with N, and each Perron root starts from the tangent's
+       prediction of its value.  A step more than half the step before
+       last, from a slope that is off, ends them.  Two sign tests follow,
+       either side of the predicted root: a quarter of the final width
+       away, or further where the slope says P would not clear the margin
+       there.  A tested value counts only beyond the margin of
+       :func:`_log_rho_margin`, well above the Perron root's own error.
+       P > margin makes every s at or below its point positive, and
+       P < -margin every s at or above it nonpositive.
+    2. The halving is replayed exactly.  A midpoint that a counted value
+       settles is not tested, every other midpoint is, and the test at
+       s = 1 is made only when no counted value settles it.  The result is
+       bit for bit the plain halving's, which is also the worst case.
+
+    The roots increase with N toward the supremum over compact invariant
+    subsets.  Levels whose truncation is not primitive are skipped, as in
     ``gurevich_pressure``; MixingError is raised only when no level is
     primitive.  The result has ``method`` BOWEN.
     """
     logt = builtin_log_derivative(model)
     rel_tol = min(tol * 1e-3, 1e-12)
+    width = tol * 1e-2
+    start = 0.0                  # the previous level's root, at or below this level's
+    p_zero = None                # and its P(0), at or below this level's
 
     def root(sub: TruncatedSubsystem) -> float:
-        length, log_rho, _ = _log_rho_solver(sub, logt.head)
+        nonlocal start, p_zero
+        length, log_rho, log_rho_mu = _log_rho_solver(sub, logt.head, p_zero)
         logt_v = logt.values_vector(length)
+        margin = _log_rho_margin(sub, rel_tol)
+        pos, neg = -math.inf, math.inf   # counted: P > 0 at or below pos, P <= 0 at or above neg
 
-        def pressure_at(s: float) -> float:
-            return log_rho(-s * logt_v, rel_tol)
+        def count(s: float, value: float) -> float:
+            nonlocal pos, neg
+            if value > margin:
+                pos = max(pos, s)
+            elif value < -margin:
+                neg = min(neg, s)
+            return value
 
-        if pressure_at(0.0) <= 0.0:
+        def newton_point(s: float, guess: float | None = None) -> tuple[float, float, float]:
+            value, mu = log_rho_mu(-s * logt_v, rel_tol, guess)
+            return s, count(s, value), -float(mu @ logt_v)
+
+        s, p_zero, slope = newton_point(0.0)
+        p = p_zero
+        if p <= 0.0:
             raise DegenerateError(f"pressure at s=0 is nonpositive at level N={sub.size}")
-        if pressure_at(1.0) > 0.0:
+        if 0.0 < start < 1.0:
+            s, p, slope = newton_point(start, p + slope * start)
+        step, last, before = -p / slope, math.inf, math.inf   # and the two steps taken
+        while 0.125 * width < step <= 0.5 * before and s + step < 1.0:
+            s, p, slope = newton_point(s + step, p + slope * step)
+            step, last, before = -p / slope, step, last
+        off = max(0.25 * width, -4.0 * margin / slope)
+        for x in (s + step - off, s + step + off):
+            if pos < x < neg and 0.0 < x < 1.0:
+                count(x, log_rho(-x * logt_v, rel_tol, p + slope * (x - s)))
+        if not neg <= 1.0 and log_rho(-1.0 * logt_v, rel_tol, p + slope * (1.0 - s)) > 0.0:
             return 1.0  # root clipped at the ambient dimension
-        return _bisect(lambda s: not pressure_at(s) > 0.0, 0.0, 1.0, lambda h: tol * 1e-2)[0]
+        # the halving of [0, 1], tested only where no counted value settles it
+        lo, hi = 0.0, 1.0
+        while hi - lo > width:
+            mid = 0.5 * lo + 0.5 * hi
+            if not lo < mid < hi:
+                break
+            if mid <= pos or (mid < neg and log_rho(-mid * logt_v, rel_tol,
+                                                    p + slope * (mid - s)) > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        start = 0.5 * lo + 0.5 * hi
+        return start
 
     return _exhaust(model, N_max, tol, root, "BOWEN")
 

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import markovdim as md
 from markovdim import pressure, spectrum
 from markovdim.cli import main
 from markovdim.errors import ConvergenceError, DomainError, MixingError, WorkLimitError
-from markovdim.pressure import _bisect, _power_log_rho, _staircase_log_rho, _staircase_tail
+from markovdim.pressure import _power_log_rho, _staircase_log_rho, _staircase_tail
+from test_bisection import bisect
 
 LOG2 = 0.6931471805599453
 LOG_019 = -1.6607312068216509          # log(0.1 + 0.09)
@@ -122,7 +123,7 @@ def halving_staircase_log_rho(log_weights, rel_tol):
 
     while not at_or_above(hi):
         hi *= 2.0
-    mid, steps = _bisect(at_or_above, 0.25, hi, lambda h: rel_tol * h)
+    mid, steps = bisect(at_or_above, 0.25, hi, lambda h: rel_tol * h)
     return math.log(mid) + shift, steps
 
 
@@ -286,47 +287,6 @@ class TestPerron:
         shifted = md.TablePotential({(1,): p.value(1) + 5.0}, default=p.value(2) + 5.0)
         assert md.perron_pressure(sub, shifted, 1e-12) == \
             pytest.approx(md.perron_pressure(sub, p, 1e-12) + 5.0, abs=1e-9)
-
-
-class TestBisect:
-    """The one halving loop behind every bracketed root in the package."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
-                         max_size=2, unique=True),
-           frac=st.floats(0.0, 1.0), strict=st.booleans(), w=st.floats(0.0, 1.0),
-           relative=st.booleans())
-    def test_returns_inside_its_bracket(self, ends, frac, strict, w, relative):
-        lo, hi = sorted(ends)
-        t = min(max((1.0 - frac) * lo + frac * hi, lo), hi)
-        assume(lo <= t < hi if strict else lo < t <= hi)   # False at lo, True at hi
-
-        def threshold(x):
-            return x > t if strict else x >= t
-
-        probes = []
-
-        def at_or_above(x):
-            probes.append((x, threshold(x)))
-            return probes[-1][1]
-
-        width = (lambda h: w * abs(h)) if relative else (lambda h: w)
-        mid, steps = _bisect(at_or_above, lo, hi, width)
-        a, b = lo, hi
-        for x, above in probes:   # every probe splits the current bracket
-            assert a < x < b
-            a, b = (a, x) if above else (x, b)
-        assert not threshold(a) and threshold(b)
-        assert mid == 0.5 * a + 0.5 * b and a <= mid <= b
-        assert b - a <= width(b) or mid in (a, b)
-        # the width halves from below 2^1025 until it is one ulp, at least 2^-1074
-        assert steps == len(probes) <= 2100
-
-    def test_zero_width_stops_at_one_ulp(self):
-        mid, steps = _bisect(lambda x: x >= 5e-324, 0.0, 1.0, lambda h: 0.0)
-        assert mid in (0.0, 5e-324) and steps <= 1075
-        mid, steps = _bisect(lambda x: x >= 0.7, 0.0, 1.0, lambda h: 0.0)
-        assert mid == 0.7 and steps <= 53
 
 
 class TestStaircaseRoot:

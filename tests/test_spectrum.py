@@ -1,5 +1,6 @@
 """Spectrum engine: bounds, variational dimensions, Bowen roots, closed forms."""
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -9,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import markovdim as md
 from markovdim import pressure, spectrum
-from markovdim.errors import DomainError, MixingError, UnboundedError
+from markovdim.errors import DegenerateError, DomainError, MixingError, UnboundedError
 from markovdim.spectrum import _karp_finish, _karp_min_cycle_mean, _karp_table
+from test_bisection import bisect
 
 ALPHA_M_09 = 2.302585092994046          # -log(1 - 0.9)
 ALPHA_MAX_09 = 2.4079456086518722       # -log(0.9 * 0.1)
@@ -67,16 +69,13 @@ def explicit_model(mat):
                               for i in range(1, n + 1)], mat)
 
 
-def dense_variational_case():
-    """(model, phi, alpha) on a seeded explicit map of 64 equal branches.
+def seeded_dense_map(rng, m):
+    """A primitive explicit map of ``m`` equal branches drawn from ``rng``.
 
     Branch i has integer slope k_i and maps onto the k_i adjacent branches
     from a start; the starts are spread over the interval, so every branch
-    is some image's target.  phi is drawn in [0.5, 1.5] and alpha sits 40%
-    of the way into its cycle-quotient interval.
+    is some image's target.
     """
-    rng = np.random.default_rng(0)
-    m = 64
     while True:
         k = rng.integers(2, 5, size=m)
         start = np.minimum(rng.permutation(np.round(np.linspace(0, m - 2, m)).astype(np.int64)),
@@ -86,8 +85,17 @@ def dense_variational_case():
             adj[i, start[i]:start[i] + k[i]] = True
         if md.is_primitive(md.TruncatedSubsystem(size=m, dense=adj)):
             break
-    model = md.build_custom_map([md.make_branch(i + 1, i / m, (i + 1) / m, float(k[i]))
-                                 for i in range(m)], adj)
+    return md.build_custom_map([md.make_branch(i + 1, i / m, (i + 1) / m, float(k[i]))
+                                for i in range(m)], adj)
+
+
+def dense_variational_case():
+    """(model, phi, alpha) on a seeded explicit map of 64 equal branches.
+    phi is drawn in [0.5, 1.5] and alpha sits 40% of the way into its
+    cycle-quotient interval."""
+    rng = np.random.default_rng(0)
+    m = 64
+    model = seeded_dense_map(rng, m)
     phi = md.TablePotential({(i + 1,): float(v) for i, v in enumerate(rng.uniform(0.5, 1.5, m))})
     lo, hi = md.alpha_bounds(model, phi, md.constant_potential(1.0), m)
     return model, phi, lo + 0.4 * (hi - lo)
@@ -141,8 +149,78 @@ def bisection_variational_dimension(model, phi, psi, alpha, N, tol):
     ev = spectrum._PressureEvaluator(model, phi, psi, N)
     if not bisection_inf(ev, alpha, 0.0, tol) > 0.0:
         return 0.0
-    return pressure._bisect(lambda d: not bisection_inf(ev, alpha, d, tol) > 0.0,
-                            0.0, 1.0, lambda h: tol)[0]
+    return bisect(lambda d: not bisection_inf(ev, alpha, d, tol) > 0.0, 0.0, 1.0, lambda h: tol)[0]
+
+
+def bisection_bowen_dimension(model, N_max, tol):
+    """Oracle for a Bowen root: on each level, the halving of s in [0, 1] on
+    the sign of the pressure, down to width tol/100, testing every midpoint,
+    that bowen_dimension ran before its Newton steps."""
+    logt = md.builtin_log_derivative(model)
+    rel_tol = min(tol * 1e-3, 1e-12)
+
+    def root(sub):
+        length, log_rho, _ = pressure._log_rho_solver(sub, logt.head)
+        logt_v = logt.values_vector(length)
+
+        def pressure_at(s):
+            return log_rho(-s * logt_v, rel_tol)
+
+        if pressure_at(0.0) <= 0.0:
+            raise DegenerateError(f"pressure at s=0 is nonpositive at level N={sub.size}")
+        if pressure_at(1.0) > 0.0:
+            return 1.0  # root clipped at the ambient dimension
+        return bisect(lambda s: not pressure_at(s) > 0.0, 0.0, 1.0, lambda h: tol * 1e-2)[0]
+
+    return pressure._exhaust(model, N_max, tol, root, "BOWEN")
+
+
+def bowen_outcome(bowen, model, N_max, tol):
+    """The JSON of a Bowen computation, or the type and text of its error."""
+    try:
+        return bowen(model, N_max, tol).to_json()
+    except (DegenerateError, MixingError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_bowen_matches_oracle(model, N_max, tol):
+    got = bowen_outcome(md.bowen_dimension, model, N_max, tol)
+    assert got == bowen_outcome(bisection_bowen_dimension, model, N_max, tol), (N_max, tol)
+    return got
+
+
+def counted_staircase_work(monkeypatch):
+    """Lists that grow by one at each staircase Perron root and at each of
+    its trials (a ``_staircase_tail`` call)."""
+    roots, trials = [], []
+    root, tail = pressure._staircase_log_rho, pressure._staircase_tail
+    monkeypatch.setattr(pressure, "_staircase_log_rho",
+                        lambda *a: roots.append(1) or root(*a))
+    monkeypatch.setattr(pressure, "_staircase_tail", lambda *a: trials.append(1) or tail(*a))
+    return roots, trials
+
+
+def patched_solver(monkeypatch, shift=0.0, slope_scale=1.0):
+    """Make ``bowen_dimension``'s Perron routines report log rho - ``shift``
+    and mu scaled by ``slope_scale`` (so the slope -mu . log|T'| too); the
+    oracle keeps the real ones unless ``shift`` is set, which it shares."""
+    real = pressure._log_rho_solver
+
+    def solver(sub, head, guess=None):
+        length, log_rho, log_rho_mu = real(sub, head, guess)
+
+        def shifted(log_weights, rel_tol, guess=None):
+            return log_rho(log_weights, rel_tol, guess) - shift
+
+        def shifted_mu(log_weights, rel_tol, guess=None):
+            value, mu = log_rho_mu(log_weights, rel_tol, guess)
+            return value - shift, slope_scale * mu
+
+        return length, shifted, shifted_mu
+
+    monkeypatch.setattr(spectrum, "_log_rho_solver", solver)
+    if shift:
+        monkeypatch.setattr(pressure, "_log_rho_solver", solver)
 
 
 def tangent_certificate(ev, alpha, delta, q, half=0.5, h=1e-6):
@@ -212,6 +290,16 @@ class TestAlphaBounds:
         lo, hi = md.alpha_bounds(cm, phi, md.constant_potential(1.0), 2)
         assert lo == pytest.approx(0.0, abs=1e-10)
         assert hi == pytest.approx(1.0, abs=1e-10)
+
+    def test_tiny_ratios_keep_their_span(self):
+        # equal ratios are judged relative to their scale: 1e-20 and 3e-20
+        # are as far apart as 1 and 3
+        branches = [md.make_branch(1, 0.0, 0.5, 2.0), md.make_branch(2, 0.5, 1.0, 2.0)]
+        cm = md.build_custom_map(branches, "full")
+        one = md.constant_potential(1.0)
+        for scale in (1e-20, 1.0):
+            phi = md.TablePotential({(1,): 1.0 * scale, (2,): 3.0 * scale})
+            assert md.alpha_bounds(cm, phi, one, 2) == (1.0 * scale, 3.0 * scale)
 
     def test_floor_required(self):
         m, logt, _ = sv_setup(0.9)
@@ -671,6 +759,96 @@ class TestBowen:
             md.bowen_dimension(md.build_sv_map(0.9), 1, 1e-4)
         with pytest.raises(DomainError):
             md.bowen_dimension(md.build_sv_map(0.9), 64, -1.0)
+
+
+class TestBowenReplay:
+    """The Newton steps and the replayed halving against the plain halving,
+    bit for bit (``bisection_bowen_dimension``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.floats(0.5, 0.99, exclude_min=True), n_max=st.integers(2, 8192),
+           log_tol=st.floats(-9.0, -2.0))
+    def test_sv_matches_oracle(self, lam, n_max, log_tol):
+        assert_bowen_matches_oracle(md.build_sv_map(lam), n_max, 10.0 ** log_tol)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_maps_match_oracle(self, seed):
+        # power iteration: on a banded map every level is primitive and each
+        # root lies below 1, and on the seeded map of 32 branches only the
+        # whole system is primitive, with its root at 1
+        rng = np.random.default_rng([seed, 25])
+        m = 40
+        k = rng.integers(3, 5, size=m)
+        adj = np.zeros((m, m), dtype=bool)
+        for i in range(m):      # branch i maps onto k_i branches from i - 1
+            first = min(max(i - 1, 0), m - k[i])
+            adj[i, first:first + k[i]] = True
+        banded = md.build_custom_map([md.make_branch(i + 1, i / m, (i + 1) / m, float(k[i]))
+                                      for i in range(m)], adj)
+        for tol in (1e-9, 1e-6, 1e-3):
+            got = json.loads(assert_bowen_matches_oracle(banded, m, tol))
+            assert len(got["per_level"]) == 6 and got["per_level"][-2][1] < 0.99
+        seeded = seeded_dense_map(rng, 32)
+        for tol in (1e-9, 1e-6):
+            assert_bowen_matches_oracle(seeded, 32, tol)
+
+    def test_tail_and_full_maps_match_oracle(self):
+        # a staircase with an explicit head and a recurrent tail, and a full
+        # map whose root is 1 up to roundoff
+        r = 0.4
+        head = [md.make_branch(1, r, 1.0, 1.0 / (1.0 - r)),
+                md.make_branch(2, r * r, r, 1.0 / (r - r * r))]
+        tailed = md.build_custom_map(head, "staircase", tail={"from_index": 3, "ratio": r})
+        full = md.build_custom_map([md.make_branch(1, 0.0, 0.3, 1.0 / 0.3),
+                                    md.make_branch(2, 0.3, 1.0, 1.0 / 0.7)], "full")
+        for model in (tailed, full):
+            for tol in (1e-9, 1e-6, 1e-3):
+                assert_bowen_matches_oracle(model, 1024, tol)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]],
+        [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]],   # MixingError
+    ])
+    def test_two_block_maps_match_oracle(self, rows):
+        model = TestBowen._two_block_map(rows)
+        for tol in (1e-9, 1e-6):
+            assert_bowen_matches_oracle(model, 64, tol)
+
+    def test_root_clipped_at_one(self):
+        # the full map is the whole system at N = 3, where P(1) rounds above 0
+        edges = [0.0, 0.025, 0.075, 1.0]
+        model = md.build_custom_map([md.make_branch(i + 1, a, b, 1.0 / (b - a))
+                                     for i, (a, b) in enumerate(zip(edges, edges[1:]))], "full")
+        got = json.loads(assert_bowen_matches_oracle(model, 8, 1e-6))
+        assert got["per_level"][-1] == [3, 1.0] and got["per_level"][0][1] < 1.0
+
+    def test_degenerate_level_matches_oracle(self, monkeypatch):
+        patched_solver(monkeypatch, shift=10.0)    # P(0) <= 0 at every level
+        got = assert_bowen_matches_oracle(md.build_sv_map(0.75), 64, 1e-6)
+        assert got == ("DegenerateError", "pressure at s=0 is nonpositive at level N=2")
+
+    @pytest.mark.parametrize("scale", [0.5, 10.0])
+    def test_slope_that_is_off_falls_back_to_the_replay(self, scale, monkeypatch):
+        # a slope off by this factor makes the Newton steps overshoot (0.5)
+        # or creep (10); the sign tests then settle less, and the replay
+        # tests the midpoints they leave, so the value stays the halving's
+        model = md.build_sv_map(0.75)
+        roots, _ = counted_staircase_work(monkeypatch)
+        want = bowen_outcome(bisection_bowen_dimension, model, 256, 1e-6)
+        roots.clear()
+        md.bowen_dimension(model, 256, 1e-6)
+        plain = len(roots)
+        patched_solver(monkeypatch, slope_scale=scale)
+        roots.clear()
+        assert bowen_outcome(md.bowen_dimension, model, 256, 1e-6) == want
+        assert len(roots) > plain + 8
+
+    @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+    def test_perron_roots_per_call(self, lam, monkeypatch):
+        # the plain halving took 290 roots and 3652-4205 trials here
+        roots, trials = counted_staircase_work(monkeypatch)
+        md.bowen_dimension(md.build_sv_map(lam), 1024, 1e-6)
+        assert len(roots) <= 100 and len(trials) <= 1000
 
 
 class TestLyapunovClosedForm:
