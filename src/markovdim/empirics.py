@@ -13,11 +13,17 @@ reproducible.
 Every model steps through the one vectorized loop of :func:`simulate_batch`
 and its one kernel over the model's branch table, built on the first batch
 and kept with the model.  In the geometric rows of a tail (every row, for
-SV) the kernel guesses a lane's branch from log x, gathers the guessed
-branch's two edges and its slope, and corrects only the lanes the guess
-misses; the explicit branches above the tail take a sorted search.  A step
-then adds each potential's value on the lane's branch with one gather from
-a table over the rows.
+SV) the kernel guesses a lane's branch from log x and gathers one row of
+the table: the two ends of the guessed branch's clean interval, its left
+edge and its slope.  A lane inside that interval steps at once; it can
+neither hit an endpoint nor cross the deep floor, exactly as the scalar
+path decides.  Only the other lanes (endpoint bands, off-by-one guesses,
+floor crossings) take the full test with its miss correction, and a step
+in which every lane is clean skips the abort and floor scans.  The
+explicit branches above the tail take a sorted search.  A step then adds
+each potential's value on the lane's branch with one gather from a table
+over the rows, and writes the lanes' branches as one row of step-major
+itineraries.
 
 An orbit that falls below :data:`DEEP_FLOOR` has one way out, in the batch
 as in :func:`simulate_orbit`: it is a certified escaper that runs to the
@@ -159,7 +165,16 @@ class _BranchTable:
     geometric rows ``first``.. at or below ``top`` (-inf without a tail),
     where row k of ``rights`` is the left end of branch k.  A lane at x in
     the geometric rows guesses its branch as the integer part of
-    ``log(x) * u_scale + u_shift``, which is the tail position u plus 1."""
+    ``log(x) * u_scale + u_shift``, which is the tail position u plus 1.
+
+    Row n of ``clean`` is (a_n, b_n, L, s) for a lane that guesses branch n,
+    with L = ``rights[n]``, R = ``rights[n - 1]`` and s = ``slopes[n - 1]``:
+    a_n is the least double x with fl(x - L) > fl(ENDPOINT_TOL L) and
+    fl(fl(x - L) s) >= DEEP_FLOOR, and b_n the greatest with
+    fl(R - x) > fl(ENDPOINT_TOL R).  Both tests are monotone in x, so a lane
+    with a_n <= x <= b_n lies inside branch n, clear of its endpoint bands,
+    and its image (x - L) s stays above the deep floor.  Rows outside
+    ``first``..K - 3, and rows no x passes, hold a = +inf and b = -inf."""
 
     lefts: np.ndarray
     rights: np.ndarray
@@ -168,6 +183,7 @@ class _BranchTable:
     order: np.ndarray
     lefts_s: np.ndarray
     rights_s: np.ndarray
+    clean: np.ndarray
     first: int
     top: float
     u_scale: float
@@ -213,22 +229,57 @@ def _build_branch_table(model: MarkovMapModel) -> _BranchTable:
         top = rights[first - 1]
         u_scale = 1.0 / math.log(t.ratio)
         u_shift = 1.0 + t.position(0.0)
-    arrays = (lefts, rights, slopes, img_lo, order, lefts[order], rights[order])
+    arrays = (lefts, rights, slopes, img_lo, order, lefts[order], rights[order],
+              _clean_rows(rights, slopes, first))
     for arr in arrays:
         arr.setflags(write=False)
     return _BranchTable(*arrays, first, top, u_scale, u_shift)
 
 
+def _clean_rows(rights: np.ndarray, slopes: np.ndarray, first: int) -> np.ndarray:
+    """The (K, 4) rows (a_n, b_n, L, s) of :class:`_BranchTable`'s ``clean``."""
+    clean = np.zeros((len(rights), 4))
+    clean[:, 0], clean[:, 1] = math.inf, -math.inf
+    n = np.arange(first, len(rights) - 2)
+    left, right, slope = rights[n], rights[n - 1], slopes[n - 1]
+    tol_l, tol_r = ENDPOINT_TOL * left, ENDPOINT_TOL * right
+
+    def clear_of_left(x):
+        d = x - left
+        return (d > tol_l) & (d * slope >= DEEP_FLOOR)
+
+    a = _last_true(clear_of_left, left + np.maximum(tol_l, DEEP_FLOOR / slope), -math.inf)
+    b = _last_true(lambda x: right - x > tol_r, right - tol_r, math.inf)
+    empty = a > b
+    a[empty], b[empty] = math.inf, -math.inf
+    clean[n] = np.column_stack([a, b, left, slope])
+    return clean
+
+
+def _last_true(holds, x: np.ndarray, away: float) -> np.ndarray:
+    """Elementwise, the last double at which the monotone test ``holds`` is
+    true on the way from ``x`` toward ``away``, from guesses ``x`` a few ulps
+    off it."""
+    while True:
+        on = np.nextafter(x, away)
+        nxt = np.where(holds(on), on, np.where(holds(x), x, np.nextafter(x, -away)))
+        if (nxt == x).all():
+            return x
+        x = nxt
+
+
 def _step(x: np.ndarray, tab: _BranchTable):
     """One vectorized map step of every lane of ``x``.
 
-    Returns (new x, branch indices, aborted mask); the new x of an aborted
-    lane means nothing, and its index is some row of the table.  When the
-    geometric rows cover (0, 1], as for SV, every lane takes
-    :func:`_guess_rows`.  Otherwise lanes above ``tab.top`` take a sorted
-    search of the explicit rows, the others :func:`_guess_rows`.  Both
-    compare ``x`` with the floats of ``model.edges`` by the endpoint test of
-    ``MarkovMapModel.locate``, so decisions match the scalar path exactly.
+    Returns (new x, branch indices, aborted, below the floor): the last two
+    are masks over the lanes, or None where no lane is in them.  The new x of
+    an aborted lane means nothing, and its index is some row of the table;
+    a lane below the floor has not aborted.  When the geometric rows cover
+    (0, 1], as for SV, every lane takes :func:`_guess_rows`.  Otherwise
+    lanes above ``tab.top`` take a sorted search of the explicit rows, the
+    others :func:`_guess_rows`.  Both compare ``x`` with the floats of
+    ``model.edges`` by the endpoint test of ``MarkovMapModel.locate``, so
+    decisions match the scalar path exactly.
     """
     if tab.top == 1.0:
         return _guess_rows(x, tab)
@@ -241,40 +292,85 @@ def _step(x: np.ndarray, tab: _BranchTable):
     rows = tab.order[pos]
     y = tab.img_lo[rows] + (x - left) * tab.slopes[rows]
     n, hit = rows + 1, ~((x > left) & (x < right)) | near_edge
+    deep = y < DEEP_FLOOR
     if low.any():
-        y[low], n[low], hit[low] = _guess_rows(x[low], tab)
-    return y, n, hit
+        y[low], n[low], hit_low, deep_low = _guess_rows(x[low], tab)
+        hit[low] = False if hit_low is None else hit_low
+        deep[low] = False if deep_low is None else deep_low
+    return y, n, _some(hit), _some(deep & ~hit) if deep.any() else None
+
+
+def _some(mask: np.ndarray) -> np.ndarray | None:
+    """``mask``, or None when it is all false."""
+    return mask if mask.any() else None
 
 
 def _log_guess(x: np.ndarray, tab: _BranchTable) -> np.ndarray:
     """Each lane's branch guessed from log x: the integer part of the tail
-    position plus 1, clamped to rows ``tab.first``..K - 2."""
+    position plus 1, unclamped."""
     u = np.log(x)
     u *= tab.u_scale
     u += tab.u_shift
-    n = u.astype(np.int64)
-    np.maximum(n, tab.first, out=n)
-    return np.minimum(n, len(tab.rights) - 3, out=n)
+    return u.astype(np.int64)
 
 
 def _guess_rows(x: np.ndarray, tab: _BranchTable):
-    """Lanes in the geometric rows: the log guess n of each lane's branch,
-    checked against its two edges, ``tab.rights[n]`` < x <= ``tab.rights[n - 1]``.
+    """Lanes in the geometric rows, with the return of :func:`_step`.
 
-    Three gathers per step (the two edges and the slope).  A lane inside
-    its guessed branch takes the endpoint test on those two edges and steps.
-    The vectorized log differs from libm in the last ulp, so the guess is
-    off by at most one row, and for x from ``tab.top`` down to the deep
-    floor only inside an endpoint band, where the lane aborts.  The lanes
-    that miss are the only ones corrected, by up to two moves of one row,
-    and take the endpoint test on the edges of the branch they end in.
-    Misses outside a band are a start beneath the table, whose clamped
+    The clean path: the log guess n of each lane's branch, one gather of
+    row n of ``tab.clean``, the test a_n <= x <= b_n, and the image
+    (x - L) s.  A guess outside the table gathers its nearest row, a
+    sentinel that no x passes.  A lane that passes is inside branch n, off
+    its endpoint bands and above the deep floor after the step, exactly
+    where the scalar path says so, so when every lane passes the step is
+    done.  The lanes that fail, which are endpoint bands, off-by-one
+    guesses, floor crossings and guesses outside ``tab.first``..K - 3, take
+    :func:`_exact_rows` instead.
+    """
+    n = _log_guess(x, tab)
+    lo, hi, left, slope = tab.clean.take(n, axis=0, mode="clip").T
+    clean = x >= lo
+    clean &= x <= hi
+    # same arithmetic as the scalar path (slope multiply; a geometric row's
+    # image starts at 0), so batch and scalar orbits agree bitwise
+    y = x - left
+    y *= slope
+    if clean.all():
+        return y, n, None, None
+    odd = np.flatnonzero(~clean)
+    y_odd, n_odd, hit = _exact_rows(x[odd], n[odd], tab)
+    y[odd], n[odd] = y_odd, n_odd
+    return y, n, _mask(len(x), odd, hit), _mask(len(x), odd, ~hit & (y_odd < DEEP_FLOOR))
+
+
+def _mask(size: int, lanes: np.ndarray, sel: np.ndarray) -> np.ndarray | None:
+    """A mask over ``size`` lanes, true on ``lanes[sel]``; None when no
+    entry of ``sel`` is true."""
+    if not sel.any():
+        return None
+    mask = np.zeros(size, dtype=bool)
+    mask[lanes[sel]] = True
+    return mask
+
+
+def _exact_rows(x: np.ndarray, n: np.ndarray, tab: _BranchTable):
+    """(images, branch indices, aborted mask) of geometric-row lanes at ``x``
+    from their log guesses ``n``, clamped to rows ``tab.first``..K - 3 and
+    checked against the two edges, ``tab.rights[n]`` < x <= ``tab.rights[n - 1]``.
+
+    A lane inside its guessed branch takes the endpoint test on those two
+    edges and steps.  The vectorized log differs from libm in the last ulp,
+    so the guess is off by at most one row, and for x from ``tab.top`` down
+    to the deep floor only inside an endpoint band, where the lane aborts.
+    The lanes that miss are the only ones corrected, by up to two moves of
+    one row, and take the endpoint test on the edges of the branch they end
+    in.  Misses outside a band are a start beneath the table, whose clamped
     guess moves to the last row (:func:`simulate_batch` steps such a start
     through ``model.apply`` instead), and x outside (0, ``tab.top``] or NaN,
     which reach here when the geometric rows cover (0, 1] and abort.
     """
     table = tab.rights
-    n = _log_guess(x, tab)
+    np.clip(n, tab.first, len(table) - 3, out=n)
     below = n - 1
     left, right = table.take(n), table.take(below)
     inside = (x > left) & (x <= right)
@@ -292,8 +388,6 @@ def _guess_rows(x: np.ndarray, tab: _BranchTable):
         n[miss], below[miss], d[miss] = nm, nm - 1, xm - edge
         hit[miss] = (_near(xm, edge) | _near(xm, table[nm - 1])
                      | ~((xm > 0.0) & (xm <= tab.top)))
-    # same arithmetic as the scalar path (slope multiply; a geometric row's
-    # image starts at 0), so batch and scalar orbits agree bitwise
     d *= tab.slopes.take(below)
     return d, n, hit
 
@@ -318,8 +412,8 @@ class BatchStats:
         return _classify(self.first_quarter_min, self.last_quarter_min, self.aborted)
 
 
-def _mapped_zeros(m: int, n: int) -> np.ndarray:
-    """Zeroed (m, n) int32 array; from 1 MiB up in a memory map of its own.
+def _mapped_zeros(n: int, m: int) -> np.ndarray:
+    """Zeroed (n, m) int32 array; from 1 MiB up in a memory map of its own.
 
     From ``np.zeros`` a large array comes from the malloc heap once one of
     its size has been freed (glibc then raises its mmap threshold).  Small
@@ -327,12 +421,14 @@ def _mapped_zeros(m: int, n: int) -> np.ndarray:
     left, and the heap then grows by the array's size again: the
     itineraries of a 2000 x 3000 batch raised the peak RSS of a run by
     24 MB that way.  A map of its own goes back to the system on release.
+    :func:`simulate_batch` keeps its itineraries step-major, one row per
+    step, so that a step writes one row.
     """
     if m * n * 4 < 1 << 20:
-        return np.zeros((m, n), dtype=np.int32)
+        return np.zeros((n, m), dtype=np.int32)
     import mmap  # here, so that imports which never map pay nothing for it
     buf = mmap.mmap(-1, m * n * 4, flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype=np.int32).reshape(m, n)
+    return np.frombuffer(buf, dtype=np.int32).reshape(n, m)
 
 
 def _compact(state: dict, keep: np.ndarray) -> dict:
@@ -382,7 +478,12 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     compact arrays; a lane writes its state back to the output only when it
     leaves, by a boundary abort, a deep crossing or the horizon.  A live
     lane's step count is the step number, so it needs no update per step.
+    :func:`_step` names the lanes that abort or cross the floor, and a step
+    that names none (every lane on the clean path) skips both scans.
     Stepping stops once no live lane is left.
+
+    Itineraries are kept step-major, an (n, m) array whose row k step k
+    writes in one call, and returned as its (m, n) transpose.
 
     A lane that crosses :data:`DEEP_FLOOR` in branch i at step k leaves at
     once.  On an infinite staircase (a map with a tail, as SV) every later
@@ -390,9 +491,10 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     step).  When that bound exceeds ESCAPE_THRESHOLD - 1 and the head of
     every table the batch reads (log|T'|, phi, psi), the lane is certified:
     each deep step to the horizon takes every table's tail value exactly
-    (NaN without one), is recorded in itineraries as -1, and bounds the
-    quarter minima.  Every other crossing lane, and every one on a finite
-    map, aborts after its crossing step, as in :func:`simulate_orbit`.
+    (NaN without one), is recorded in itineraries as -1 (written after the
+    loop, one masked copy per crossing step), and bounds the quarter
+    minima.  Every other crossing lane, and every one on a finite map,
+    aborts after its crossing step, as in :func:`simulate_orbit`.
     The deep steps' adds follow the loop, one add per step, so every field
     is bit-identical to stepping a certified lane to the horizon.
 
@@ -411,6 +513,8 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     q = n // 4
     tail_start = n - q if q else n       # first step of the final quarter
     big = np.iinfo(np.int64).max
+    # step-major: step k writes row k, one contiguous row
+    its = _mapped_zeros(n, m) if collect_itineraries else None
     out = BatchStats(starts=starts, steps=np.zeros(m, dtype=np.int64),
                      aborted=np.zeros(m, dtype=bool),
                      first_quarter_min=np.full(m, big), last_quarter_min=np.full(m, big),
@@ -418,8 +522,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
                      tail_steps=np.zeros(m, dtype=np.int64),
                      phi_sum=np.zeros(m) if phi is not None else None,
                      psi_sum=np.zeros(m) if psi is not None else None,
-                     itineraries=_mapped_zeros(m, n) if collect_itineraries else None)
-    its = out.itineraries
+                     itineraries=None if its is None else its.T)
     tab = _branch_table(model)
     bottom = tab.rights[-1] if model.tail is not None else 0.0
     beneath = np.flatnonzero(starts < bottom)
@@ -452,7 +555,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     live = {"lane": np.arange(m), "x": starts.copy(), **{key: np.zeros(m) for key in tables}}
     if q:
         live["fqm"] = np.full(m, big)
-    deep, crossed = [], []       # certified lanes in crossing order, their crossing steps
+    deep, crossed = [], []       # certified lanes by crossing step, and those steps
 
     for k in range(n):
         if not len(live["lane"]):
@@ -464,32 +567,35 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
             count = len(live["lane"])
             live.update(tail=np.zeros(count), lqm=np.full(count, big))
 
-        y, idx, hit = _step(live["x"], tab)
+        y, idx, hit, low = _step(live["x"], tab)
         if k == 0 and len(beneath):
-            y[beneath], idx[beneath], hit[beneath] = first
-        if hit.any():
+            y[beneath], idx[beneath], stopped = first
+            hit, low = (np.zeros(m, dtype=bool) if mask is None else mask for mask in (hit, low))
+            hit[beneath], low[beneath] = stopped, ~stopped & (first[0] < DEEP_FLOOR)
+            hit, low = _some(hit), _some(low)
+        if hit is not None:
             lanes = retire(live, hit)
             out.steps[lanes] = k
             out.aborted[lanes] = True
             keep = ~hit
             live = _compact(live, keep)
             y, idx = y[keep], idx[keep]
+            low = None if low is None else low[keep]
         live["x"] = y
         if its is not None:
-            its[live["lane"], k] = idx
+            its[k, live["lane"] if len(idx) < m else slice(None)] = idx
         vals = {key: row.take(idx) for key, row in rows.items()}
         for key, v in vals.items():
             if key in partial and np.isnan(v).any():
                 tables[key].eval_symbols(idx)   # raises on the undefined symbol
             live[key] += v
         if k < q:
-            live["fqm"] = np.minimum(live["fqm"], idx)
+            np.minimum(live["fqm"], idx, out=live["fqm"])
         if k >= tail_start:
             live["tail"] += vals["logt"]
-            live["lqm"] = np.minimum(live["lqm"], idx)
+            np.minimum(live["lqm"], idx, out=live["lqm"])
 
-        low = y < DEEP_FLOOR
-        if not low.any():
+        if low is None:
             continue
         lanes = retire(live, low)
         bound = idx[low] + k - n        # the branch bound at the horizon
@@ -501,9 +607,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
             continue
         lanes, bound = lanes[certified], bound[certified]
         deep.append(lanes)
-        crossed.append(np.full(len(lanes), k))
-        if its is not None:
-            its[lanes, k + 1:] = -1
+        crossed.append(k)
         # minima over the deep steps: the bound at the quarter's final step
         if k + 1 < q:
             out.first_quarter_min[lanes] = np.minimum(out.first_quarter_min[lanes],
@@ -513,8 +617,16 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
 
     out.steps[retire(live, slice(None))] = n
     if deep:
+        if its is not None:
+            # the certified lanes' -1 tails, one masked copy per crossing step:
+            # the rows up to the next crossing take -1 on every lane crossed so far
+            gone = np.zeros(m, dtype=bool)
+            for lanes, k, end in zip(deep, crossed, crossed[1:] + [n - 1]):
+                gone[lanes] = True
+                np.copyto(its[k + 1:end + 1], -1, where=gone)
         # the deep steps' adds, in the order stepping would make them
-        lanes, crossed = np.concatenate(deep), np.concatenate(crossed)
+        crossed = np.repeat(crossed, [len(lanes) for lanes in deep])
+        lanes = np.concatenate(deep)
         for key, pot in tables.items():
             c = math.nan if pot.tail_limit is None else pot.tail_limit
             _add_repeatedly(sink[key], lanes, n - 1 - crossed, c)

@@ -362,7 +362,8 @@ def check_one_step(model, starts):
     geometric rows, the guess was one row off and the start lies in an
     endpoint band."""
     tab = _branch_table(model)
-    _, n, hit = empirics._step(starts, tab)
+    _, n, hit, _ = empirics._step(starts, tab)
+    hit = np.zeros(len(starts), dtype=bool) if hit is None else hit
     assert ((1 <= n) & (n < len(tab.rights))).all()
     geometric = starts <= tab.top
     guess = empirics._log_guess(starts[geometric], tab)
@@ -375,6 +376,119 @@ def check_one_step(model, starts):
         assert (rec.classification == BOUNDARY_ABORT) == batch.aborted[i]
         if not batch.aborted[i]:
             assert rec.itinerary[0] == batch.itineraries[i, 0] == n[i]
+
+
+def clear_of_left(tab, rows, x):
+    """The clean path's test at the left end of guessed rows ``rows``, from
+    its definition: x - L clears the endpoint band, and its image the floor."""
+    left = tab.rights[rows]
+    d = x - left
+    return (d > ENDPOINT_TOL * left) & (d * tab.slopes[rows - 1] >= DEEP_FLOOR)
+
+
+def clear_of_right(tab, rows, x):
+    """The clean path's test at the right end of guessed rows ``rows``."""
+    right = tab.rights[rows - 1]
+    return right - x > ENDPOINT_TOL * right
+
+
+class TestCleanPath:
+    """The geometric rows' clean path: the bounds (a_n, b_n) of each row of
+    the branch table's ``clean``, and the lanes that take the exact path."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_bounds_are_the_first_and_last_clean_doubles(self, name):
+        tab = _branch_table(EDGE_MODELS[name])
+        lo, hi, left, slope = tab.clean.T
+        rows = np.arange(tab.first, len(tab.rights) - 2)
+        outside = np.setdiff1d(np.arange(len(tab.rights)), rows)
+        assert (lo[outside] == np.inf).all() and (hi[outside] == -np.inf).all()
+        assert (left[rows] == tab.rights[rows]).all()
+        assert (slope[rows] == tab.slopes[rows - 1]).all()
+        some = rows[lo[rows] <= hi[rows]]
+        a, b = lo[some], hi[some]
+        assert clear_of_left(tab, some, a).all()
+        assert not clear_of_left(tab, some, np.nextafter(a, 0.0)).any()
+        assert clear_of_right(tab, some, b).all()
+        assert not clear_of_right(tab, some, np.nextafter(b, 2.0)).any()
+        # the floor, not the endpoint band, sets a_n on the deepest rows
+        d = np.nextafter(a, 0.0) - left[some]
+        assert ((d > ENDPOINT_TOL * left[some]) & (d * slope[some] < DEEP_FLOOR)).sum() > 20
+        # the rows with no clean double lie below the floor: no x in them clears it
+        empty = rows[lo[rows] > hi[rows]]
+        assert 0 < len(empty) < 10 and empty[0] > some[-1]
+        assert not clear_of_left(tab, empty, np.nextafter(tab.rights[empty - 1], 0.0)).any()
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_one_step_at_the_bounds(self, name, monkeypatch):
+        # starts at a_n and b_n and one ulp either side, on every row with a
+        # clean double: exactly the starts the definition calls clean take
+        # the clean path, and one step agrees bit for bit with the reference
+        # step and the scalar one
+        model = EDGE_MODELS[name]
+        tab = _branch_table(model)
+        lo, hi = tab.clean[:, 0], tab.clean[:, 1]
+        some = lo <= hi
+        a, b = lo[some], hi[some]
+        starts = np.concatenate([np.nextafter(a, 0.0), a, np.nextafter(a, 1.0),
+                                 np.nextafter(b, 0.0), b, np.nextafter(b, 2.0)])
+        starts = starts[starts <= 1.0]
+        exact = []
+        real = empirics._exact_rows
+
+        def recording(x, n, tab):
+            exact.append(x.copy())
+            return real(x, n, tab)
+
+        monkeypatch.setattr(empirics, "_exact_rows", recording)
+        y, n, hit, low = empirics._step(starts, tab)
+        guess = empirics._log_guess(starts, tab)
+        rows = np.clip(guess, tab.first, len(tab.rights) - 3)
+        clean = ((guess == rows) & clear_of_left(tab, rows, starts)
+                 & clear_of_right(tab, rows, starts))
+        assert (np.isin(starts, np.concatenate(exact)) == ~clean).all()
+        assert clean.sum() > 3.9 * some.sum()
+        hit = np.zeros(len(starts), dtype=bool) if hit is None else hit
+        low = np.zeros(len(starts), dtype=bool) if low is None else low
+        assert 0 < hit.sum() < len(starts) and low.any()
+        if model.lam is not None:
+            want_y, want_n, want_hit = _ref_sv_step(model, starts, np.ones(len(starts), bool), tab)
+            ok = ~want_hit
+            assert (hit == want_hit).all()
+            assert y[ok].tobytes() == want_y[ok].tobytes() and (n[ok] == want_n[ok]).all()
+            assert (low == ok & (want_y < DEEP_FLOOR)).all()
+        # the scalar step, on every start of the shorter tables
+        for i in range(0, len(starts), 1 + len(starts) // 40_000):
+            try:
+                want = model.apply(float(starts[i]))
+            except BoundaryError:
+                assert hit[i]
+                continue
+            assert not hit[i] and (y[i], n[i]) == want and low[i] == (want[0] < DEEP_FLOOR)
+        check_one_step(model, starts[::1 + len(starts) // 1000])
+
+    def test_only_crossings_take_the_exact_path(self, monkeypatch):
+        # SV(0.9) at horizon 1000: every lane crosses the deep floor once, and
+        # no lane takes the exact path but at a crossing or an abort
+        exact, lanes, left = [], [], []
+        real_exact, real_step = empirics._exact_rows, empirics._step
+
+        def counting_exact(x, n, tab):
+            exact.append(len(x))
+            return real_exact(x, n, tab)
+
+        def counting_step(x, tab):
+            out = real_step(x, tab)
+            lanes.append(len(x))
+            left.append(sum(0 if mask is None else int(mask.sum()) for mask in out[2:]))
+            return out
+
+        monkeypatch.setattr(empirics, "_exact_rows", counting_exact)
+        monkeypatch.setattr(empirics, "_step", counting_step)
+        stats = md.escape_statistics(md.build_sv_map(0.9), 10000, 1000, seed=7)
+        assert stats.counts[ESCAPING] > 9900
+        assert sum(exact) == sum(left) > 9900
+        assert sum(exact) < 0.01 * sum(lanes)
 
 
 class TestBatchPotentialErrors:
@@ -558,6 +672,66 @@ def reference_simulate_batch(model, x0, n, phi=None, psi=None, collect_itinerari
                       phi_sum=phi_sum, psi_sum=psi_sum, itineraries=its)
 
 
+# ---------------------------------------------------------------------------
+# Exact escape oracle: for a staircase map every branch is affine onto the
+# union of branches j >= max(i - 1, 1), so the branch sequence of a uniform
+# start is a Markov chain, p(i -> j) = |I_j| / |T(I_i)| (Li 1976)
+# ---------------------------------------------------------------------------
+def lebesgue_escape_probability(model, n, cap):
+    """(P(ESCAPING), mass lost above ``cap``) for a uniform start over ``n``
+    steps, on the chain restricted to branches 1..cap: a dynamic programme
+    over (first-quarter minimum f, branch).  Mass that moves into a branch
+    below max(f + 1, ESCAPE_THRESHOLD) in the final quarter is dropped."""
+    q = n // 4
+    if not q:
+        return 0.0, 0.0     # no quarters: _classify sees minima (0, 0)
+    edges = np.array([model.edges(i) for i in range(1, cap + 1)])
+    length = np.concatenate([[0.0], edges[:, 1] - edges[:, 0]])
+    image = np.concatenate([[np.inf], length[1:] * edges[:, 2]])
+    # branch j gathers |I_j| times the sum of p_i / |T(I_i)| over i <= j + 1
+    upto = np.minimum(np.arange(cap + 1) + 1, cap)
+    f, b = np.indices((cap + 1, cap + 1))
+    kept = b >= np.maximum(f + 1, ESCAPE_THRESHOLD)
+    p = np.diag(length)         # p[f, b] after step 0: f = b = the start's branch
+    lost = 0.0
+    for k in range(1, n):
+        before = p.sum()
+        p = np.cumsum(p / image, axis=1)[:, upto] * length
+        lost += before - p.sum()
+        if k < q:
+            below = np.tril(p, -1)   # b < f: the minimum moves to b
+            p = np.triu(p) + np.diag(below.sum(axis=0))
+        if k >= n - q:
+            p *= kept
+    return float(p.sum()), lost
+
+
+def enumerated_escape_probability(model, n, cap):
+    """The Lebesgue measure of the starts whose first ``n`` branches lie in
+    1..cap and classify as ESCAPING: every admissible itinerary enumerated,
+    each cylinder pulled back through the affine branches of ``model.edges``."""
+    edges = np.array([model.edges(i) for i in range(1, cap + 1)])
+    image_lo = np.array([model.image_lo[min(i, len(model.image_lo)) - 1]
+                         for i in range(1, cap + 1)])
+    its = np.arange(1, cap + 1)[:, None]
+    for _ in range(n - 1):
+        last = its[:, -1]
+        nxt = [np.arange(max(i - 1, 1), cap + 1) for i in last]
+        its = np.column_stack([np.repeat(its, [len(j) for j in nxt], axis=0),
+                               np.concatenate(nxt)])
+    q = n // 4
+    mins = ((its[:, :q].min(axis=1), its[:, n - q:].min(axis=1)) if q
+            else (np.zeros(len(its)), np.zeros(len(its))))
+    its = its[empirics._classify(*mins, np.zeros(len(its), bool)) == ESCAPING]
+    lo, hi = edges[its[:, -1] - 1, :2].T
+    for k in range(n - 2, -1, -1):
+        left, right, slope = edges[its[:, k] - 1].T
+        base = image_lo[its[:, k] - 1]
+        lo = np.maximum(left + (lo - base) / slope, left)
+        hi = np.minimum(left + (hi - base) / slope, right)
+    return float(np.maximum(hi - lo, 0.0).sum())
+
+
 def assert_batches_identical(got, want, itineraries=True):
     for f in dataclasses.fields(BatchStats):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -736,6 +910,37 @@ class TestBatchAgainstReference:
         assert_batches_identical(got, want)
         assert len(calls) == leave.max() + 1 < n
 
+class TestItineraryLayout:
+    """Itineraries are kept step-major and handed out as their (m, n) transpose."""
+
+    @pytest.mark.parametrize("model,n", [(md.build_sv_map(0.9), 3000),
+                                         (two_branch_head_map(), 1500)], ids=["sv", "head-2"])
+    def test_step_major_itineraries_match_reference(self, model, n):
+        starts = np.concatenate([1.0 - orbit_rng(9).random(200), [0.4, 0.5, 0.9]])
+        got = simulate_batch(model, starts, n, collect_itineraries=True)
+        want = reference_simulate_batch(model, starts, n, collect_itineraries=True)
+        assert (want.itineraries == -1).any(axis=1).sum() > 100
+        assert got.itineraries.shape == (len(starts), n)
+        assert got.itineraries.T.flags.c_contiguous
+        assert_batches_identical(got, want)
+
+    def test_no_step_by_lane_temporary(self):
+        # the itineraries live in a memory map of their own, which tracemalloc
+        # does not see; an (n, m) temporary of even one byte a cell would
+        m, n = 2000, 3000
+        model = md.build_sv_map(0.9)
+        starts = 1.0 - orbit_rng(1).random(m)
+        simulate_batch(model, starts[:10], 10, collect_itineraries=True)   # the branch table
+        tracemalloc.start()
+        try:
+            got = simulate_batch(model, starts, n, collect_itineraries=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.itineraries == -1).any(axis=1).all()
+        assert peak < m * n // 4
+
+
 class TestEscapeStatistics:
     def test_seed_range(self):
         for seed in (-1, 2 ** 128):
@@ -777,6 +982,30 @@ class TestEscapeStatistics:
         assert esc.any()
         avg = stats.logt_tail_sum[esc] / stats.tail_steps[esc]
         assert np.abs(avg - ALPHA_MAX_09).max() < 0.02
+
+
+class TestEscapeOracle:
+    """escape_statistics against the exact probability of the Lebesgue chain."""
+
+    @pytest.mark.parametrize("name", ["sv-0.55", "sv-0.9", "head-2"])
+    def test_chain_matches_enumerated_cylinders(self, name):
+        model = EDGE_MODELS[name]
+        for n, cap in ((1, 9), (4, 9), (6, 8), (8, 8)):
+            want = enumerated_escape_probability(model, n, cap)
+            got, _ = lebesgue_escape_probability(model, n, cap)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+            assert (want > 1e-4) == (n > 1)
+
+    @pytest.mark.parametrize("lam,n,p", [(0.52, 200, 0.79074), (0.55, 60, 0.81119),
+                                         (0.6, 40, 0.92408)])
+    def test_escape_statistics_within_five_sigma(self, lam, n, p):
+        model = md.build_sv_map(lam)
+        exact, lost = lebesgue_escape_probability(model, n, 300)
+        assert lost < 1e-12 and exact == pytest.approx(p, abs=1e-5)
+        samples = 20_000
+        st = md.escape_statistics(model, samples, n, seed=int(lam * 100) + n)
+        assert st.counts[BOUNDARY_ABORT] == 0
+        assert abs(st.fraction_escaping - exact) < 5 * math.sqrt(exact * (1 - exact) / samples)
 
 
 def reference_box_count(model, phi, psi, alpha, eps_window, samples, n, grid_levels, seed,
