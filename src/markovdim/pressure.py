@@ -17,9 +17,9 @@ these finite values along any increasing exhaustion.  Three routes coexist:
   warm-started Newton iteration brackets the root and a replay of the
   halving returns the halving's midpoint bit for bit; all-true dense ones
   take the weight sum of their rank-one matrix; general subsystems use power
-  iteration whose steps are repeatedly squared powers of the matrix, with
-  the residual stopping test of a single step and a dense-eigensolver
-  fallback.
+  iteration whose steps are repeatedly squared powers of the matrix, stopped
+  on the Collatz-Wielandt bracket of the iterate, with a dense-eigensolver
+  fallback.  Every route brackets the root it returns (:class:`PerronRoot`).
 * ``orbit_sum_pressure``: (1/n) log of the weighted count of period-n
   orbits through a base cylinder, an independent finite-n oracle.
 * ``closed_form_pressure_sv``: the exact formula for the built-in family.
@@ -33,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ ORBIT_SUM_MAX_PERIOD = 30
 
 _POWER_MAX_ITER = 200_000
 _DENSE_FALLBACK_MAX_N = 2048
+_EPS = 2.0 ** -52
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,26 @@ class PressureResult:
 # ---------------------------------------------------------------------------
 # Perron roots
 # ---------------------------------------------------------------------------
+class PerronRoot(NamedTuple):
+    """A log Perron root, inside a certified bracket [lo, hi] of the true one,
+    and the equilibrium state mu = d log rho / d log w when asked for."""
+
+    log_rho: float
+    lo: float
+    hi: float
+    mu: np.ndarray | None
+
+
+def _perron_root(log_rho: float, lo: float, hi: float, shift: float, rel: float,
+                 mu: np.ndarray | None) -> PerronRoot:
+    """The record of a root whose shifted value lies in [lo, hi] up to a
+    relative error ``rel``: the ends' logs plus ``shift``, pushed out by
+    ``rel`` and the roundoff of the log and the shift (log 0 is -inf)."""
+    pad = rel + 4.0 * _EPS * (abs(log_rho) + abs(shift))
+    return PerronRoot(log_rho, (math.log(lo) if lo > 0.0 else -math.inf) + shift - pad,
+                      math.log(hi) + shift + pad, mu)
+
+
 def _staircase_tail(w_tail: float, rho: float, m: int) -> tuple[float, float]:
     """Ratio after m back-substitution rows of constant weight ``w_tail``, and
     its derivative in rho.
@@ -155,8 +177,9 @@ def _staircase_residual(w_tail: float, m: int, head_w: list[float], w0: float,
 
 
 def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float, n: int | None = None,
-                       guess: float | None = None) -> float:
-    """Log Perron root of the n x n staircase A[i,j] = w_i [j >= max(i-1, 1)].
+                       guess: float | None = None, mu: bool = False) -> PerronRoot:
+    """Log Perron root of the n x n staircase A[i,j] = w_i [j >= max(i-1, 1)],
+    with :func:`_staircase_mu` when ``mu`` is set.
 
     ``log_weights`` holds the log weights of rows 1..k, and rows k+1..n
     repeat the last of them (k = n, the default, or any k past the last
@@ -189,6 +212,9 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float, n: int | None = 
        True, one at or below a is False, and only midpoints strictly
        between them are tested, so the result is bit for bit the plain
        halving's, whatever the guess.
+
+    The bracket is the halving's last [lo, hi], pushed out by the trials'
+    relative roundoff, 1e-13.
     """
     shift = max(log_weights.tolist())
     w = np.exp(log_weights - shift).tolist()
@@ -262,7 +288,9 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float, n: int | None = 
                 hi = mid
             else:
                 lo = mid
-    return math.log(0.5 * lo + 0.5 * hi) + shift
+    log_rho = math.log(0.5 * lo + 0.5 * hi) + shift
+    return _perron_root(log_rho, lo, hi, shift, 1e-13,
+                        _staircase_mu(log_weights, n, log_rho, rel_tol) if mu else None)
 
 
 def _staircase_mu(log_weights: np.ndarray, n: int, log_rho: float, rel_tol: float) -> np.ndarray:
@@ -310,6 +338,50 @@ def _staircase_mu(log_weights: np.ndarray, n: int, log_rho: float, rel_tol: floa
     return g / g.sum()
 
 
+def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float,
+                   guess: float | None = None, mu: bool = False) -> PerronRoot:
+    """Log Perron root by power iteration in squared steps, stopped on its
+    Collatz-Wielandt bracket (``guess`` is ignored).
+
+    For y > 0, min_i (A y)_i / y_i <= rho <= max_i (A y)_i / y_i (Seneta,
+    Non-negative Matrices and Markov Chains, 1981), so each round brackets
+    rho with the product A y it forms anyway.  It stops once the bracket is
+    at most ``rel_tol`` lo wide, the value being the L1 quotient of y
+    (|y|_1 = 1).  Otherwise y advances by P = A^s, scaled to largest entry
+    1, and one more A-step.  P starts as A, and while s = 1 the round's
+    product is the next iterate.  P is squared (s doubles) while the last
+    two rounds each narrowed the bracket and their decay per A-step, kept up
+    for n more steps, still leaves it wider than the tolerance: a square
+    costs n^3 flops, as n matrix-vector products do.  Work is counted in
+    products, a square counting n, and s doubles only while below the
+    budget.  Once ``_POWER_MAX_ITER`` products are spent (a tiny spectral
+    gap, or a tolerance below roundoff) a dense eigensolver takes over up to
+    ``_DENSE_FALLBACK_MAX_N`` symbols, its vector giving the bracket, and
+    ConvergenceError is raised beyond.  With
+    ``mu``, mu_i = u_i v_i / (u . v), u from the same iteration on A^T,
+    whose bracket narrows the root's and takes the value in.  Brackets are
+    pushed out by the products' roundoff, (n + 3) eps.
+    """
+    shift = float(np.max(log_weights))
+    a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
+    sides = (a, a.T) if mu else (a,)
+    runs = [_power_iteration(side, rel_tol) for side in sides]
+    if any(run is None for run in runs):
+        if a.shape[0] > _DENSE_FALLBACK_MAX_N:
+            raise ConvergenceError(f"power iteration did not reach tol={rel_tol} within "
+                                   f"{_POWER_MAX_ITER} matrix-vector products (N={a.shape[0]})")
+        runs = [_eig_pair(side) for side in sides]
+    lam, lo, hi, v = runs[0]
+    weights = None
+    if mu:
+        _, lo_t, hi_t, u = runs[1]
+        lo, hi = max(lo, lo_t), min(hi, hi_t)
+        uv = u * v
+        weights = uv / uv.sum()
+    lam = min(max(lam, lo), hi)
+    return _perron_root(math.log(lam) + shift, lo, hi, shift, (a.shape[0] + 3) * _EPS, weights)
+
+
 def _positive(total: float) -> float:
     """``total`` itself when it is a positive finite number; anything else
     means the iteration collapsed."""
@@ -318,63 +390,31 @@ def _positive(total: float) -> float:
     return total
 
 
-def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float) -> float:
-    """Log Perron root by power iteration in squared steps, with residual stopping.
-
-    Each round tests the iterate y (unit L1 norm) against lam, the L1
-    quotient of the single A-step that produced it, and stops once
-    max|A y - lam y| <= rel_tol * lam.  Otherwise y advances by P = A^s,
-    scaled to largest entry 1, and one more A-step.  P starts as A, and while
-    s = 1 the residual's product ``a @ y`` is the next iterate's product.  P
-    is squared (s doubles) while the last two rounds each lowered the
-    residual and their decay per A-step, kept up for n more steps, still
-    leaves it above the tolerance: a square costs n^3 flops, as n
-    matrix-vector products do.  Work is counted in products, a square
-    counting n, and s doubles only while below the budget.  Once
-    ``_POWER_MAX_ITER`` products are spent (a tiny spectral gap, or a
-    tolerance below roundoff) a dense eigensolver takes over, and
-    ConvergenceError is raised when even that is unavailable.
-    """
-    shift = float(np.max(log_weights))
-    a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
-    found = _power_iteration(a, rel_tol)
-    if found is not None:
-        return math.log(found[0]) + shift
-    _require_eigensolver(a, rel_tol)
-    return math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + shift
+def _collatz_wielandt(ay: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """min and max of (A y)_i / y_i, which bracket rho when y > 0, else (0, inf)."""
+    if not (y > 0.0).all():
+        return 0.0, math.inf
+    ratios = ay / y
+    return float(ratios.min()), float(ratios.max())
 
 
-def _power_log_rho_mu(matrix: np.ndarray, log_weights: np.ndarray,
-                      rel_tol: float) -> tuple[float, np.ndarray]:
-    """:func:`_power_log_rho` and mu_i = d log rho / d log w_i = u_i v_i / (u . v),
-    with v from the same iteration and the left vector u from it on A^T."""
-    shift = float(np.max(log_weights))
-    a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
-    right, left = _power_iteration(a, rel_tol), _power_iteration(a.T, rel_tol)
-    if right is None or left is None:
-        _require_eigensolver(a, rel_tol)
-        right, left = _eig_pair(a), _eig_pair(a.T)
-    uv = left[1] * right[1]
-    return math.log(right[0]) + shift, uv / uv.sum()
-
-
-def _power_iteration(a: np.ndarray, rel_tol: float) -> tuple[float, np.ndarray] | None:
-    """(lam, y) of :func:`_power_log_rho` on the weighted matrix ``a``, y the
-    Perron vector of unit L1 norm; None once the product budget is spent."""
+def _power_iteration(a: np.ndarray, rel_tol: float
+                     ) -> tuple[float, float, float, np.ndarray] | None:
+    """(lam, lo, hi, y) of :func:`_power_log_rho` on the weighted matrix
+    ``a``: value, bracket and Perron vector; None once the budget is spent."""
     n = a.shape[0]
     log_tol = math.log(rel_tol)
     p, s = a, 1
     steps = work = 0                        # A-steps advanced, products spent
-    trail: list[tuple[int, float]] = []     # (steps, log relative residual), last 3 rounds
+    trail: list[tuple[int, float]] = []     # (steps, log relative bracket width), last 3 rounds
     y = a @ np.full(n, 1.0 / n)
     while work < _POWER_MAX_ITER:
-        lam = _positive(float(y.sum()))     # L1 Rayleigh quotient for x >= 0, |x|_1 = 1
-        y /= lam
+        y /= _positive(float(y.sum()))
         ay = a @ y
-        res = float(np.max(np.abs(ay - lam * y)))
-        if res <= rel_tol * lam:
-            return lam, y
-        trail = [*trail[-2:], (steps, math.log(res / lam))]
+        lo, hi = _collatz_wielandt(ay, y)
+        if lo > 0.0 and hi - lo <= rel_tol * lo:
+            return float(ay.sum()), lo, hi, y
+        trail = [*trail[-2:], (steps, math.log((hi - lo) / lo) if lo > 0.0 else math.inf)]
         if len(trail) == 3 and s < _POWER_MAX_ITER and work + n < _POWER_MAX_ITER:
             (t0, r0), (_, r1), (t2, r2) = trail
             if r0 > r1 > r2 and r2 + n * (r2 - r0) / (t2 - t0) > log_tol:
@@ -394,114 +434,77 @@ def _power_iteration(a: np.ndarray, rel_tol: float) -> tuple[float, np.ndarray] 
     return None
 
 
-def _require_eigensolver(a: np.ndarray, rel_tol: float) -> None:
-    """The dense eigensolver takes over a spent power budget up to
-    ``_DENSE_FALLBACK_MAX_N`` symbols; ConvergenceError beyond."""
-    n = a.shape[0]
-    if n > _DENSE_FALLBACK_MAX_N:
-        raise ConvergenceError(f"power iteration did not reach tol={rel_tol} within "
-                               f"{_POWER_MAX_ITER} matrix-vector products (N={n})")
-
-
-def _eig_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and vector of ``a`` from the dense eigensolver."""
+def _eig_pair(a: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """(lam, lo, hi, v) as :func:`_power_iteration` gives them, from the dense eigensolver."""
     values, vectors = np.linalg.eig(a)
     i = int(np.argmax(np.abs(values)))
     v = np.abs(vectors[:, i].real)
-    return float(abs(values[i])), v / v.sum()
+    v /= v.sum()
+    return (float(abs(values[i])), *_collatz_wielandt(a @ v, v), v)
 
 
 def perron_pressure(sub: TruncatedSubsystem, p: TablePotential, tol: float) -> float:
     """log of the Perron root of the weighted transition matrix of ``sub``.
 
-    ``tol`` is the relative eigenvalue tolerance.  Deterministic given its
-    inputs.  Raises MixingError on non-primitive subsystems.
+    ``tol`` is the relative eigenvalue tolerance, and the root is within it
+    of the true one.  Deterministic given its inputs.  Raises MixingError on
+    non-primitive subsystems.
     """
     require_above("tol", tol, 0.0)
     if not sub.primitive:
         raise MixingError("subsystem is not primitive")
-    length, log_rho, _ = _log_rho_solver(sub, p.head)
-    return log_rho(p.values_vector(length), tol)
+    length, root = _log_rho_solver(sub, p.head)
+    return root(p.values_vector(length), tol).log_rho
 
 
-def _rank_one_log_rho(log_weights: np.ndarray, rel_tol: float) -> float:
-    """Log Perron root of the rank-one matrix w 1^T: the plain weight sum."""
-    shift = float(np.max(log_weights))
-    return math.log(float(np.sum(np.exp(log_weights - shift)))) + shift
-
-
-def _rank_one_log_rho_mu(log_weights: np.ndarray, rel_tol: float) -> tuple[float, np.ndarray]:
-    """:func:`_rank_one_log_rho` and its gradient in the log weights, w / sum(w)."""
+def _rank_one_log_rho(log_weights: np.ndarray, rel_tol: float, guess: float | None = None,
+                      mu: bool = False) -> PerronRoot:
+    """Log Perron root of the rank-one matrix w 1^T: the plain weight sum,
+    exact up to its roundoff, (n + 2) eps; mu is w / sum(w)."""
     shift = float(np.max(log_weights))
     w = np.exp(log_weights - shift)
     total = float(np.sum(w))
-    return math.log(total) + shift, w / total
+    return _perron_root(math.log(total) + shift, total, total, shift, (len(w) + 2) * _EPS,
+                        w / total if mu else None)
 
 
 def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = None):
-    """Perron-root routines for the shape of ``sub``, and how many leading
-    weights they read: (length, log_rho, log_rho_mu), where
-    log_rho(log_weights, rel_tol) -> log rho and log_rho_mu(log_weights,
-    rel_tol) -> (the same log rho, mu), mu_i = d log rho / d log w_i over
-    the weights read.  mu is the equilibrium state's weight on each symbol
-    and sums to 1, so a potential p' has d log rho / dt = mu . p' along
-    log w + t p'.  Both also take an optional third argument, ``guess``, a
-    log root to start from.
+    """The Perron-root routine for the shape of ``sub``, and how many leading
+    weights it reads: (length, root), where root(log_weights, rel_tol,
+    guess=None, mu=False) returns a :class:`PerronRoot` whose bracket is at
+    most about ``rel_tol`` wide.  mu, computed only when asked for, is
+    mu_i = d log rho / d log w_i over the weights read: the equilibrium
+    state, so a potential p' has d log rho / dt = mu . p' along log w + t p'.
 
     ``head`` is the largest symbol whose weight may differ from the constant
     tail.  Staircase subsystems take the characteristic root, which reads
     the weights of symbols 1..head+1 only (the last of them standing for
     every symbol past head, in mu too); each call starts from its own
-    ``guess`` when given, else from the root either routine returned last
-    (``guess`` before the first), which changes its trial count and never
-    its value.  The other routes have no start and ignore the guess.  An
-    all-true dense matrix (as a config's "full" is, and a staircase of one
-    symbol) takes the rank-one sum, everything else power iteration on the
-    materialized matrix, whose mu costs a second iteration on the
-    transpose; both read all
-    ``sub.size`` weights.  Callers that evaluate many potentials on one
-    subsystem keep the returned routines, so the shape is inspected once.
+    ``guess``, a log root, when given, else from the root it returned last
+    (``guess`` before the first), which changes its trial count only.  The
+    other routes have no start.  An all-true dense matrix (as a config's
+    "full" is, and a staircase of one symbol) takes the rank-one sum,
+    everything else power iteration on the materialized matrix, whose mu
+    costs a second iteration on the transpose; both read all ``sub.size``
+    weights.  Callers that evaluate many potentials on one subsystem keep
+    the returned routine, so the shape is inspected once.
     """
     n = sub.size
     if sub.rule == "staircase" and n >= 2:
         last = guess
 
-        def staircase(log_weights: np.ndarray, rel_tol: float, guess: float | None = None) -> float:
+        def staircase(log_weights: np.ndarray, rel_tol: float, guess: float | None = None,
+                      mu: bool = False) -> PerronRoot:
             nonlocal last
-            last = _staircase_log_rho(log_weights, rel_tol, n, last if guess is None else guess)
-            return last
+            found = _staircase_log_rho(log_weights, rel_tol, n,
+                                       last if guess is None else guess, mu)
+            last = found.log_rho
+            return found
 
-        def staircase_mu(log_weights: np.ndarray, rel_tol: float,
-                         guess: float | None = None) -> tuple[float, np.ndarray]:
-            log_rho = staircase(log_weights, rel_tol, guess)
-            return log_rho, _staircase_mu(log_weights, n, log_rho, rel_tol)
-
-        return min(n, head + 1), staircase, staircase_mu
+        return min(n, head + 1), staircase
     if sub.rule is not None or sub.dense.all():
-        return n, _without_start(_rank_one_log_rho), _without_start(_rank_one_log_rho_mu)
-    return (n, _without_start(partial(_power_log_rho, sub.matrix)),
-            _without_start(partial(_power_log_rho_mu, sub.matrix)))
-
-
-def _log_rho_margin(sub: TruncatedSubsystem, rel_tol: float) -> float:
-    """A margin beyond which a log root that the routines of
-    :func:`_log_rho_solver` return at ``rel_tol`` has the sign of the true
-    one, so that of every root whose true value lies further out on the same
-    side.  The staircase and rank-one routes are exact tests whose error is
-    ``rel_tol``, or roundoff near 1e-13 below it, and the margin is 16 times
-    that.  Power iteration stops on its residual, which bounds its error only
-    through the Perron vectors; it has been seen about 800 ``rel_tol`` off on
-    explicit staircase matrices, and it gets 2^20 ``rel_tol``."""
-    margin = 16.0 * max(rel_tol, 1e-13)
-    if sub.rule is None and not sub.dense.all():
-        margin *= 2.0 ** 16
-    return margin
-
-
-def _without_start(routine):
-    """``routine`` taking the optional ``guess`` of the staircase routines,
-    for a route that has no start to set."""
-    return lambda log_weights, rel_tol, guess=None: routine(log_weights, rel_tol)
+        return n, _rank_one_log_rho
+    return n, partial(_power_log_rho, sub.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -597,20 +600,21 @@ def gurevich_pressure(model: MarkovMapModel, p: TablePotential, tol: float,
     reports the monotone sequence.  ``converged`` is set when the last two
     levels differ by less than ``tol``; otherwise the final value is a
     certified lower bound (the sequence increases to the true pressure).
+    ConvergenceError is raised if a level's bracket lies wholly below the
+    level before's, since larger subsystems can only gain pressure.
     """
     rel_tol = min(tol * 1e-2, 1e-11)
-    last = None    # each level's root starts from the level before
+    roots: list[PerronRoot] = []    # each level's root starts from the level before
 
     def level(sub: TruncatedSubsystem) -> float:
-        nonlocal last
-        length, log_rho, _ = _log_rho_solver(sub, p.head, last)
-        last = log_rho(p.values_vector(length), rel_tol)
-        return last
+        length, root = _log_rho_solver(sub, p.head, roots[-1].log_rho if roots else None)
+        roots.append(root(p.values_vector(length), rel_tol))
+        return roots[-1].log_rho
 
     res = _exhaust(model, N_max, tol, level, "PERRON")
-    for (_, a), (_, b) in zip(res.per_level, res.per_level[1:]):
-        if b < a - 1e-9:  # larger subsystems can only gain pressure
-            raise ConvergenceError(f"per-level pressures not monotone: {a} -> {b}")
+    for a, b in zip(roots, roots[1:]):
+        if b.hi < a.lo:
+            raise ConvergenceError(f"per-level pressures not monotone: {a.log_rho} -> {b.log_rho}")
     return res
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateError, DomainError, MixingError, UnboundedError, require_above
 from .markov import MarkovMapModel, TruncatedSubsystem, build_sv_map, truncate
 from .potentials import TablePotential, builtin_log_derivative, constant_potential
-from .pressure import (PressureResult, _exhaust, _log_rho_margin, _log_rho_solver,
+from .pressure import (PerronRoot, PressureResult, _exhaust, _log_rho_solver,
                        closed_form_pressure_sv, sv_critical_exponent)
 
 _Q_LIMIT = 1e6
@@ -140,7 +140,7 @@ def _karp_min_cycle_mean(sub: TruncatedSubsystem, cost: np.ndarray) -> float:
     over the dense transition matrix.  ``_beyond`` needs it only when no node
     beyond its level has a self-loop, which never happens on a staircase.
     """
-    return _karp_finish(_karp_table(sub.matrix, cost))
+    return _karp_critical(_karp_table(sub.matrix, cost))[0]
 
 
 def _karp_table(m: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -157,13 +157,9 @@ def _karp_table(m: np.ndarray, cost: np.ndarray) -> np.ndarray:
     return table
 
 
-def _karp_finish(table: np.ndarray) -> float:
-    """min over j of max over k of (D_n(j) - D_k(j)) / (n - k), finite entries only."""
-    return _karp_critical(table)[0]
-
-
 def _karp_critical(table: np.ndarray) -> tuple[float, int]:
-    """Karp's minimum cycle mean from ``table`` and a node j attaining it."""
+    """Karp's minimum cycle mean from ``table`` and a node j attaining it:
+    min over j of max over k of (D_n(j) - D_k(j)) / (n - k), finite entries only."""
     n = table.shape[1]
     head, dn = table[:n], table[n]
     with np.errstate(invalid="ignore"):
@@ -286,9 +282,9 @@ def _bounds(ev: _PressureEvaluator) -> tuple[float, float]:
 # Pressure evaluation reused across a (q, delta) search
 # ---------------------------------------------------------------------------
 class _PressureEvaluator:
-    """Caches the truncation, its Perron routines and the component value
+    """Caches the truncation, its Perron routine and the component value
     vectors for repeated evaluations of q (phi - alpha psi) - delta log|T'|
-    pressures.  The vectors hold the symbols the routines read: on a
+    pressures.  The vectors hold the symbols the routine reads: on a
     staircase, the largest head of the three plus one tail symbol."""
 
     def __init__(self, model: MarkovMapModel, phi: TablePotential, psi: TablePotential, N: int):
@@ -296,8 +292,7 @@ class _PressureEvaluator:
             raise DomainError("denominator potential must carry a positivity floor")
         self.sub = truncate(model, N)
         logt = builtin_log_derivative(model)
-        length, _, self._log_rho_mu = _log_rho_solver(self.sub,
-                                                      max(phi.head, psi.head, logt.head))
+        length, self._root = _log_rho_solver(self.sub, max(phi.head, psi.head, logt.head))
         self.phi_v = phi.values_vector(length)
         self.psi_v = psi.values_vector(length)
         self.logt_v = logt.values_vector(length)
@@ -306,7 +301,7 @@ class _PressureEvaluator:
         """The pressure P and its slopes dP/dq = mu . (phi - alpha psi) and
         dP/ddelta = -mu . log|T'|, mu being the equilibrium state."""
         level = self.phi_v - alpha * self.psi_v
-        value, mu = self._log_rho_mu(q * level - delta * self.logt_v, _EIG_TOL)
+        value, _, _, mu = self._root(q * level - delta * self.logt_v, _EIG_TOL, mu=True)
         return value, float(mu @ level), -float(mu @ self.logt_v)
 
 
@@ -513,9 +508,9 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
 
     P_N is strictly decreasing in s, positive at s = 0 (else the level is
     degenerate: DegenerateError), and nonpositive at s = 1 for branches
-    inside a bounded interval (a level where it is positive reports the
-    ambient dimension 1).  Each root is the midpoint that halving [0, 1]
-    down to width tol/100 on the sign of P_N returns, found in two phases:
+    inside a bounded interval (a level where its bracket lies above 0
+    reports 1).  Each root is the midpoint that halving [0, 1] down to width
+    tol/100 on the sign of P_N returns, found in two phases:
 
     1. P_N is convex with slope -mu . log|T'|, mu the equilibrium state, so
        Newton steps from the left climb toward the root without passing it.
@@ -524,11 +519,11 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
        prediction of its value.  A step more than half the step before
        last, from a slope that is off, ends them.  Two sign tests follow,
        either side of the predicted root: a quarter of the final width
-       away, or further where the slope says P would not clear the margin
-       there.  A tested value counts only beyond the margin of
-       :func:`_log_rho_margin`, well above the Perron root's own error.
-       P > margin makes every s at or below its point positive, and
-       P < -margin every s at or above it nonpositive.
+       away, or further where the slope says P would not clear 16 rel_tol.
+       A tested value counts when its bracket clears 0 by twice the sum of
+       rel_tol and its own width, more than any bracket of the route is wide,
+       so that every value at or below a positive one is positive, and
+       every value at or above a nonpositive one nonpositive.
     2. The halving is replayed exactly.  A midpoint that a counted value
        settles is not tested, every other midpoint is, and the test at
        s = 1 is made only when no counted value settles it.  The result is
@@ -547,22 +542,22 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
 
     def root(sub: TruncatedSubsystem) -> float:
         nonlocal start, p_zero
-        length, log_rho, log_rho_mu = _log_rho_solver(sub, logt.head, p_zero)
+        length, perron = _log_rho_solver(sub, logt.head, p_zero)
         logt_v = logt.values_vector(length)
-        margin = _log_rho_margin(sub, rel_tol)
         pos, neg = -math.inf, math.inf   # counted: P > 0 at or below pos, P <= 0 at or above neg
 
-        def count(s: float, value: float) -> float:
+        def count(s: float, found: PerronRoot) -> float:
             nonlocal pos, neg
-            if value > margin:
+            clear = 2.0 * (rel_tol + found.hi - found.lo)
+            if found.lo > clear:
                 pos = max(pos, s)
-            elif value < -margin:
+            elif found.hi < -clear:
                 neg = min(neg, s)
-            return value
+            return found.log_rho
 
         def newton_point(s: float, guess: float | None = None) -> tuple[float, float, float]:
-            value, mu = log_rho_mu(-s * logt_v, rel_tol, guess)
-            return s, count(s, value), -float(mu @ logt_v)
+            found = perron(-s * logt_v, rel_tol, guess, mu=True)
+            return s, count(s, found), -float(found.mu @ logt_v)
 
         s, p_zero, slope = newton_point(0.0)
         p = p_zero
@@ -574,11 +569,11 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
         while 0.125 * width < step <= 0.5 * before and s + step < 1.0:
             s, p, slope = newton_point(s + step, p + slope * step)
             step, last, before = -p / slope, step, last
-        off = max(0.25 * width, -4.0 * margin / slope)
+        off = max(0.25 * width, -16.0 * rel_tol / slope)
         for x in (s + step - off, s + step + off):
             if pos < x < neg and 0.0 < x < 1.0:
-                count(x, log_rho(-x * logt_v, rel_tol, p + slope * (x - s)))
-        if not neg <= 1.0 and log_rho(-1.0 * logt_v, rel_tol, p + slope * (1.0 - s)) > 0.0:
+                count(x, perron(-x * logt_v, rel_tol, p + slope * (x - s)))
+        if not neg <= 1.0 and perron(-1.0 * logt_v, rel_tol, p + slope * (1.0 - s)).lo > 0.0:
             return 1.0  # root clipped at the ambient dimension
         # the halving of [0, 1], tested only where no counted value settles it
         lo, hi = 0.0, 1.0
@@ -586,8 +581,8 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
             mid = 0.5 * lo + 0.5 * hi
             if not lo < mid < hi:
                 break
-            if mid <= pos or (mid < neg and log_rho(-mid * logt_v, rel_tol,
-                                                    p + slope * (mid - s)) > 0.0):
+            if mid <= pos or (mid < neg and perron(-mid * logt_v, rel_tol,
+                                                   p + slope * (mid - s)).log_rho > 0.0):
                 lo = mid
             else:
                 hi = mid

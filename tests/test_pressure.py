@@ -11,6 +11,7 @@ from markovdim.cli import main
 from markovdim.errors import ConvergenceError, DomainError, MixingError, WorkLimitError
 from markovdim.pressure import _power_log_rho, _staircase_log_rho, _staircase_tail
 from test_bisection import bisect
+from test_spectrum import dense_variational_case, seeded_dense_map
 
 LOG2 = 0.6931471805599453
 LOG_019 = -1.6607312068216509          # log(0.1 + 0.09)
@@ -307,7 +308,7 @@ class TestStaircaseRoot:
         rel_tol = 1e-12
         for logw in cases:
             # both brackets have relative width <= rel_tol around the same root
-            assert abs(_staircase_log_rho(logw, rel_tol)
+            assert abs(_staircase_log_rho(logw, rel_tol).log_rho
                        - reference_staircase_log_rho(logw, rel_tol)) <= 2 * rel_tol
 
     @pytest.mark.parametrize("n", [2, 3, 128, 4096])
@@ -322,7 +323,7 @@ class TestStaircaseRoot:
             want, halvings = halving_staircase_log_rho(logw, 1e-12)
             for guess in (None, want, want - 0.3, want + 0.3):
                 trials.clear()
-                assert _staircase_log_rho(head_slice(logw), 1e-12, n, guess) == want
+                assert _staircase_log_rho(head_slice(logw), 1e-12, n, guess).log_rho == want
                 assert len(trials) <= 2 * halvings + 2
 
     def test_trials_per_root_on_the_readme_scan(self, monkeypatch):
@@ -350,7 +351,8 @@ class TestStaircaseRoot:
         try:
             for guess in [None, want, 1e300, -1e300, math.nan] + [want + d for d in offsets]:
                 trials.clear()
-                assert _staircase_log_rho(head_slice(logw), 1e-12, len(logw), guess) == want
+                found = _staircase_log_rho(head_slice(logw), 1e-12, len(logw), guess)
+                assert found.log_rho == want
                 assert len(trials) <= 2 * halvings + 2
         finally:
             pressure._staircase_tail = real
@@ -565,7 +567,7 @@ class TestPowerIteration:
             want, kappa = perron_log_rho_and_condition(mat, logw)
             # the residual test bounds the error by tol * kappa at y = v; the
             # factor 2 covers the stopped iterate being near v, not at it
-            assert abs(_power_log_rho(mat, logw, tol) - want) <= 2.0 * tol * kappa
+            assert abs(_power_log_rho(mat, logw, tol).log_rho - want) <= 2.0 * tol * kappa
 
     def test_slow_gap_converges_by_squaring(self, monkeypatch):
         mat = cycle_with_chord(48)
@@ -579,7 +581,8 @@ class TestPowerIteration:
         monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
         want, kappa = perron_log_rho_and_condition(mat, logw)
         products = []
-        assert abs(_power_log_rho(counted(mat, products), logw, 1e-12) - want) <= 2e-12 * kappa
+        found = _power_log_rho(counted(mat, products), logw, 1e-12)
+        assert abs(found.log_rho - want) <= 2e-12 * kappa
         assert products.count("square") >= 5
 
     def test_budget_reaches_fallback(self, monkeypatch):
@@ -588,7 +591,7 @@ class TestPowerIteration:
         monkeypatch.setattr(pressure, "_POWER_MAX_ITER", 3)
         a = mat.astype(float) * np.exp(logw - 1.0)[:, None]
         want = math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + 1.0
-        assert _power_log_rho(mat, logw, 1e-12) == want
+        assert _power_log_rho(mat, logw, 1e-12).log_rho == want
         monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
         with pytest.raises(ConvergenceError, match="did not reach"):
             _power_log_rho(mat, logw, 1e-12)
@@ -604,7 +607,7 @@ class TestPowerIteration:
         a = mat.astype(float) * np.exp(logw - logw.max())[:, None]
         want = math.log(float(np.max(np.abs(np.linalg.eigvals(a))))) + logw.max()
         products = []
-        assert _power_log_rho(counted(mat, products), logw, 1e-20) == want
+        assert _power_log_rho(counted(mat, products), logw, 1e-20).log_rho == want
         # a square costs 40 products; the last round may pass the budget by
         # its 3 products, and the start vector's product precedes the count
         squares = products.count("square")
@@ -613,6 +616,20 @@ class TestPowerIteration:
         monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
         with pytest.raises(ConvergenceError, match="did not reach"):
             _power_log_rho(mat, logw, 1e-20)
+
+    def test_products_per_variational_point(self, monkeypatch):
+        # matrix-vector products (a square counting n) of the power
+        # iterations behind one point on 64-branch maps: the Collatz-Wielandt
+        # stop takes 2712 and 1584 here, and the caps are about 1.3 times that
+        products = []
+        real = pressure._power_iteration
+        monkeypatch.setattr(pressure, "_power_iteration",
+                            lambda a, rel_tol: real(counted(np.asarray(a), products), rel_tol))
+        for seed, cap in ((0, 3500), (1, 2060)):
+            model, phi, alpha = dense_variational_case(seed)
+            products.clear()
+            md.variational_dimension(model, phi, md.constant_potential(1.0), alpha, 64, 1e-3)
+            assert 0 < products.count("vector") + 64 * products.count("square") <= cap
 
     def test_collapse_raises(self):
         # the weights of symbols 2 and 3 underflow, so A^2 = 0
@@ -651,8 +668,7 @@ class TestGradients:
     def test_staircase_mu_against_eig_and_differences(self, n, data):
         k = data.draw(st.integers(1, n))
         logw = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k)))
-        log_rho = _staircase_log_rho(logw, 1e-13, n)
-        mu = pressure._staircase_mu(logw, n, log_rho, 1e-13)
+        log_rho, _, _, mu = _staircase_log_rho(logw, 1e-13, n, mu=True)
         assert mu.sum() == pytest.approx(1.0, abs=1e-12)
         # the last entry stands for rows k..n, which repeat the last weight
         full = np.concatenate([logw, np.full(n - k, logw[-1])])
@@ -671,7 +687,7 @@ class TestGradients:
             return
         h = 1e-4
         for i in range(k):
-            root = [_staircase_log_rho(logw + j * h * (np.arange(k) == i), 1e-13, n)
+            root = [_staircase_log_rho(logw + j * h * (np.arange(k) == i), 1e-13, n).log_rho
                     for j in (-2, -1, 1, 2)]
             diff = (8.0 * (root[2] - root[1]) - (root[3] - root[0])) / (12.0 * h)
             assert diff == pytest.approx(mu[i], abs=1e-6)
@@ -682,8 +698,11 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         sub = seeded_primitive(rng, n)
         logw = rng.normal(0.0, 2.0, n)
-        log_rho, mu = pressure._power_log_rho_mu(sub.matrix, logw, 1e-12)
-        assert log_rho == _power_log_rho(sub.matrix, logw, 1e-12)
+        found = _power_log_rho(sub.matrix, logw, 1e-12, mu=True)
+        plain = _power_log_rho(sub.matrix, logw, 1e-12)
+        # the transpose's bracket narrows the plain one, and holds the value
+        assert plain.lo <= found.lo <= found.log_rho <= found.hi <= plain.hi
+        mu = found.mu
         assert mu.sum() == pytest.approx(1.0, abs=1e-12)
         a = sub.matrix * np.exp(logw - logw.max())[:, None]
         assert np.allclose(mu, eig_mu(a), rtol=0, atol=1e-8)
@@ -691,19 +710,19 @@ class TestGradients:
     def test_dense_mu_from_the_eigensolver(self, monkeypatch):
         monkeypatch.setattr(pressure, "_POWER_MAX_ITER", 3)
         mat, logw = cycle_with_chord(12), np.linspace(-1.0, 1.0, 12)
-        log_rho, mu = pressure._power_log_rho_mu(mat, logw, 1e-12)
-        assert log_rho == pytest.approx(_power_log_rho(mat, logw, 1e-12), abs=1e-12)
+        log_rho, _, _, mu = _power_log_rho(mat, logw, 1e-12, mu=True)
+        assert log_rho == pytest.approx(_power_log_rho(mat, logw, 1e-12).log_rho, abs=1e-12)
         assert np.allclose(mu, eig_mu(mat * np.exp(logw)[:, None]), rtol=0, atol=1e-10)
         monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
         with pytest.raises(ConvergenceError, match="did not reach"):
-            pressure._power_log_rho_mu(mat, logw, 1e-12)
+            _power_log_rho(mat, logw, 1e-12, mu=True)
 
     @settings(max_examples=60, deadline=None)
     @given(logw=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=30))
     def test_rank_one_mu_is_the_weight_share(self, logw):
         logw = np.array(logw)
-        log_rho, mu = pressure._rank_one_log_rho_mu(logw, 1e-12)
-        assert log_rho == pressure._rank_one_log_rho(logw, 1e-12)
+        log_rho, _, _, mu = pressure._rank_one_log_rho(logw, 1e-12, mu=True)
+        assert log_rho == pressure._rank_one_log_rho(logw, 1e-12).log_rho
         w = np.exp(logw - logw.max())
         assert np.allclose(mu, w / w.sum(), rtol=1e-12, atol=1e-300)
         assert mu.sum() == pytest.approx(1.0, abs=1e-12)
@@ -718,13 +737,74 @@ class TestGradients:
             sub = md.TruncatedSubsystem(size=n, dense=np.ones((n, n), dtype=bool))
         else:
             sub = seeded_primitive(rng, n)
-        length, log_rho, log_rho_mu = pressure._log_rho_solver(sub, 6)
+        length, root = pressure._log_rho_solver(sub, 6)
         for _ in range(10):
             logw = np.append(rng.normal(0.0, 3.0, 6), np.full(length - 6, rng.normal()))
-            value, mu = log_rho_mu(logw, 1e-12)
-            assert value == log_rho(logw, 1e-12)
+            found, plain = root(logw, 1e-12, mu=True), root(logw, 1e-12)
+            assert plain.mu is None
+            # mu leaves the value and the bracket as they are, except that the
+            # power route narrows the bracket by the transpose's and moves the
+            # value into it
+            if shape == "dense":
+                assert plain.lo <= found.lo <= found.log_rho <= found.hi <= plain.hi
+            else:
+                assert found[:3] == plain[:3]
+            mu = found.mu
             assert mu.shape == (length,) and (mu >= 0.0).all()
             assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def bracket_case(route, rng):
+    """(subsystem, log weights, a matrix similar to the weighted one up to
+    the weights) for one route: an SV staircase, an all-true matrix, and on
+    the power route a seeded dense map or an SV staircase materialized as an
+    explicit matrix.  A staircase's Perron vectors decay and grow like 2^-k
+    and 2^k, so eigvals takes its diag(2^k) similarity, which is exact."""
+    n = int(rng.integers(2, 65))
+    if route == "dense":
+        sub = md.truncate(seeded_dense_map(rng, n), n) if n >= 4 else seeded_primitive(rng, n)
+        return sub, rng.normal(0.0, 1.0, n), sub.matrix
+    if route == "rank-one":
+        return md.TruncatedSubsystem(size=n, dense=np.ones((n, n), dtype=bool)), \
+            rng.normal(0.0, 3.0, n), np.ones((n, n))
+    model = md.build_sv_map(rng.uniform(0.55, 0.97))
+    sub = md.truncate(model, n)
+    k = np.arange(n)
+    similar = sub.matrix * np.ldexp(1.0, k[:, None] - k[None, :])
+    if route == "staircase":
+        return sub, rng.normal(0.0, 2.0, n), similar
+    logw = -rng.uniform(0.3, 1.5) * md.builtin_log_derivative(model).values_vector(n)
+    return md.TruncatedSubsystem(size=n, dense=sub.matrix), logw, similar
+
+
+class TestBrackets:
+    """Every route's bracket holds the eigvals root and is about rel_tol wide."""
+
+    @pytest.mark.parametrize("route", ["staircase", "rank-one", "dense", "explicit-staircase"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rel_tol=st.sampled_from([1e-10, 1e-12]),
+           mu=st.booleans())
+    def test_bracket_holds_the_eigvals_root(self, route, seed, rel_tol, mu):
+        sub, logw, similar = bracket_case(route, np.random.default_rng(seed))
+        length, root = pressure._log_rho_solver(sub, sub.size)
+        assert length == sub.size
+        found = root(logw, rel_tol, mu=mu)
+        want = dense_log_rho(similar, logw)
+        # eigvals was seen within 2.2e-15 of 40-digit roots on such matrices
+        slack = 1e-14 * max(1.0, abs(want))
+        assert found.lo - slack <= want <= found.hi + slack, (found, want)
+        assert found.lo <= found.log_rho <= found.hi
+        assert found.hi - found.lo <= 1.25 * rel_tol
+        # perron_pressure meets its tolerance, which the residual stop did not
+        assert abs(root(logw, rel_tol).log_rho - want) <= rel_tol + slack
+
+    def test_fallback_bracket_holds_the_root(self, monkeypatch):
+        monkeypatch.setattr(pressure, "_POWER_MAX_ITER", 3)
+        mat, logw = cycle_with_chord(12), np.linspace(-1.0, 1.0, 12)
+        want = dense_log_rho(mat, logw)
+        for mu in (False, True):
+            found = pressure._power_log_rho(mat, logw, 1e-12, mu=mu)
+            assert found.lo <= want <= found.hi and found.hi - found.lo <= 1e-12
 
 
 class TestOrbitSums:
@@ -825,6 +905,26 @@ class TestGurevich:
             md.gurevich_pressure(m, md.constant_potential(0.0), -1.0, 64)
         with pytest.raises(DomainError):
             md.gurevich_pressure(m, md.constant_potential(0.0), 1e-8, 1)
+
+    @pytest.mark.parametrize("half_width,raises", [(5e-13, True), (1e-9, False)])
+    def test_monotonicity_checked_on_brackets(self, half_width, raises, monkeypatch):
+        # a route whose roots fall by 1e-10 a level: an error only when a
+        # level's bracket lies wholly below the level before's
+        def solver(sub, head, guess=None):
+            def root(log_weights, rel_tol, guess=None, mu=False):
+                value = -1e-10 * math.log2(sub.size)
+                return pressure.PerronRoot(value, value - half_width, value + half_width, None)
+
+            return sub.size, root
+
+        monkeypatch.setattr(pressure, "_log_rho_solver", solver)
+        m = md.build_sv_map(0.9)
+        if raises:
+            with pytest.raises(ConvergenceError, match="not monotone"):
+                md.gurevich_pressure(m, md.constant_potential(0.0), 1e-8, 64)
+        else:
+            res = md.gurevich_pressure(m, md.constant_potential(0.0), 1e-8, 64)
+            assert len(res.per_level) == 6
 
     def test_json_shape(self):
         m = md.build_sv_map(0.9)

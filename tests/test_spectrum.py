@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import markovdim as md
 from markovdim import pressure, spectrum
 from markovdim.errors import DegenerateError, DomainError, MixingError, UnboundedError
-from markovdim.spectrum import _karp_finish, _karp_min_cycle_mean, _karp_table
+from markovdim.spectrum import _karp_critical, _karp_min_cycle_mean, _karp_table
 from test_bisection import bisect
 
 ALPHA_M_09 = 2.302585092994046          # -log(1 - 0.9)
@@ -44,7 +44,7 @@ def brute_min_cycle_mean(mat, cost):
 
 
 def karp_finish_loop(table):
-    """Reference: the scalar double loop that ``_karp_finish`` vectorizes."""
+    """Reference: the scalar double loop that ``_karp_critical`` vectorizes."""
     n = table.shape[1]
     dn = table[n]
     best = math.inf
@@ -89,11 +89,11 @@ def seeded_dense_map(rng, m):
                                 for i in range(m)], adj)
 
 
-def dense_variational_case():
+def dense_variational_case(seed=0):
     """(model, phi, alpha) on a seeded explicit map of 64 equal branches.
     phi is drawn in [0.5, 1.5] and alpha sits 40% of the way into its
     cycle-quotient interval."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     m = 64
     model = seeded_dense_map(rng, m)
     phi = md.TablePotential({(i + 1,): float(v) for i, v in enumerate(rng.uniform(0.5, 1.5, m))})
@@ -155,20 +155,21 @@ def bisection_variational_dimension(model, phi, psi, alpha, N, tol):
 def bisection_bowen_dimension(model, N_max, tol):
     """Oracle for a Bowen root: on each level, the halving of s in [0, 1] on
     the sign of the pressure, down to width tol/100, testing every midpoint,
-    that bowen_dimension ran before its Newton steps."""
+    that bowen_dimension ran before its Newton steps; a level whose P(1)
+    bracket lies above 0 is clipped at 1."""
     logt = md.builtin_log_derivative(model)
     rel_tol = min(tol * 1e-3, 1e-12)
 
     def root(sub):
-        length, log_rho, _ = pressure._log_rho_solver(sub, logt.head)
+        length, perron = pressure._log_rho_solver(sub, logt.head)
         logt_v = logt.values_vector(length)
 
         def pressure_at(s):
-            return log_rho(-s * logt_v, rel_tol)
+            return perron(-s * logt_v, rel_tol).log_rho
 
         if pressure_at(0.0) <= 0.0:
             raise DegenerateError(f"pressure at s=0 is nonpositive at level N={sub.size}")
-        if pressure_at(1.0) > 0.0:
+        if perron(-1.0 * logt_v, rel_tol).lo > 0.0:
             return 1.0  # root clipped at the ambient dimension
         return bisect(lambda s: not pressure_at(s) > 0.0, 0.0, 1.0, lambda h: tol * 1e-2)[0]
 
@@ -201,22 +202,21 @@ def counted_staircase_work(monkeypatch):
 
 
 def patched_solver(monkeypatch, shift=0.0, slope_scale=1.0):
-    """Make ``bowen_dimension``'s Perron routines report log rho - ``shift``
-    and mu scaled by ``slope_scale`` (so the slope -mu . log|T'| too); the
-    oracle keeps the real ones unless ``shift`` is set, which it shares."""
+    """Make ``bowen_dimension``'s Perron routine report log rho - ``shift``
+    (its bracket too) and mu scaled by ``slope_scale`` (so the slope
+    -mu . log|T'| too); the oracle keeps the real one unless ``shift`` is
+    set, which it shares."""
     real = pressure._log_rho_solver
 
     def solver(sub, head, guess=None):
-        length, log_rho, log_rho_mu = real(sub, head, guess)
+        length, root = real(sub, head, guess)
 
-        def shifted(log_weights, rel_tol, guess=None):
-            return log_rho(log_weights, rel_tol, guess) - shift
+        def shifted(log_weights, rel_tol, guess=None, mu=False):
+            value, lo, hi, weights = root(log_weights, rel_tol, guess, mu)
+            return pressure.PerronRoot(value - shift, lo - shift, hi - shift,
+                                       None if weights is None else slope_scale * weights)
 
-        def shifted_mu(log_weights, rel_tol, guess=None):
-            value, mu = log_rho_mu(log_weights, rel_tol, guess)
-            return value - shift, slope_scale * mu
-
-        return length, shifted, shifted_mu
+        return length, shifted
 
     monkeypatch.setattr(spectrum, "_log_rho_solver", solver)
     if shift:
@@ -245,8 +245,9 @@ def counted_evaluations(monkeypatch):
     return calls
 
 
-def eig_log_rho_mu(matrix, log_weights, rel_tol):
-    """Dense-eigensolver stand-in for the power iteration and its gradient."""
+def eig_log_rho_mu(matrix, log_weights, rel_tol, guess=None, mu=False):
+    """Dense-eigensolver stand-in for the power iteration and its gradient,
+    with a bracket of the root alone."""
     shift = float(np.max(log_weights))
     a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
     roots, vectors = [], []
@@ -256,7 +257,8 @@ def eig_log_rho_mu(matrix, log_weights, rel_tol):
         roots.append(float(abs(values[i])))
         vectors.append(np.abs(vecs[:, i].real))
     uv = vectors[0] * vectors[1]
-    return math.log(roots[0]) + shift, uv / uv.sum()
+    log_rho = math.log(roots[0]) + shift
+    return pressure.PerronRoot(log_rho, log_rho, log_rho, uv / uv.sum())
 
 
 @st.composite
@@ -344,7 +346,7 @@ class TestAlphaBounds:
         mid = 0.5 * (lo + hi)
         for cost in (phi_v, phi_v - mid * psi_v, mid * psi_v - phi_v):
             table = _karp_table(mat, cost)
-            assert _karp_finish(table) == karp_finish_loop(table)
+            assert _karp_critical(table)[0] == karp_finish_loop(table)
         # the range check of a single point: DomainError exactly off the open interval
         q_lo, q_hi = min(quotients), max(quotients)
         alphas = [q_lo - offsets[0], q_lo + offsets[1], q_hi - offsets[2], q_hi + offsets[3]]
@@ -428,7 +430,7 @@ class TestAlphaBounds:
     def test_karp_finish_unreachable_cycle(self):
         # node 1 has no out-edge, so no walk from it reaches a cycle
         table = _karp_table(np.array([[0, 0], [1, 1]], dtype=bool), np.array([1.0, 2.0]))
-        for finish in (_karp_finish, karp_finish_loop):
+        for finish in (lambda t: _karp_critical(t)[0], karp_finish_loop):
             with pytest.raises(MixingError):
                 finish(table)
 
@@ -581,7 +583,7 @@ class TestVariationalDimension:
         one = md.constant_potential(1.0)
         tol = 1e-3
         got = md.variational_dimension(model, phi, one, alpha, 64, tol).dimension
-        monkeypatch.setattr(pressure, "_power_log_rho_mu", eig_log_rho_mu)
+        monkeypatch.setattr(pressure, "_power_log_rho", eig_log_rho_mu)
         want = md.variational_dimension(model, phi, one, alpha, 64, tol).dimension
         bowen = md.bowen_dimension(model, 64, 1e-9).value
         assert abs(got - want) <= tol
@@ -726,6 +728,17 @@ class TestBowen:
         assert d["method"] == "BOWEN"
         assert sorted(d) == ["converged", "method", "per_level", "value"]
 
+    def test_per_level_monotone_where_roots_reach_one(self):
+        # from N = 64 on, P_N(1) of this recurrent tail is 0 up to roundoff;
+        # a level is clipped at 1 only when its bracket lies above 0, so no
+        # level reads 1 while a later one reads less
+        r = 0.4
+        head = [md.make_branch(1, r, 1.0, 1.0 / (1.0 - r)),
+                md.make_branch(2, r * r, r, 1.0 / (r - r * r))]
+        tailed = md.build_custom_map(head, "staircase", tail={"from_index": 3, "ratio": r})
+        vals = [s for _, s in md.bowen_dimension(tailed, 1024, 1e-6).per_level]
+        assert vals == sorted(vals) and vals[-1] == 1.0 - 2.0 ** -28
+
     def test_doubling_slope_custom(self):
         branches = [md.make_branch(1, 0.0, 0.5, 2.0), md.make_branch(2, 0.5, 1.0, 2.0)]
         cm = md.build_custom_map(branches, np.ones((2, 2), dtype=bool))
@@ -814,11 +827,17 @@ class TestBowenReplay:
         for tol in (1e-9, 1e-6):
             assert_bowen_matches_oracle(model, 64, tol)
 
-    def test_root_clipped_at_one(self):
-        # the full map is the whole system at N = 3, where P(1) rounds above 0
+    def test_root_clipped_at_one(self, monkeypatch):
+        # the full map is the whole system at N = 3, where P(1) is 0 up to
+        # roundoff: its bracket holds 0, so the level is not clipped, and the
+        # halving's last bracket ends at 1
         edges = [0.0, 0.025, 0.075, 1.0]
         model = md.build_custom_map([md.make_branch(i + 1, a, b, 1.0 / (b - a))
                                      for i, (a, b) in enumerate(zip(edges, edges[1:]))], "full")
+        got = json.loads(assert_bowen_matches_oracle(model, 8, 1e-6))
+        assert got["per_level"][-1] == [3, 1.0 - 2.0 ** -28] and got["per_level"][0][1] < 1.0
+        # raised by 1e-9, P(1)'s bracket lies above 0 and the level is clipped
+        patched_solver(monkeypatch, shift=-1e-9)
         got = json.loads(assert_bowen_matches_oracle(model, 8, 1e-6))
         assert got["per_level"][-1] == [3, 1.0] and got["per_level"][0][1] < 1.0
 
