@@ -48,6 +48,7 @@ ORBIT_SUM_MAX_PERIOD = 30
 _POWER_MAX_ITER = 200_000
 _DENSE_FALLBACK_MAX_N = 2048
 _EPS = 2.0 ** -52
+_TINY = 2.0 ** -1022            # the least normal double
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +356,13 @@ def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float,
     costs n^3 flops, as n matrix-vector products do.  Work is counted in
     products, a square counting n, and s doubles only while below the
     budget.  Once ``_POWER_MAX_ITER`` products are spent (a tiny spectral
-    gap, or a tolerance below roundoff) a dense eigensolver takes over up to
-    ``_DENSE_FALLBACK_MAX_N`` symbols, its vector giving the bracket, and
-    ConvergenceError is raised beyond.  With
-    ``mu``, mu_i = u_i v_i / (u . v), u from the same iteration on A^T,
-    whose bracket narrows the root's and takes the value in.  Brackets are
-    pushed out by the products' roundoff, (n + 3) eps.
+    gap, or a tolerance below roundoff), or once y spans more than the range
+    of doubles and so has no bracket (:func:`_collatz_wielandt`), a dense
+    eigensolver takes over up to ``_DENSE_FALLBACK_MAX_N`` symbols, its
+    vector giving the bracket, of any width, and ConvergenceError is raised
+    beyond.  With ``mu``, mu_i = u_i v_i / (u . v), u from the same
+    iteration on A^T, whose bracket narrows the root's and takes the value
+    in.  Brackets are pushed out by the products' roundoff, (n + 3) eps.
     """
     shift = float(np.max(log_weights))
     a = matrix.astype(float) * np.exp(log_weights - shift)[:, None]
@@ -377,7 +379,7 @@ def _power_log_rho(matrix: np.ndarray, log_weights: np.ndarray, rel_tol: float,
         _, lo_t, hi_t, u = runs[1]
         lo, hi = max(lo, lo_t), min(hi, hi_t)
         uv = u * v
-        weights = uv / uv.sum()
+        weights = uv / _positive(float(uv.sum()))
     lam = min(max(lam, lo), hi)
     return _perron_root(math.log(lam) + shift, lo, hi, shift, (a.shape[0] + 3) * _EPS, weights)
 
@@ -390,18 +392,47 @@ def _positive(total: float) -> float:
     return total
 
 
-def _collatz_wielandt(ay: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """min and max of (A y)_i / y_i, which bracket rho when y > 0, else (0, inf)."""
-    if not (y > 0.0).all():
-        return 0.0, math.inf
-    ratios = ay / y
-    return float(ratios.min()), float(ratios.max())
+def _collatz_wielandt(a: np.ndarray, ay: np.ndarray, y: np.ndarray
+                      ) -> tuple[float, float] | None:
+    """A bracket [lo, hi] of rho from y >= 0 and ay = A y, or None.
+
+    For y > 0 it is min and max of (A y)_i / y_i.  An (A y)_i below n times
+    the least normal double may have lost an ulp to underflow: such y_i are
+    set to 0, A y is formed again, and the ratios are taken over the rest.
+    That brackets rho when the zeros Z lead only into themselves and the
+    root of A_ZZ is at most lo: the dead rows, whose every path ends at a
+    zero row (of weight 0 once shifted), are nilpotent, and the largest row
+    sum over the others bounds it.  A matrix of dead rows alone collapses."""
+    floor = a.shape[0] * _TINY
+    if ay.min() >= floor and y.min() > 0.0:
+        ratios = ay / y
+        return float(ratios.min()), float(ratios.max())
+    dead = ~a.any(axis=1)
+    while dead.any():
+        grown = dead | ~a[:, ~dead].any(axis=1)
+        if (grown == dead).all():
+            break
+        dead = grown
+    if dead.all():
+        raise ConvergenceError("power iteration collapsed to zero vector")
+    zero = (ay < floor) | (y == 0.0)
+    y = np.where(zero, 0.0, y)
+    ay = a @ y
+    if zero.all() or a[np.ix_(zero, ~zero)].any() or ay[~zero].min() < floor:
+        return None
+    ratios = ay[~zero] / y[~zero]
+    lo, hi = float(ratios.min()), float(ratios.max())
+    inner = zero & ~dead
+    if inner.any() and a[np.ix_(inner, inner)].sum(axis=1).max() > lo:
+        return None
+    return lo, hi
 
 
 def _power_iteration(a: np.ndarray, rel_tol: float
                      ) -> tuple[float, float, float, np.ndarray] | None:
     """(lam, lo, hi, y) of :func:`_power_log_rho` on the weighted matrix
-    ``a``: value, bracket and Perron vector; None once the budget is spent."""
+    ``a``: value, bracket and Perron vector; None once the budget is spent,
+    or at once when underflow leaves no bracket."""
     n = a.shape[0]
     log_tol = math.log(rel_tol)
     p, s = a, 1
@@ -411,7 +442,10 @@ def _power_iteration(a: np.ndarray, rel_tol: float
     while work < _POWER_MAX_ITER:
         y /= _positive(float(y.sum()))
         ay = a @ y
-        lo, hi = _collatz_wielandt(ay, y)
+        found = _collatz_wielandt(a, ay, y)
+        if found is None:
+            return None
+        lo, hi = found
         if lo > 0.0 and hi - lo <= rel_tol * lo:
             return float(ay.sum()), lo, hi, y
         trail = [*trail[-2:], (steps, math.log((hi - lo) / lo) if lo > 0.0 else math.inf)]
@@ -435,12 +469,20 @@ def _power_iteration(a: np.ndarray, rel_tol: float
 
 
 def _eig_pair(a: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-    """(lam, lo, hi, v) as :func:`_power_iteration` gives them, from the dense eigensolver."""
+    """(lam, lo, hi, v) as :func:`_power_iteration` gives them, from the dense
+    eigensolver: the brackets of its vector and of up to three products meet,
+    the products emptying the dead rows, where the solver leaves roundoff."""
     values, vectors = np.linalg.eig(a)
     i = int(np.argmax(np.abs(values)))
     v = np.abs(vectors[:, i].real)
-    v /= v.sum()
-    return (float(abs(values[i])), *_collatz_wielandt(a @ v, v), v)
+    y, lo, hi = v / _positive(float(v.sum())), 0.0, math.inf
+    for _ in range(4):
+        ay = a @ y
+        found = _collatz_wielandt(a, ay, y)
+        if found is None:
+            break
+        lo, hi, y = max(lo, found[0]), min(hi, found[1]), ay / ay.sum()
+    return float(abs(values[i])), lo, hi, v / v.sum()
 
 
 def perron_pressure(sub: TruncatedSubsystem, p: TablePotential, tol: float) -> float:

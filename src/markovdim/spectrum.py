@@ -521,9 +521,10 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
        either side of the predicted root: a quarter of the final width
        away, or further where the slope says P would not clear 16 rel_tol.
        A tested value counts when its bracket clears 0 by twice the sum of
-       rel_tol and its own width, more than any bracket of the route is wide,
-       so that every value at or below a positive one is positive, and
-       every value at or above a nonpositive one nonpositive.
+       rel_tol and its own width, more than the route's brackets are wide
+       (all but an eigensolver fallback's), so that every value at or below
+       a positive one is positive, and every value at or above a
+       nonpositive one nonpositive.
     2. The halving is replayed exactly.  A midpoint that a counted value
        settles is not tested, every other midpoint is, and the test at
        s = 1 is made only when no counted value settles it.  The result is

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import markovdim as md
 from markovdim import pressure, spectrum
 from markovdim.cli import main
-from markovdim.errors import ConvergenceError, DomainError, MixingError, WorkLimitError
+from markovdim.errors import (ConvergenceError, DomainError, MixingError, UnboundedError,
+                              WorkLimitError)
 from markovdim.pressure import _power_log_rho, _staircase_log_rho, _staircase_tail
 from test_bisection import bisect
 from test_spectrum import dense_variational_case, seeded_dense_map
@@ -67,22 +68,6 @@ def reference_staircase_log_rho(log_weights, rel_tol):
         if hi - lo <= rel_tol * hi:
             break
     return math.log(0.5 * (lo + hi)) + shift
-
-
-def perron_log_rho_and_condition(mat: np.ndarray, logw: np.ndarray) -> tuple[float, float]:
-    """(log Perron root, kappa) of the weighted matrix from a dense eigensolver.
-
-    With u, v the left and right Perron vectors, |v|_1 = 1, kappa is
-    |u|_1 / (u . v).  A unit-L1 y >= 0 with max|A y - lam y| <= tol lam has
-    |rho / lam - 1| = |u . (A y - lam y)| / (lam u . y) <= tol |u|_1 / (u . y),
-    which is tol kappa at y = v.
-    """
-    a = mat.astype(float) * np.exp(logw)[:, None]
-    vals, right = np.linalg.eig(a)
-    lvals, left = np.linalg.eig(a.T)
-    v = np.abs(right[:, np.argmax(np.abs(vals))].real)
-    u = np.abs(left[:, np.argmax(np.abs(lvals))].real)
-    return math.log(np.max(np.abs(vals))), float(u.sum() * v.sum() / (u @ v))
 
 
 def cycle_with_chord(length: int) -> np.ndarray:
@@ -564,10 +549,11 @@ class TestPowerIteration:
                     break
             logw = rng.normal(0.0, rng.uniform(0.0, 3.0), n)
             tol = 10.0 ** rng.uniform(-12.0, -4.0)
-            want, kappa = perron_log_rho_and_condition(mat, logw)
-            # the residual test bounds the error by tol * kappa at y = v; the
-            # factor 2 covers the stopped iterate being near v, not at it
-            assert abs(_power_log_rho(mat, logw, tol).log_rho - want) <= 2.0 * tol * kappa
+            want = dense_log_rho(mat, logw)
+            # the stop's bracket, at most tol wide, holds the root and the value
+            found = _power_log_rho(mat, logw, tol)
+            assert found.lo - 1e-13 <= want <= found.hi + 1e-13
+            assert abs(found.log_rho - want) <= tol + 1e-13
 
     def test_slow_gap_converges_by_squaring(self, monkeypatch):
         mat = cycle_with_chord(48)
@@ -579,10 +565,11 @@ class TestPowerIteration:
         # only squared steps can reach the tolerance
         assert math.log(1e-12) / math.log(mods[-2] / mods[-1]) > 2 * pressure._POWER_MAX_ITER
         monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
-        want, kappa = perron_log_rho_and_condition(mat, logw)
+        want = dense_log_rho(mat, logw)
         products = []
         found = _power_log_rho(counted(mat, products), logw, 1e-12)
-        assert abs(found.log_rho - want) <= 2e-12 * kappa
+        assert found.lo - 1e-14 <= want <= found.hi + 1e-14
+        assert abs(found.log_rho - want) <= 1e-12 + 1e-14
         assert products.count("square") >= 5
 
     def test_budget_reaches_fallback(self, monkeypatch):
@@ -597,9 +584,9 @@ class TestPowerIteration:
             _power_log_rho(mat, logw, 1e-12)
 
     def test_tolerance_below_roundoff_reaches_fallback(self, monkeypatch):
-        # the slow residual decay calls for squares, then the residual stalls
-        # at roundoff and never meets 1e-20: squares stay within the budget,
-        # and the budget ends in the fallback
+        # the bracket's slow narrowing calls for squares, then its width
+        # stalls at roundoff and never meets 1e-20: squares stay within the
+        # budget, and the budget ends in the fallback
         mat = cycle_with_chord(40)
         logw = np.linspace(-1.0, 1.0, 40)
         budget = 2000
@@ -609,10 +596,11 @@ class TestPowerIteration:
         products = []
         assert _power_log_rho(counted(mat, products), logw, 1e-20).log_rho == want
         # a square costs 40 products; the last round may pass the budget by
-        # its 3 products, and the start vector's product precedes the count
+        # its 3 products, the start vector's product precedes the count, and
+        # the fallback's bracket takes 4 more
         squares = products.count("square")
         assert 0 < squares <= math.log2(2 * budget)     # s stops doubling once past the budget
-        assert products.count("vector") + 40 * squares <= budget + 4
+        assert products.count("vector") + 40 * squares <= budget + 8
         monkeypatch.setattr(pressure, "_DENSE_FALLBACK_MAX_N", 0)
         with pytest.raises(ConvergenceError, match="did not reach"):
             _power_log_rho(mat, logw, 1e-20)
@@ -630,6 +618,23 @@ class TestPowerIteration:
             products.clear()
             md.variational_dimension(model, phi, md.constant_potential(1.0), alpha, 64, 1e-3)
             assert 0 < products.count("vector") + 64 * products.count("square") <= cap
+
+    def test_sparse_map_beyond_the_edge_is_unbounded(self, monkeypatch):
+        # below the least cycle quotient q doubles towards -1e6 and the
+        # shifted weights of symbols 2 and 3 underflow: each root stops on its
+        # bracket, or falls back to eigvals at once where the Perron vector
+        # spans more than the range of doubles, and none spends the budget
+        rows = [[1, 1, 0], [0, 1, 1], [1, 1, 0]]
+        branches = [md.make_branch(i + 1, i / 3, (i + 1) / 3, 2.0) for i in range(3)]
+        cm = md.build_custom_map(branches, np.array(rows, dtype=bool))
+        phi = md.TablePotential({(1,): 0.0, (2,): 1.0, (3,): 2.0})
+        products = []
+        real = pressure._power_iteration
+        monkeypatch.setattr(pressure, "_power_iteration",
+                            lambda a, rel_tol: real(counted(np.asarray(a), products), rel_tol))
+        with pytest.raises(UnboundedError):
+            md.inf_pressure_over_q(cm, phi, md.constant_potential(1.0), -0.5, 0.2, 3, 1e-6)
+        assert 0 < len(products) <= 2000
 
     def test_collapse_raises(self):
         # the weights of symbols 2 and 3 underflow, so A^2 = 0
@@ -805,6 +810,26 @@ class TestBrackets:
         for mu in (False, True):
             found = pressure._power_log_rho(mat, logw, 1e-12, mu=mu)
             assert found.lo <= want <= found.hi and found.hi - found.lo <= 1e-12
+
+    @pytest.mark.parametrize("mu", [False, True])
+    def test_underflowed_row_keeps_the_stop(self, mu):
+        # a weight 800 below the rest underflows to 0 once shifted, so its row
+        # of the weighted matrix is zero and so is its entry in every iterate;
+        # the same map with that weight 30 below takes as many products
+        rng = np.random.default_rng(8)
+        mat = seeded_primitive(rng, 12).dense
+        logw = rng.normal(0.0, 1.0, 12)
+        work = []
+        for drop in (30.0, 800.0):
+            low = logw.copy()
+            low[3] -= drop
+            products = []
+            found = _power_log_rho(counted(mat, products), low, 1e-12, mu=mu)
+            want = dense_log_rho(mat, low)
+            assert found.lo - 1e-14 <= want <= found.hi + 1e-14, (drop, found, want)
+            assert found.hi - found.lo <= 1.25e-12
+            work.append(len(products))
+        assert work[1] <= work[0] + 10, work
 
 
 class TestOrbitSums:
