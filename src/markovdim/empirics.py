@@ -53,8 +53,9 @@ BOX_COUNT_BOOTSTRAP = 200
 #: infinite staircase (a map with a tail) the branch index drops by at most 1
 #: per step, so an orbit of horizon n that crosses it in branch i at step k
 #: (counted from 0) sits in a branch >= i + k - n at every later step.  While
-#: that bound exceeds ESCAPE_THRESHOLD - 1 the orbit is a certified escaper;
-#: every other orbit, and every orbit of a finite map, aborts at the crossing.
+#: that bound exceeds the floor of :func:`_escape_floor` the orbit is a
+#: certified escaper, in :func:`simulate_orbit` as in the batch; every other
+#: orbit, and every orbit of a finite map, aborts at the crossing.
 DEEP_FLOOR = 1e-300
 
 RECURRENT_WINDOW = "RECURRENT_WINDOW"
@@ -110,11 +111,11 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
 
     An endpoint hit aborts the orbit with classification BOUNDARY_ABORT
     (recorded on the result, not raised).  An orbit that drops below
-    :data:`DEEP_FLOOR` stops there: on an infinite staircase it is a
-    certified escaper (ESCAPING) while the remaining horizon is shorter than
-    its branch index less the escape threshold; otherwise, and always on a
-    finite map, it is BOUNDARY_ABORT.  Any other orbit is classified from
-    its quarter minima, as a batch lane is.
+    :data:`DEEP_FLOOR` stops there: it is a certified escaper (ESCAPING)
+    when its branch bound at the horizon exceeds :func:`_escape_floor`, as
+    in the batch, with log|T'| the one table read here; otherwise, and
+    always on a finite map, it is BOUNDARY_ABORT.  Any other orbit is
+    classified from its quarter minima, as a batch lane is.
     Log|T'| (:func:`builtin_log_derivative`, as in the batch) is evaluated
     along the itinerary and its per-step values recorded.
     """
@@ -139,20 +140,30 @@ def simulate_orbit(model: MarkovMapModel, x0: float, n: int) -> OrbitRecord:
             went_deep = True
             break
     it = np.asarray(itinerary, dtype=np.int64)
-    logt = builtin_log_derivative(model).eval_symbols(it)
+    pot = builtin_log_derivative(model)
+    logt = pot.eval_symbols(it)
     if went_deep:
-        # escape is certified only on an infinite staircase (a tail implies the
-        # rule, whose branch index drops by at most 1 per step), and only while
-        # the remaining horizon cannot bring the branch index back down
-        certified = (model.tail is not None
-                     and n - len(itinerary) < int(itinerary[-1]) - ESCAPE_THRESHOLD)
-        cls = ESCAPING if certified else BOUNDARY_ABORT
+        bound = int(itinerary[-1]) + len(itinerary) - 1 - n   # the branch bound at the horizon
+        cls = ESCAPING if bound > _escape_floor(model, [pot]) else BOUNDARY_ABORT
     else:
         q = n // 4
         mins = (it[:q].min(), it[n - q:].min()) if q and not aborted else (0, 0)
         cls = str(_classify(*mins, aborted))
     return OrbitRecord(start=x0, itinerary=it, points=np.asarray(xs),
                        logt_steps=logt, classification=cls)
+
+
+def _escape_floor(model: MarkovMapModel, pots) -> float:
+    """The floor that the branch bound at the horizon of a deep crossing
+    (:data:`DEEP_FLOOR`) must exceed for the orbit to be a certified escaper:
+    ESCAPE_THRESHOLD - 1, so that its final quarter's least branch reaches
+    the threshold, and the head of each potential in ``pots`` that the path
+    reads, so that every deep step takes that potential's tail value.  Only
+    an infinite staircase (a map with a tail, whose branch index drops by
+    at most 1 per step) certifies a crossing: on any other map it is inf."""
+    if model.tail is None:
+        return math.inf
+    return max(ESCAPE_THRESHOLD - 1, *(pot.head for pot in pots))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +500,8 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     once.  On an infinite staircase (a map with a tail, as SV) every later
     step sits in a branch >= i + k - n (the index drops by at most 1 per
     step).  When that bound exceeds ESCAPE_THRESHOLD - 1 and the head of
-    every table the batch reads (log|T'|, phi, psi), the lane is certified:
+    every table the batch reads (log|T'|, phi, psi; :func:`_escape_floor`,
+    shared with :func:`simulate_orbit`), the lane is certified:
     each deep step to the horizon takes every table's tail value exactly
     (NaN without one), is recorded in itineraries as -1 (written after the
     loop, one masked copy per crossing step), and bounds the quarter
@@ -537,9 +549,7 @@ def simulate_batch(model: MarkovMapModel, x0: np.ndarray, n: int,
     rows = {key: np.concatenate(([math.nan], pot.values_or_nan(size)))
             for key, pot in tables.items()}
     partial = {key for key, row in rows.items() if np.isnan(row[1:]).any()}
-    # the bound a certified crossing exceeds; a map without a tail certifies nothing
-    floor = (max(ESCAPE_THRESHOLD - 1, *(pot.head for pot in tables.values()))
-             if model.tail is not None else math.inf)
+    floor = _escape_floor(model, tables.values())
     sink = {"logt": out.logt_sum, "tail": out.logt_tail_sum, "phi": out.phi_sum,
             "psi": out.psi_sum, "fqm": out.first_quarter_min,
             "lqm": out.last_quarter_min}

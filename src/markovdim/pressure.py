@@ -103,6 +103,26 @@ def _perron_root(log_rho: float, lo: float, hi: float, shift: float, rel: float,
                       math.log(hi) + shift + pad, mu)
 
 
+def _halving(lo: float, hi: float, width: tuple[float, float], false_to: float,
+             true_from: float, at_or_above) -> tuple[float, float]:
+    """The bracket [lo, hi] of the threshold where the monotone ``at_or_above``
+    turns True, halved until ``hi - lo <= a + r hi`` for ``width`` (a, r) or
+    one ulp wide.  The predicate is False at or below ``false_to`` and True
+    at or above ``true_from``, so only midpoints strictly between them are
+    tested; the bracket is bit for bit the one that tests every midpoint
+    returns."""
+    absolute, relative = width
+    while hi - lo > absolute + relative * hi:
+        mid = 0.5 * lo + 0.5 * hi     # 0.5 * (lo + hi) without its overflow
+        if not lo < mid < hi:
+            break
+        if mid > false_to and (mid >= true_from or at_or_above(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def _staircase_tail(w_tail: float, rho: float, m: int) -> tuple[float, float]:
     """Ratio after m back-substitution rows of constant weight ``w_tail``, and
     its derivative in rho.
@@ -209,10 +229,10 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float, n: int | None = 
        aiming a quarter of the final width past the predicted root so that
        the step after it lands on the other side.  A step that leaves the
        bracket, or is not half the step before last, becomes a halving.
-    2. The halving itself is replayed exactly: a midpoint at or above b is
-       True, one at or below a is False, and only midpoints strictly
-       between them are tested, so the result is bit for bit the plain
-       halving's, whatever the guess.
+    2. The halving itself is replayed by :func:`_halving`, which settles a
+       midpoint at or below a as False and one at or above b as True and
+       tests only those strictly between them, so the result is bit for bit
+       the plain halving's, whatever the guess.
 
     The bracket is the halving's last [lo, hi], pushed out by the trials'
     relative roundoff, 1e-13.
@@ -266,29 +286,15 @@ def _staircase_log_rho(log_weights: np.ndarray, rel_tol: float, n: int | None = 
                 x = top
             step_before, step = step, 0.5 * (top - a)
 
-    # the halving, with its test inlined: True at or above b, False at or
-    # below a, and a trial only strictly between them
+    def at_or_above(rho: float) -> bool:
+        t = trial(rho)
+        return t is not None and t[0] >= 0.0
+
     while hi < b:               # row-sum bound is exact; guard roundoff only
-        if hi > a:
-            t = trial(hi)
-            if t is not None and t[0] >= 0.0:
-                break
-        hi *= 2.0
-    lo = 0.25
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * lo + 0.5 * hi     # 0.5 * (lo + hi) without its overflow
-        if not lo < mid < hi:
+        if hi > a and at_or_above(hi):
             break
-        if mid >= b:
-            hi = mid
-        elif mid <= a:
-            lo = mid
-        else:
-            t = trial(mid)
-            if t is not None and t[0] >= 0.0:
-                hi = mid
-            else:
-                lo = mid
+        hi *= 2.0
+    lo, hi = _halving(0.25, hi, (0.0, rel_tol), a, b, at_or_above)
     log_rho = math.log(0.5 * lo + 0.5 * hi) + shift
     return _perron_root(log_rho, lo, hi, shift, 1e-13,
                         _staircase_mu(log_weights, n, log_rho, rel_tol) if mu else None)
@@ -510,7 +516,7 @@ def _rank_one_log_rho(log_weights: np.ndarray, rel_tol: float, guess: float | No
                         w / total if mu else None)
 
 
-def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = None):
+def _log_rho_solver(sub: TruncatedSubsystem, head: int):
     """The Perron-root routine for the shape of ``sub``, and how many leading
     weights it reads: (length, root), where root(log_weights, rel_tol,
     guess=None, mu=False) returns a :class:`PerronRoot` whose bracket is at
@@ -521,29 +527,20 @@ def _log_rho_solver(sub: TruncatedSubsystem, head: int, guess: float | None = No
     ``head`` is the largest symbol whose weight may differ from the constant
     tail.  Staircase subsystems take the characteristic root, which reads
     the weights of symbols 1..head+1 only (the last of them standing for
-    every symbol past head, in mu too); each call starts from its own
-    ``guess``, a log root, when given, else from the root it returned last
-    (``guess`` before the first), which changes its trial count only.  The
-    other routes have no start.  An all-true dense matrix (as a config's
-    "full" is, and a staircase of one symbol) takes the rank-one sum,
-    everything else power iteration on the materialized matrix, whose mu
-    costs a second iteration on the transpose; both read all ``sub.size``
-    weights.  Callers that evaluate many potentials on one subsystem keep
-    the returned routine, so the shape is inspected once.
+    every symbol past head, in mu too) and starts from ``guess``, a log
+    root, when given, which changes its trial count only.  The other routes
+    ignore ``guess``.  An all-true dense matrix (as a config's "full" is,
+    and a staircase of one symbol) takes the rank-one sum, everything else
+    power iteration on the materialized matrix, whose mu costs a second
+    iteration on the transpose; both read all ``sub.size`` weights.  The
+    routine keeps nothing between calls: a caller that warm-starts passes
+    its start each time.  Callers that evaluate many potentials on one
+    subsystem keep the returned routine, so the shape is inspected once.
     """
     n = sub.size
     if sub.rule == "staircase" and n >= 2:
-        last = guess
-
-        def staircase(log_weights: np.ndarray, rel_tol: float, guess: float | None = None,
-                      mu: bool = False) -> PerronRoot:
-            nonlocal last
-            found = _staircase_log_rho(log_weights, rel_tol, n,
-                                       last if guess is None else guess, mu)
-            last = found.log_rho
-            return found
-
-        return min(n, head + 1), staircase
+        return min(n, head + 1), (lambda log_weights, rel_tol, guess=None, mu=False:
+                                  _staircase_log_rho(log_weights, rel_tol, n, guess, mu))
     if sub.rule is not None or sub.dense.all():
         return n, _rank_one_log_rho
     return n, partial(_power_log_rho, sub.matrix)
@@ -649,8 +646,8 @@ def gurevich_pressure(model: MarkovMapModel, p: TablePotential, tol: float,
     roots: list[PerronRoot] = []    # each level's root starts from the level before
 
     def level(sub: TruncatedSubsystem) -> float:
-        length, root = _log_rho_solver(sub, p.head, roots[-1].log_rho if roots else None)
-        roots.append(root(p.values_vector(length), rel_tol))
+        length, root = _log_rho_solver(sub, p.head)
+        roots.append(root(p.values_vector(length), rel_tol, roots[-1].log_rho if roots else None))
         return roots[-1].log_rho
 
     res = _exhaust(model, N_max, tol, level, "PERRON")

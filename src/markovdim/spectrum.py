@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateError, DomainError, MixingError, UnboundedError, require_above
 from .markov import MarkovMapModel, TruncatedSubsystem, build_sv_map, truncate
 from .potentials import TablePotential, builtin_log_derivative, constant_potential
-from .pressure import (PerronRoot, PressureResult, _exhaust, _log_rho_solver,
+from .pressure import (PerronRoot, PressureResult, _exhaust, _halving, _log_rho_solver,
                        closed_form_pressure_sv, sv_critical_exponent)
 
 _Q_LIMIT = 1e6
@@ -133,16 +133,6 @@ def lyapunov_closed_form(lam: float, t: float) -> SpectrumPoint:
 # ---------------------------------------------------------------------------
 # Cycle-mean machinery for alpha bounds
 # ---------------------------------------------------------------------------
-def _karp_min_cycle_mean(sub: TruncatedSubsystem, cost: np.ndarray) -> float:
-    """Minimum cycle mean of source-node costs over the subsystem digraph.
-
-    Karp's formula on shortest k-edge walk weights from node 1, relaxed
-    over the dense transition matrix.  ``_beyond`` needs it only when no node
-    beyond its level has a self-loop, which never happens on a staircase.
-    """
-    return _karp_critical(_karp_table(sub.matrix, cost))[0]
-
-
 def _karp_table(m: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Row k holds the least cost of a k-edge walk from node 1 to each node."""
     n = m.shape[0]
@@ -215,7 +205,7 @@ def _beyond(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray, alpha
     if sub.rule is not None or sub.self_loops[beyond].any():
         return True
     sign = -1.0 if above else 1.0
-    return _karp_min_cycle_mean(sub, sign * (phi_v - alpha * psi_v)) < 0.0
+    return _karp_critical(_karp_table(sub.matrix, sign * (phi_v - alpha * psi_v)))[0] < 0.0
 
 
 def _extreme_cycle_ratio(sub: TruncatedSubsystem, phi_v: np.ndarray, psi_v: np.ndarray,
@@ -285,7 +275,8 @@ class _PressureEvaluator:
     """Caches the truncation, its Perron routine and the component value
     vectors for repeated evaluations of q (phi - alpha psi) - delta log|T'|
     pressures.  The vectors hold the symbols the routine reads: on a
-    staircase, the largest head of the three plus one tail symbol."""
+    staircase, the largest head of the three plus one tail symbol.  Each
+    evaluation starts the memoryless routine from the evaluation before's root."""
 
     def __init__(self, model: MarkovMapModel, phi: TablePotential, psi: TablePotential, N: int):
         if psi.positivity_floor is None:
@@ -296,12 +287,14 @@ class _PressureEvaluator:
         self.phi_v = phi.values_vector(length)
         self.psi_v = psi.values_vector(length)
         self.logt_v = logt.values_vector(length)
+        self._last = None
 
     def evaluate(self, q: float, alpha: float, delta: float) -> tuple[float, float, float]:
         """The pressure P and its slopes dP/dq = mu . (phi - alpha psi) and
         dP/ddelta = -mu . log|T'|, mu being the equilibrium state."""
         level = self.phi_v - alpha * self.psi_v
-        value, _, _, mu = self._root(q * level - delta * self.logt_v, _EIG_TOL, mu=True)
+        value, _, _, mu = self._root(q * level - delta * self.logt_v, _EIG_TOL, self._last, True)
+        self._last = value
         return value, float(mu @ level), -float(mu @ self.logt_v)
 
 
@@ -385,12 +378,19 @@ def inf_pressure_over_q(model: MarkovMapModel, phi: TablePotential, psi: TablePo
     is mu . (phi - alpha psi), mu the equilibrium state; the minimum is
     bracketed by doubling steps from q = 0 and located by secant steps on
     that slope to q-tolerance ``tol``.  An UnboundedError signals that alpha
-    sits at or beyond the edge of the truncated spectrum.
+    sits at or beyond the edge of the truncated spectrum: it is raised at
+    once when :func:`_beyond` finds cycle quotients on one side of alpha
+    only (on neither side every quotient is alpha, and the function is
+    constant in q), and by the search if that takes it beyond |q| = 1e6.
     """
     require_above("tol", tol, 0.0)
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     ev = _PressureEvaluator(model, phi, psi, N)
+    if (_beyond(ev.sub, ev.phi_v, ev.psi_v, alpha, above=False)
+            != _beyond(ev.sub, ev.phi_v, ev.psi_v, alpha, above=True)):
+        raise UnboundedError(f"no minimum in q: alpha = {alpha} at or beyond the edge of "
+                             "the truncated spectrum")
     found = _minimize_over_q(lambda q: ev.evaluate(q, alpha, delta), 0.0,
                              lambda best, lower, width, slope: width <= tol)
     return found.best, found.q
@@ -525,10 +525,10 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
        (all but an eigensolver fallback's), so that every value at or below
        a positive one is positive, and every value at or above a
        nonpositive one nonpositive.
-    2. The halving is replayed exactly.  A midpoint that a counted value
-       settles is not tested, every other midpoint is, and the test at
-       s = 1 is made only when no counted value settles it.  The result is
-       bit for bit the plain halving's, which is also the worst case.
+    2. The halving is replayed by :func:`_halving`: a midpoint that a
+       counted value settles is not tested, every other midpoint is, and the
+       test at s = 1 is made only when no counted value settles it.  The
+       result is bit for bit the plain halving's, which is also the worst case.
 
     The roots increase with N toward the supremum over compact invariant
     subsets.  Levels whose truncation is not primitive are skipped, as in
@@ -543,7 +543,7 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
 
     def root(sub: TruncatedSubsystem) -> float:
         nonlocal start, p_zero
-        length, perron = _log_rho_solver(sub, logt.head, p_zero)
+        length, perron = _log_rho_solver(sub, logt.head)
         logt_v = logt.values_vector(length)
         pos, neg = -math.inf, math.inf   # counted: P > 0 at or below pos, P <= 0 at or above neg
 
@@ -560,7 +560,7 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
             found = perron(-s * logt_v, rel_tol, guess, mu=True)
             return s, count(s, found), -float(found.mu @ logt_v)
 
-        s, p_zero, slope = newton_point(0.0)
+        s, p_zero, slope = newton_point(0.0, p_zero)   # from the level before's P(0)
         p = p_zero
         if p <= 0.0:
             raise DegenerateError(f"pressure at s=0 is nonpositive at level N={sub.size}")
@@ -577,16 +577,8 @@ def bowen_dimension(model: MarkovMapModel, N_max: int, tol: float) -> PressureRe
         if not neg <= 1.0 and perron(-1.0 * logt_v, rel_tol, p + slope * (1.0 - s)).lo > 0.0:
             return 1.0  # root clipped at the ambient dimension
         # the halving of [0, 1], tested only where no counted value settles it
-        lo, hi = 0.0, 1.0
-        while hi - lo > width:
-            mid = 0.5 * lo + 0.5 * hi
-            if not lo < mid < hi:
-                break
-            if mid <= pos or (mid < neg and perron(-mid * logt_v, rel_tol,
-                                                   p + slope * (mid - s)).log_rho > 0.0):
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _halving(0.0, 1.0, (width, 0.0), pos, neg, lambda x: not perron(
+            -x * logt_v, rel_tol, p + slope * (x - s)).log_rho > 0.0)
         start = 0.5 * lo + 0.5 * hi
         return start
 

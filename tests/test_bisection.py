@@ -1,7 +1,11 @@
 """The plain halving of a bracket: the test-only oracle behind the package's
-replayed halvings (the staircase Perron root, the Bowen root) and behind the
-bisection oracles of the variational search."""
+replayed halving (``_halving``, which the staircase Perron root and the
+Bowen root run) and behind the bisection oracles of the variational search."""
+import math
+
 from hypothesis import assume, given, settings, strategies as st
+
+from markovdim.pressure import _halving
 
 
 def bisect(at_or_above, lo: float, hi: float, width) -> tuple[float, int]:
@@ -60,3 +64,46 @@ class TestBisect:
         assert mid in (0.0, 5e-324) and steps <= 1075
         mid, steps = bisect(lambda x: x >= 0.7, 0.0, 1.0, lambda h: 0.0)
         assert mid == 0.7 and steps <= 53
+
+
+class TestHalving:
+    """The package's halving, told where the predicate is already settled,
+    returns the oracle's bracket and tests only the midpoints in between."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True),
+           frac=st.floats(0.0, 1.0), strict=st.booleans(), w=st.floats(0.0, 1.0),
+           relative=st.booleans(), settled=st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 1.0)),
+           infinite=st.tuples(st.booleans(), st.booleans()))
+    def test_returns_the_oracle_bracket(self, ends, frac, strict, w, relative, settled,
+                                        infinite):
+        lo, hi = sorted(ends)
+        t = min(max((1.0 - frac) * lo + frac * hi, lo), hi)
+        assume(lo <= t < hi if strict else lo < t <= hi)   # False at lo, True at hi
+
+        def threshold(x):
+            return x > t if strict else x >= t
+
+        # ends settled on either side of the threshold, up to half the bracket
+        # beyond lo and hi, or none
+        false_to = -math.inf if infinite[0] else t - settled[0] * (t - lo)
+        true_from = math.inf if infinite[1] else t + settled[1] * (hi - t)
+        assume(not threshold(false_to) and threshold(true_from))
+
+        probes, tested = [], []
+
+        def oracle(x):
+            probes.append(x)
+            return threshold(x)
+
+        def at_or_above(x):
+            tested.append(x)
+            return threshold(x)
+
+        width = (0.0, w) if relative else (w, 0.0)
+        bisect(oracle, lo, hi, lambda h: width[0] + width[1] * h)
+        a, b = lo, hi
+        for x in probes:
+            a, b = (a, x) if threshold(x) else (x, b)
+        assert _halving(lo, hi, width, false_to, true_from, at_or_above) == (a, b)
+        assert tested == [x for x in probes if false_to < x < true_from]

@@ -241,6 +241,27 @@ class TestBatchVsScalar:
             assert (batch.itineraries[i, :rec.steps] == rec.itinerary).all()
             assert not batch.itineraries[i, rec.steps:].any()
 
+    def test_crossing_below_the_log_slope_head_aborts_as_scalar(self):
+        # SV(0.55) with branches 1..8 written out: log|T'| leaves its tail
+        # value on branch 8, and these orbits cross the deep floor with a
+        # branch bound at the horizon above ESCAPE_THRESHOLD - 1 but not
+        # above 8, so both paths abort them at the crossing (starts 916, 2047,
+        # 2462 and 2752 of seed 11's 3000 uniform starts, horizon 6000)
+        sv = md.build_sv_map(0.55)
+        m = md.build_custom_map([sv.branch(i) for i in range(1, 9)], "staircase",
+                                tail={"from_index": 9, "ratio": 0.55})
+        starts = np.array([0.9947441455835837, 0.6814884899259026, 0.34615715508166145,
+                           0.4759862841585115])
+        n = 6000
+        batch = simulate_batch(m, starts, n)
+        recs = [md.simulate_orbit(m, float(s), n) for s in starts]
+        assert [r.steps for r in recs] == batch.steps.tolist() == [4852, 4854, 4854, 4852]
+        assert ([r.classification for r in recs] == batch.classification().tolist()
+                == [BOUNDARY_ABORT] * 4)
+        for rec in recs:
+            bound = int(rec.itinerary[-1]) + rec.steps - 1 - n
+            assert rec.points[-1] < DEEP_FLOOR and ESCAPE_THRESHOLD - 1 < bound <= 8
+
     def test_crossing_below_a_potential_head_stops(self):
         # phi leaves its tail value on symbol 20000, so no crossing of SV(0.9)
         # is certified: each lane stops where the scalar orbit does, recording

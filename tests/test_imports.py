@@ -1,4 +1,5 @@
-"""Static check: every module-level import in the package sources is read."""
+"""Static checks: every module-level import, private name and parameter in
+the package sources is read."""
 import ast
 from pathlib import Path
 
@@ -78,6 +79,47 @@ def test_checker_finds_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_names(sources) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of the module-level functions and of the methods of
+    module-level classes in ``source`` that their bodies never read, as
+    ``function.parameter`` or ``Class.method.parameter``; ``self`` and
+    ``cls`` aside.  A read in a nested function or lambda counts."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{f.name}", f) for f in node.body
+                          if isinstance(f, ast.FunctionDef)]
+    unread = []
+    for name, f in functions:
+        a = f.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        read = {n.id for stmt in f.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}.{p}" for p in params if p not in read]
+    return sorted(unread)
+
+
+def test_checker_finds_unread_parameter():
+    src = ("def f(a, b, *args, c=1, **kw):\n    return a + (lambda: c)()\n\n"
+           "class A:\n    def m(self, x, y):\n        return y\n")
+    assert unread_parameters(src) == ["A.m.x", "f.args", "f.b", "f.kw"]
+
+
+#: parameters that only fill the shared Perron-route signature
+#: root(log_weights, rel_tol, guess, mu): no start helps power iteration, and
+#: the rank-one sum is exact up to roundoff whatever the tolerance
+ROUTE_SIGNATURE_PARAMETERS = {"pressure.py": ["_power_log_rho.guess", "_rank_one_log_rho.guess",
+                                              "_rank_one_log_rho.rel_tol"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == ROUTE_SIGNATURE_PARAMETERS.get(path.name, [])
 
 
 #: every name ``from markovdim import *`` binds; a new public name is an edit here

@@ -180,6 +180,16 @@ def counted(mat: np.ndarray, log: list) -> CountingMatrix:
     return out
 
 
+def sparse_three_branch_case():
+    """(model, phi) of three equal branches of slope 2 with rows
+    [[1,1,0],[0,1,1],[1,1,0]] and phi = (0, 1, 2): its cycle quotients span
+    [0, 1.5], symbol 3 has no self-loop and the 2-cycle 2 <-> 3 sits at the top."""
+    rows = [[1, 1, 0], [0, 1, 1], [1, 1, 0]]
+    branches = [md.make_branch(i + 1, i / 3, (i + 1) / 3, 2.0) for i in range(3)]
+    return (md.build_custom_map(branches, np.array(rows, dtype=bool)),
+            md.TablePotential({(1,): 0.0, (2,): 1.0, (3,): 2.0}))
+
+
 def seeded_primitive(rng, n):
     while True:
         mat = rng.random((n, n)) < 0.55
@@ -620,21 +630,46 @@ class TestPowerIteration:
             assert 0 < products.count("vector") + 64 * products.count("square") <= cap
 
     def test_sparse_map_beyond_the_edge_is_unbounded(self, monkeypatch):
-        # below the least cycle quotient q doubles towards -1e6 and the
-        # shifted weights of symbols 2 and 3 underflow: each root stops on its
-        # bracket, or falls back to eigvals at once where the Perron vector
-        # spans more than the range of doubles, and none spends the budget
-        rows = [[1, 1, 0], [0, 1, 1], [1, 1, 0]]
-        branches = [md.make_branch(i + 1, i / 3, (i + 1) / 3, 2.0) for i in range(3)]
-        cm = md.build_custom_map(branches, np.array(rows, dtype=bool))
-        phi = md.TablePotential({(1,): 0.0, (2,): 1.0, (3,): 2.0})
+        # below the least cycle quotient the edge test raises before any
+        # root.  The roots of a q-search there, q = -2^k, stay covered: the
+        # shifted weights of symbols 2 and 3 underflow, and each root stops
+        # on its bracket, or falls back to eigvals at once where the Perron
+        # vector spans more than the range of doubles, and none spends the
+        # budget
+        cm, phi = sparse_three_branch_case()
+        one = md.constant_potential(1.0)
+        products, no_bracket = [], []
+        real, real_cw = pressure._power_iteration, pressure._collatz_wielandt
+
+        def collatz_wielandt(*args):
+            found = real_cw(*args)
+            no_bracket.append(found is None)
+            return found
+
+        monkeypatch.setattr(pressure, "_power_iteration",
+                            lambda a, rel_tol: real(counted(np.asarray(a), products), rel_tol))
+        monkeypatch.setattr(pressure, "_collatz_wielandt", collatz_wielandt)
+        with pytest.raises(UnboundedError):
+            md.inf_pressure_over_q(cm, phi, one, -0.5, 0.2, 3, 1e-6)
+        assert len(products) == 0
+        ev = spectrum._PressureEvaluator(cm, phi, one, 3)
+        for k in range(21):
+            ev.evaluate(-2.0 ** k, -0.5, 0.2)
+        assert 0 < len(products) <= 2000 and any(no_bracket)
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
+    def test_sparse_map_above_the_edge_is_unbounded(self, alpha, monkeypatch):
+        # at and above the greatest cycle quotient the edge test raises before
+        # any root; a q-search there meets nearly periodic roots, each taking
+        # the whole product budget, and then a nilpotent weighted matrix
+        cm, phi = sparse_three_branch_case()
         products = []
         real = pressure._power_iteration
         monkeypatch.setattr(pressure, "_power_iteration",
                             lambda a, rel_tol: real(counted(np.asarray(a), products), rel_tol))
         with pytest.raises(UnboundedError):
-            md.inf_pressure_over_q(cm, phi, md.constant_potential(1.0), -0.5, 0.2, 3, 1e-6)
-        assert 0 < len(products) <= 2000
+            md.inf_pressure_over_q(cm, phi, md.constant_potential(1.0), alpha, 0.2, 3, 1e-6)
+        assert len(products) == 0
 
     def test_collapse_raises(self):
         # the weights of symbols 2 and 3 underflow, so A^2 = 0
@@ -894,6 +929,15 @@ class TestGurevich:
         vals = [p for _, p in res.per_level]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("lam,t", [(0.9, 7.0), (0.6, 1.5), (0.75, 3.0)])
+    def test_each_level_starts_from_the_level_before(self, lam, t, monkeypatch):
+        # the 13 levels take 59, 61 and 51 trials; started cold, each level
+        # costs a full Newton phase, about four times as many
+        trials = count_tail_calls(monkeypatch)
+        m = md.build_sv_map(lam)
+        md.gurevich_pressure(m, neg_t_logt(m, t), 1e-8, 8192)
+        assert 0 < len(trials) <= 80
+
     def test_zero_potential_bounded_not_converged(self):
         # the level sequence increases toward log 4 (loop growth is
         # Catalan-like) but the 1/N^2 approach never meets a 1e-8 tolerance
@@ -935,7 +979,7 @@ class TestGurevich:
     def test_monotonicity_checked_on_brackets(self, half_width, raises, monkeypatch):
         # a route whose roots fall by 1e-10 a level: an error only when a
         # level's bracket lies wholly below the level before's
-        def solver(sub, head, guess=None):
+        def solver(sub, head):
             def root(log_weights, rel_tol, guess=None, mu=False):
                 value = -1e-10 * math.log2(sub.size)
                 return pressure.PerronRoot(value, value - half_width, value + half_width, None)

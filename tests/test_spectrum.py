@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import markovdim as md
 from markovdim import pressure, spectrum
 from markovdim.errors import DegenerateError, DomainError, MixingError, UnboundedError
-from markovdim.spectrum import _karp_critical, _karp_min_cycle_mean, _karp_table
+from markovdim.spectrum import _karp_critical, _karp_table
 from test_bisection import bisect
 
 ALPHA_M_09 = 2.302585092994046          # -log(1 - 0.9)
@@ -208,8 +208,8 @@ def patched_solver(monkeypatch, shift=0.0, slope_scale=1.0):
     set, which it shares."""
     real = pressure._log_rho_solver
 
-    def solver(sub, head, guess=None):
-        length, root = real(sub, head, guess)
+    def solver(sub, head):
+        length, root = real(sub, head)
 
         def shifted(log_weights, rel_tol, guess=None, mu=False):
             value, lo, hi, weights = root(log_weights, rel_tol, guess, mu)
@@ -320,7 +320,7 @@ class TestAlphaBounds:
                     and md.is_primitive(sub)):
                 continue
             cost = rng.normal(0.0, 1.0, n)
-            assert _karp_min_cycle_mean(sub, cost) == \
+            assert _karp_critical(_karp_table(sub.matrix, cost))[0] == \
                 pytest.approx(brute_min_cycle_mean(mat, cost), abs=1e-12)
             checked += 1
 
@@ -469,8 +469,8 @@ class TestAlphaBounds:
         rng = np.random.default_rng(3)
         for _ in range(5):
             cost = rng.normal(0.0, 1.0, 12)
-            assert _karp_min_cycle_mean(sub, cost) == \
-                pytest.approx(_karp_min_cycle_mean(dense, cost), abs=1e-12)
+            assert _karp_critical(_karp_table(sub.matrix, cost))[0] == \
+                pytest.approx(_karp_critical(_karp_table(dense.matrix, cost))[0], abs=1e-12)
 
 
 class TestInfPressureOverQ:
@@ -722,6 +722,19 @@ class TestBowen:
         assert rep.value == pytest.approx(target, abs=1e-3)
         vals = [s for _, s in rep.per_level]
         assert all(b >= a - 1e-8 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+    def test_closed_form_hyperbolic_dimension_above_the_root(self, lam):
+        # the roots increase with N to the closed form -log 4 / log(lambda
+        # (1 - lambda)); at N = 4096 they lie 2.5e-7 to 4.1e-7 below it
+        gap = md.sv_hyperbolic_dimension(lam) - md.bowen_dimension(
+            md.build_sv_map(lam), 4096, 1e-6).value
+        assert 0.0 < gap < 1e-6
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 0.3, math.nan])
+    def test_hyperbolic_dimension_lambda_validated(self, lam):
+        with pytest.raises(DomainError):
+            md.sv_hyperbolic_dimension(lam)
 
     def test_to_dict(self):
         d = md.bowen_dimension(md.build_sv_map(0.9), 64, 1e-6).to_dict()
